@@ -11,19 +11,18 @@ Kernel semantics (the NumPy implementations in
 backends must match them):
 
 ``serve_chunk``
-    Advance the Fig 4 array server model over one chunk of timesteps:
-    land the chunk's per-(step, server) arrival counts, serve each step
-    under the paper/serial discipline (up to two type-C in parallel,
-    else one type-E), and accumulate the post-warmup accounting. The
-    count arrays are a *window*: column ``j`` of ``counts_*`` holds the
-    queued-task count for arrival step ``base + j``, and head pointers
-    are absolute arrival steps. Must be exactly the deque semantics of
-    the reference engine — integer accounting and the float
-    ``queue_length_sum`` accumulation order are part of the contract,
-    which is what makes results bit-identical across backends. The
-    running ``queue_length_sum`` is carried *through* the kernel (in
-    and out) so the addition sequence — and therefore the result — is
-    also bit-identical across chunk sizes.
+    Advance the Fig 4 count-only server model over one chunk of
+    timesteps. The state is the ``(M,)`` per-server queued counts of
+    each type; each step adds the step's arrival counts, then every
+    server takes ``min(queued_c, 2)`` type-C tasks (``min(queued_c, 1)``
+    under the serial discipline), or one type-E task if it has no
+    type-C. Which tasks are served never matters here: each type is
+    FIFO, so the engine recovers queueing delays from arrival counts
+    alone (see :mod:`repro.lb.engine`). The kernel returns the served
+    count, the sum of serving steps over served tasks, and the running
+    ``queue_length_sum``. The running sum is carried *through* the
+    kernel (in and out), so its float addition sequence — and therefore
+    the result — is bit-identical across chunk sizes and backends.
 
 ``searchsorted_right``
     ``np.searchsorted(table, values, side="right")`` for a sorted 1-D
@@ -57,7 +56,7 @@ class ArrayBackend:
 
     Attributes:
         name: registry name (``"numpy"``, ``"numba"``, ...).
-        serve_chunk: Fig 4 server-model chunk kernel (see module doc).
+        serve_chunk: Fig 4 count-only server kernel (see module doc).
         searchsorted_right: sorted-table right-bisect lookup.
         project_psd_batch: batched PSD cone projection.
         frobenius_batch: batched Frobenius norms.

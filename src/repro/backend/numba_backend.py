@@ -7,12 +7,11 @@ host without numba never touches this file.
 Every kernel executes the same arithmetic as the NumPy reference in
 :mod:`repro.backend.numpy_backend`, in the same order:
 
-- ``serve_chunk`` fuses the per-step server sweep into one compiled
-  loop (this is where the backend earns its speedup — the NumPy path
-  pays Python dispatch per timestep, the compiled path pays it per
-  chunk). Integer accounting is exact and the ``queue_length_sum``
-  float accumulation order matches, so results are bit-identical to
-  the NumPy backend.
+- ``serve_chunk`` fuses the per-step count recursion into one compiled
+  loop (the NumPy path pays a few vector dispatches per timestep, the
+  compiled path one call per chunk). Integer accounting is exact and
+  the ``queue_length_sum`` float accumulation order matches, so results
+  are bit-identical to the NumPy backend.
 - ``searchsorted_right`` is a hand-rolled right-bisect with
   ``np.searchsorted(..., side="right")`` semantics (exact integer
   agreement).
@@ -38,84 +37,42 @@ __all__ = ["make_backend"]
 def _serve_chunk_jit(
     arrivals_c,
     arrivals_e,
-    counts_c,
-    counts_e,
-    head_c,
-    head_e,
     queued_c,
     queued_e,
-    base,
     start,
     num_balancers,
-    warmup,
     serve_two_c,
     max_total_queue,
     total_queued,
     queue_length_sum,
 ):
-    chunk = arrivals_c.shape[0]
-    num_servers = counts_c.shape[0]
+    num_servers = queued_c.shape[0]
+    cap_c = 2 if serve_two_c else 1
     served = 0
-    arrived = 0
-    wait_sum = 0
-    measured_steps = 0
+    served_step_sum = 0
     stopped = False
     steps_done = 0
 
-    for offset in range(chunk):
-        step = start + offset
-        col = step - base
-        for s in range(num_servers):
-            if queued_c[s] == 0:
-                head_c[s] = step
-            if queued_e[s] == 0:
-                head_e[s] = step
-            a = arrivals_c[offset, s]
-            counts_c[s, col] = a
-            queued_c[s] += a
-            b = arrivals_e[offset, s]
-            counts_e[s, col] = b
-            queued_e[s] += b
-
+    for offset in range(arrivals_c.shape[0]):
         step_served = 0
-        step_wait = 0
         for s in range(num_servers):
-            if queued_c[s] > 0:
-                h = head_c[s]
-                while counts_c[s, h - base] == 0:
-                    h += 1
-                counts_c[s, h - base] -= 1
-                queued_c[s] -= 1
-                head_c[s] = h
-                step_wait += step - h
+            c = queued_c[s] + arrivals_c[offset, s]
+            e = queued_e[s] + arrivals_e[offset, s]
+            if c > 0:
+                take = min(c, cap_c)
+                c -= take
+                step_served += take
+            elif e > 0:
+                e -= 1
                 step_served += 1
-                if serve_two_c and queued_c[s] > 0:
-                    h = head_c[s]
-                    while counts_c[s, h - base] == 0:
-                        h += 1
-                    counts_c[s, h - base] -= 1
-                    queued_c[s] -= 1
-                    head_c[s] = h
-                    step_wait += step - h
-                    step_served += 1
-            elif queued_e[s] > 0:
-                h = head_e[s]
-                while counts_e[s, h - base] == 0:
-                    h += 1
-                counts_e[s, h - base] -= 1
-                queued_e[s] -= 1
-                head_e[s] = h
-                step_wait += step - h
-                step_served += 1
+            queued_c[s] = c
+            queued_e[s] = e
 
         total_queued += num_balancers - step_served
+        served += step_served
+        served_step_sum += (start + offset) * step_served
+        queue_length_sum += total_queued / num_servers
         steps_done += 1
-        if step >= warmup:
-            arrived += num_balancers
-            served += step_served
-            wait_sum += step_wait
-            queue_length_sum += total_queued / num_servers
-            measured_steps += 1
         if total_queued > max_total_queue:
             stopped = True
             break
@@ -124,10 +81,8 @@ def _serve_chunk_jit(
         steps_done,
         total_queued,
         served,
-        arrived,
-        wait_sum,
+        served_step_sum,
         queue_length_sum,
-        measured_steps,
         stopped,
     )
 
@@ -135,50 +90,35 @@ def _serve_chunk_jit(
 def serve_chunk(
     arrivals_c,
     arrivals_e,
-    counts_c,
-    counts_e,
-    head_c,
-    head_e,
     queued_c,
     queued_e,
-    base,
     start,
     num_balancers,
-    warmup,
     serve_two_c,
     max_total_queue,
     total_queued,
     queue_length_sum,
 ):
-    """Compiled server-model chunk kernel; NumPy-reference semantics."""
-    out = _serve_chunk_jit(
-        np.ascontiguousarray(arrivals_c),
-        np.ascontiguousarray(arrivals_e),
-        counts_c,
-        counts_e,
-        head_c,
-        head_e,
+    """Compiled count-only server kernel; NumPy-reference semantics."""
+    (steps_done, total, served, served_step_sum, queue_length_sum,
+     stopped) = _serve_chunk_jit(
+        arrivals_c,
+        arrivals_e,
         queued_c,
         queued_e,
-        base,
         start,
         num_balancers,
-        warmup,
         serve_two_c,
         float(max_total_queue),
         total_queued,
         float(queue_length_sum),
     )
-    (steps_done, total, served, arrived, wait_sum,
-     queue_length_sum, measured_steps, stopped) = out
     return (
         int(steps_done),
         int(total),
         int(served),
-        int(arrived),
-        int(wait_sum),
+        int(served_step_sum),
         float(queue_length_sum),
-        int(measured_steps),
         bool(stopped),
     )
 

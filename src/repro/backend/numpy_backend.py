@@ -1,11 +1,8 @@
 """Reference NumPy implementations of the backend kernel contract.
 
 These are the semantics every other backend must match (see
-:mod:`repro.backend.base`). The serve kernel is the windowed rewrite of
-the original full-materialization array server model: identical
-arithmetic in identical order, just indexed relative to a sliding
-``base`` arrival step so the engine can stream chunks with bounded
-memory.
+:mod:`repro.backend.base`). The serve kernel is the count-only server
+model: each step it touches nothing but the per-server queued counts.
 """
 
 from __future__ import annotations
@@ -17,134 +14,64 @@ from repro.backend.base import ArrayBackend
 __all__ = ["make_backend", "serve_chunk", "searchsorted_right"]
 
 
-def _advance_heads(counts, heads, mask, base):
-    """Move each masked server's head to its first nonzero count.
-
-    Heads only move forward, so the total advance over a run is bounded
-    by the arrival-step span per server — amortized O(1) per serve.
-    """
-    selected = np.flatnonzero(mask)
-    while selected.size:
-        stale = counts[selected, heads[selected] - base] == 0
-        if not stale.any():
-            return
-        selected = selected[stale]
-        heads[selected] += 1
-
-
-def _pop_earliest(counts, heads, totals, mask, now, base):
-    """Serve one earliest-arrival task per masked server.
-
-    Returns ``(count_served, wait_sum)`` for the step's accounting.
-    """
-    if not mask.any():
-        return 0, 0
-    _advance_heads(counts, heads, mask, base)
-    servers = np.flatnonzero(mask)
-    arrivals = heads[servers]
-    counts[servers, arrivals - base] -= 1
-    totals[servers] -= 1
-    return servers.size, int((now - arrivals).sum())
-
-
 def serve_chunk(
     arrivals_c,
     arrivals_e,
-    counts_c,
-    counts_e,
-    head_c,
-    head_e,
     queued_c,
     queued_e,
-    base,
     start,
     num_balancers,
-    warmup,
     serve_two_c,
     max_total_queue,
     total_queued,
     queue_length_sum,
 ):
-    """Advance the array server model over one chunk of timesteps.
+    """Advance the count-only server model over one chunk of timesteps.
 
     Args:
         arrivals_c / arrivals_e: ``(chunk, M)`` per-step, per-server
             arrival counts by type.
-        counts_c / counts_e: ``(M, capacity)`` windowed queue counts;
-            column ``j`` is arrival step ``base + j``.
-        head_c / head_e: ``(M,)`` absolute arrival-step head pointers.
-        queued_c / queued_e: ``(M,)`` per-server queued totals by type.
-        base: arrival step of window column 0.
+        queued_c / queued_e: ``(M,)`` per-server queued counts by type,
+            updated in place.
         start: absolute step of chunk row 0.
-        num_balancers: arrivals per step (accounting).
-        warmup: steps before ``warmup`` are excluded from averages.
+        num_balancers: arrivals per step.
         serve_two_c: "paper" discipline (two type-C per step) when True,
             "serial" (one task per step, C first) when False.
         max_total_queue: early-stop threshold on the system-wide queue.
         total_queued: system-wide queued count carried in from the
             previous chunk.
-        queue_length_sum: running post-warmup queue-length accumulator
-            carried in from the previous chunk. Accumulating *inside*
-            the kernel keeps the float addition sequence identical to a
-            monolithic run, so results are bit-identical across chunk
-            sizes.
+        queue_length_sum: running queue-length accumulator carried in
+            from the previous chunk. Accumulating *inside* the kernel
+            keeps the float addition sequence identical to a monolithic
+            run, so results are bit-identical across chunk sizes.
 
     Returns:
-        ``(steps_done, total_queued, served, arrived, wait_sum,
-        queue_length_sum, measured_steps, stopped)`` where
-        ``steps_done`` counts the chunk steps actually executed and
-        ``stopped`` flags a ``max_total_queue`` early stop. The state
-        arrays are updated in place.
+        ``(steps_done, total_queued, served, served_step_sum,
+        queue_length_sum, stopped)``: ``served_step_sum`` is the sum of
+        the serving step over every served task, and ``stopped`` flags a
+        ``max_total_queue`` early stop after ``steps_done`` steps.
     """
-    chunk = arrivals_c.shape[0]
-    num_servers = counts_c.shape[0]
+    num_servers = queued_c.shape[0]
+    cap_c = 2 if serve_two_c else 1
     served = 0
-    arrived = 0
-    wait_sum = 0
-    measured_steps = 0
+    served_step_sum = 0
     stopped = False
     steps_done = 0
 
-    for offset in range(chunk):
-        step = start + offset
-        step_c = arrivals_c[offset]
-        step_e = arrivals_e[offset]
-        # Fast-forward empty servers' heads to this step before the new
-        # arrivals land, so heads never rescan long-gone history.
-        head_c[queued_c == 0] = step
-        head_e[queued_e == 0] = step
-        col = step - base
-        counts_c[:, col] = step_c
-        counts_e[:, col] = step_e
-        queued_c += step_c
-        queued_e += step_e
-
-        have_c = queued_c > 0
-        step_served, step_wait = _pop_earliest(
-            counts_c, head_c, queued_c, have_c, step, base
-        )
-        if serve_two_c:
-            second = have_c & (queued_c > 0)
-            extra_served, extra_wait = _pop_earliest(
-                counts_c, head_c, queued_c, second, step, base
-            )
-            step_served += extra_served
-            step_wait += extra_wait
-        only_e = ~have_c & (queued_e > 0)
-        e_served, e_wait = _pop_earliest(
-            counts_e, head_e, queued_e, only_e, step, base
-        )
-        step_served += e_served
-        step_wait += e_wait
+    for offset in range(arrivals_c.shape[0]):
+        queued_c += arrivals_c[offset]
+        queued_e += arrivals_e[offset]
+        take_e = (queued_c == 0) & (queued_e > 0)
+        take_c = np.minimum(queued_c, cap_c)
+        queued_c -= take_c
+        queued_e -= take_e
+        step_served = int(take_c.sum()) + int(np.count_nonzero(take_e))
 
         total_queued += num_balancers - step_served
+        served += step_served
+        served_step_sum += (start + offset) * step_served
+        queue_length_sum += total_queued / num_servers
         steps_done += 1
-        if step >= warmup:
-            arrived += num_balancers
-            served += step_served
-            wait_sum += step_wait
-            queue_length_sum += total_queued / num_servers
-            measured_steps += 1
         if total_queued > max_total_queue:
             stopped = True
             break
@@ -153,10 +80,8 @@ def serve_chunk(
         steps_done,
         total_queued,
         served,
-        arrived,
-        wait_sum,
+        served_step_sum,
         queue_length_sum,
-        measured_steps,
         stopped,
     )
 

@@ -431,7 +431,9 @@ class SweepRunner:
             fsync'd CRC-framed journal keyed by :meth:`run_key`; a
             re-run of the same points resumes instead of recomputing.
         journal_dir: journal directory override (default
-            ``<cache root>/journal``).
+            ``<cache root>/journal``, where the cache root is the
+            cache's directory, else ``cache_dir``, else
+            ``REPRO_CACHE_DIR`` or ``.repro_cache``).
         journal_meta: plain-JSON metadata stored in the journal header
             (the CLI records its argv here so ``python -m repro
             resume`` can restart the sweep).
@@ -480,6 +482,9 @@ class SweepRunner:
             failures=failures,
         )
         self._journal_enabled = bool(journal)
+        if journal_dir is None:
+            cache_root = self._cache.root if self._cache is not None else cache_dir
+            journal_dir = _journal.default_journal_dir(cache_root)
         self._journal_dir = journal_dir
         self._journal_meta = journal_meta
         if progress is not None:

@@ -12,24 +12,36 @@ discipline / workload combinations that vectorize:
    (``assign_batch``), and pre-aggregates per-(step, server) arrival
    counts by type. Feedback policies (e.g. power-of-two choices) cannot
    batch and fall back to the reference loop under ``engine="auto"``.
-2. **Windowed array server model** — per-(server, type) counts of
-   queued tasks indexed by arrival step replace the deques. The count
-   arrays are a sliding *window*: column ``j`` holds arrival step
-   ``base + j``, and the dead prefix (arrival steps every queue has
-   drained past) is compacted away between chunks. Peak memory is
-   therefore ``O(M * (queue-age span + chunk))`` instead of
-   ``O(M * timesteps)`` — millions of timesteps stream through a
-   bounded window (the ``engine.window_bytes`` gauge records the peak).
-3. **Pluggable kernels** — the per-chunk serve loop is dispatched
+2. **Count-only server model** — which server serves how many tasks of
+   which type each step depends only on its queued counts:
+   ``take_c = min(queued_c, 2)`` (1 under "serial") and
+   ``take_e = (queued_c == 0) & (queued_e > 0)``. So the serve kernel
+   keeps nothing but the ``(M,)`` queued counts of each type.
+3. **Waits from FIFO ranks** — each (server, type) queue is FIFO, so
+   the tasks queued after step ``T`` are that queue's last ``q``
+   arrivals. With ``Q(T)`` the sum of their arrival steps, the waits
+   of the tasks served in steps ``[W, E]`` (warmup ``W``, last step
+   ``E``) sum exactly, in integers, to
+   ``sum_t t*served_t - (N * sum_t t - Q(E) + Q(W-1))``. The engine
+   keeps per-step arrival counts in a sliding *window* (row ``j`` is
+   arrival step ``base + j``; counts are never decremented) and reads
+   ``Q`` from it twice per run. The window's dead prefix — rows older
+   than every queued task — is compacted away when a chunk does not
+   fit, so peak memory is ``O(M * (queue-age span + chunk))`` instead
+   of ``O(M * timesteps)`` (the ``engine.window_bytes`` gauge records
+   the peak). Chunks are split at the warmup step, so ``Q(W-1)`` is
+   read between two kernel calls.
+4. **Pluggable kernels** — the per-chunk serve loop is dispatched
    through :func:`repro.backend.get_backend`: the NumPy reference
    kernel, or the numba ``@njit`` variant when available. Both execute
    identical arithmetic in identical order, so results are
    bit-identical across backends (asserted by ``tests/backend/``).
 
-Metric equivalence: for a fixed task and choice matrix the windowed
-model serves the same multiset of (type, arrival-step) tasks each step
-as the deques, so ``SimulationResult`` is bit-identical to the
-reference engine. Policies whose batched draws consume the RNG exactly
+Metric equivalence: for a fixed task and choice matrix the count-only
+model serves the same number of tasks of each type per server each
+step as the deques, and the FIFO-rank identity gives the same wait
+total, so ``SimulationResult`` is bit-identical to the reference
+engine. Policies whose batched draws consume the RNG exactly
 like their sequential draws (uniform random, round robin, Bernoulli
 and multi-class workloads — all row-major per step) are additionally
 per-seed identical across engines *and* chunk sizes; the paired-game,
@@ -119,50 +131,82 @@ def resolve_chunk_steps(
     return min(DEFAULT_CHUNK_STEPS, budgeted, timesteps)
 
 
-def _compact_and_fit(counts_c, counts_e, head_c, head_e, queued_c, queued_e,
-                     base, start, end):
+#: Cells per block when walking the window (bounds the scan's scratch).
+SCAN_BLOCK_CELLS = 1 << 18
+
+
+def _queued_arrivals(window, queued, rows):
+    """Where each server's queued tasks arrived, read from the window.
+
+    Each (server, type) queue is FIFO, so its ``q`` queued tasks are its
+    last ``q`` arrivals. Walks window rows ``[0, rows)`` newest first,
+    block by block, until every queue is covered.
+
+    Args:
+        window: ``(capacity, 2, M)`` arrival counts, row ``j`` holding
+            arrival step ``base + j``.
+        queued: ``(2, M)`` queued counts after step ``base + rows - 1``.
+        rows: window rows that hold arrivals up to that step.
+
+    Returns:
+        ``(row_sum, oldest)``: the sum of window row indices over every
+        queued task, and the oldest row holding a queued task (``rows``
+        when nothing is queued).
+    """
+    flat = window.reshape(window.shape[0], -1)
+    remaining = queued.reshape(-1).astype(np.int64)
+    block = max(1, SCAN_BLOCK_CELLS // flat.shape[1])
+    row_sum = 0
+    oldest = rows
+    hi = rows
+    while hi > 0 and remaining.any():
+        lo = max(0, hi - block)
+        counts = flat[lo:hi][::-1]
+        newer = np.cumsum(counts, axis=0) - counts
+        live = np.clip(remaining - newer, 0, counts)
+        per_row = live.sum(axis=1)
+        hit = np.flatnonzero(per_row)
+        if hit.size:
+            oldest = hi - 1 - int(hit[-1])
+        row_sum += int(np.arange(hi - 1, lo - 1, -1) @ per_row)
+        remaining -= live.sum(axis=0)
+        hi = lo
+    return row_sum, oldest
+
+
+def _queued_step_sum(window, queued, base, step):
+    """Sum of arrival steps over every task queued after ``step``."""
+    row_sum, _ = _queued_arrivals(window, queued, step + 1 - base)
+    return row_sum + base * int(queued.sum())
+
+
+def _compact_and_fit(window, queued, base, start, end):
     """Make the window cover arrival steps ``[base', end)``.
 
-    First drops the dead prefix — columns before the earliest live head
-    (or before ``start`` when all queues are empty) — then grows the
-    arrays geometrically if the chunk still does not fit. Stale heads of
-    empty servers may lag behind the new base; the serve kernels reset
-    them to the current step before dereferencing, so compaction past
-    them is safe.
+    First drops the dead prefix — rows before the oldest arrival still
+    queued (or before ``start`` when all queues are empty) — then grows
+    the array geometrically if the chunk still does not fit.
 
-    Returns ``(counts_c, counts_e, base)``.
+    Returns ``(window, base)``.
     """
-    capacity = counts_c.shape[1]
+    capacity = window.shape[0]
     if end - base <= capacity:
-        return counts_c, counts_e, base
+        return window, base
 
-    live = []
-    if queued_c.any():
-        live.append(int(head_c[queued_c > 0].min()))
-    if queued_e.any():
-        live.append(int(head_e[queued_e > 0].min()))
-    new_base = min(min(live), start) if live else start
-    shift = new_base - base
     used = start - base
+    _, shift = _queued_arrivals(window, queued, used)
     if shift > 0:
-        keep = used - shift
-        if keep > 0:
-            counts_c[:, :keep] = counts_c[:, shift:used]
-            counts_e[:, :keep] = counts_e[:, shift:used]
-        counts_c[:, max(keep, 0):used] = 0
-        counts_e[:, max(keep, 0):used] = 0
-        base = new_base
-        used = start - base
+        window[: used - shift] = window[shift:used]
+        base += shift
+        used -= shift
 
     needed = end - base
     if needed > capacity:
-        new_capacity = max(needed, 2 * capacity)
-        grown_c = np.zeros((counts_c.shape[0], new_capacity), dtype=np.int32)
-        grown_e = np.zeros_like(grown_c)
-        grown_c[:, :used] = counts_c[:, :used]
-        grown_e[:, :used] = counts_e[:, :used]
-        counts_c, counts_e = grown_c, grown_e
-    return counts_c, counts_e, base
+        grown = np.zeros((max(needed, 2 * capacity),) + window.shape[1:],
+                         dtype=window.dtype)
+        grown[:used] = window[:used]
+        window = grown
+    return window, base
 
 
 def run_vectorized(
@@ -198,25 +242,21 @@ def run_vectorized(
     num_balancers = policy.num_balancers
     chunk = resolve_chunk_steps(chunk_steps, timesteps, num_balancers, num_servers)
 
-    # Windowed server model state: column j of counts_* is arrival step
-    # base + j; heads are absolute arrival steps (FIFO within type).
-    counts_c = np.zeros((num_servers, chunk), dtype=np.int32)
-    counts_e = np.zeros((num_servers, chunk), dtype=np.int32)
-    head_c = np.zeros(num_servers, dtype=np.int64)
-    head_e = np.zeros(num_servers, dtype=np.int64)
-    queued_c = np.zeros(num_servers, dtype=np.int64)
-    queued_e = np.zeros(num_servers, dtype=np.int64)
+    # Count-only server model: row j of the window holds step base + j's
+    # per-server arrival counts (type-C, type-E); queued holds the
+    # per-server queued counts (row 0 type-C, row 1 type-E).
+    window = np.zeros((chunk, 2, num_servers), dtype=np.int32)
+    queued = np.zeros((2, num_servers), dtype=np.int64)
     base = 0
 
     total_queued = 0
     queue_length_sum = 0.0
-    wait_sum = 0
     served = 0
-    arrived = 0
-    measured_steps = 0
+    served_step_sum = 0
+    queued_steps_at_warmup = 0
     executed = 0
     chunks = 0
-    peak_window_bytes = counts_c.nbytes + counts_e.nbytes
+    peak_window_bytes = window.nbytes
     serve_two_c = discipline == "paper"
     stopped = False
     clock_start = time.perf_counter()
@@ -243,46 +283,62 @@ def run_vectorized(
                     f"policy chose invalid server {int(bad.ravel()[0])}"
                 )
 
-            # Per-step, per-server arrival counts by type: one bincount
-            # per type over the chunk's (step, server) cells.
-            step_index = np.repeat(np.arange(steps), num_balancers)
-            cell = step_index * num_servers + choices.ravel()
-            is_c = task_bits.ravel() != 0
-            arrivals_c = np.bincount(
-                cell[is_c], minlength=steps * num_servers
-            ).reshape(steps, num_servers).astype(np.int32)
-            arrivals_e = np.bincount(
-                cell[~is_c], minlength=steps * num_servers
-            ).reshape(steps, num_servers).astype(np.int32)
-
-            counts_c, counts_e, base = _compact_and_fit(
-                counts_c, counts_e, head_c, head_e, queued_c, queued_e,
-                base, start, end,
-            )
-            window_bytes = counts_c.nbytes + counts_e.nbytes
+            window, base = _compact_and_fit(window, queued, base, start, end)
+            window_bytes = window.nbytes
             peak_window_bytes = max(peak_window_bytes, window_bytes)
+            # Per-step, per-server arrival counts by type: one bincount
+            # over the chunk's (step, type, server) cells.
+            step_index = np.repeat(np.arange(steps), num_balancers)
+            is_e = task_bits.ravel() == 0
+            cell = (2 * step_index + is_e) * num_servers + choices.ravel()
+            rows = window[start - base:end - base]
+            rows[...] = np.bincount(
+                cell, minlength=steps * 2 * num_servers
+            ).reshape(rows.shape)
 
-            (steps_done, total_queued, chunk_served, chunk_arrived,
-             chunk_wait, queue_length_sum, chunk_measured, stopped) = (
-                kernels.serve_chunk(
-                    arrivals_c, arrivals_e,
-                    counts_c, counts_e,
-                    head_c, head_e,
-                    queued_c, queued_e,
-                    base, start, num_balancers, warmup,
-                    serve_two_c, max_total_queue, total_queued,
-                    queue_length_sum,
+            # Split the chunk at the warmup step, so every kernel call is
+            # all warmup (its accounting is dropped) or all measured.
+            bounds = [start, warmup, end] if start < warmup < end else [start, end]
+            for lo, hi in zip(bounds, bounds[1:]):
+                measuring = lo >= warmup
+                (steps_done, total_queued, part_served, part_step_sum,
+                 part_queue_sum, stopped) = kernels.serve_chunk(
+                    rows[lo - start:hi - start, 0],
+                    rows[lo - start:hi - start, 1],
+                    queued[0], queued[1],
+                    lo, num_balancers, serve_two_c, max_total_queue,
+                    total_queued, queue_length_sum if measuring else 0.0,
                 )
-            )
-            executed += steps_done
-            served += chunk_served
-            arrived += chunk_arrived
-            wait_sum += chunk_wait
-            measured_steps += chunk_measured
+                executed += steps_done
+                if measuring:
+                    served += part_served
+                    served_step_sum += part_step_sum
+                    queue_length_sum = part_queue_sum
+                elif executed == warmup:
+                    queued_steps_at_warmup = _queued_step_sum(
+                        window, queued, base, warmup - 1
+                    )
+                if stopped:
+                    break
             chunks += 1
-            chunk_span.attributes["executed"] = steps_done
+            chunk_span.attributes["executed"] = executed - start
             chunk_span.attributes["window_bytes"] = window_bytes
     wall = time.perf_counter() - clock_start
+
+    # Each type is FIFO, so the tasks served in [warmup, last] are those
+    # queued after warmup - 1 plus that span's arrivals, minus those
+    # still queued after last. Their waits are serving step minus
+    # arrival step, summed exactly in integers.
+    measured_steps = max(0, executed - warmup)
+    wait_sum = 0
+    if measured_steps:
+        last = executed - 1
+        arrival_step_sum = (
+            num_balancers * (warmup + last) * measured_steps // 2
+            + queued_steps_at_warmup
+            - _queued_step_sum(window, queued, base, last)
+        )
+        wait_sum = served_step_sum - arrival_step_sum
 
     # Degraded policies drew liveness for the chunked steps up front;
     # tell them how many steps actually executed so their reports match
@@ -307,7 +363,7 @@ def run_vectorized(
         mean_queue_length=mean_queue,
         mean_queueing_delay=mean_wait,
         served=served,
-        arrived=arrived,
+        arrived=num_balancers * measured_steps,
         timesteps=measured_steps,
         load=num_balancers / num_servers,
     )

@@ -23,7 +23,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exec import SweepRunner, default_journal_dir, list_journals
+from repro.exec import (
+    ResultCache,
+    SweepRunner,
+    default_journal_dir,
+    list_journals,
+)
 from repro.exec.journal import SweepJournal
 from repro.obs import capture
 from tests.exec._faultlib import deterministic_value, sleepy_point
@@ -60,6 +65,23 @@ class TestJournalLifecycle:
         assert states[0].header["run_key"] == report.run_key
         assert states[0].total == 3
         assert states[0].completed == 3
+
+    @pytest.mark.parametrize("cache", [False, True, "instance"])
+    def test_journal_defaults_under_cache_root(self, tmp_path, cache):
+        """Without ``journal_dir`` the journal lives in ``<cache root>/
+        journal``, never under ``REPRO_CACHE_DIR`` — otherwise a sweep
+        with its own cache dir replays another run's journal."""
+        root = tmp_path / "own_cache"
+        if cache == "instance":
+            runner = _runner(cache=ResultCache(root))
+        else:
+            runner = _runner(cache=cache, cache_dir=root)
+        report = runner.run(_points(2))
+        assert (root / "journal" / f"{report.run_key}.jsonl").exists()
+        assert list_journals() == []
+        assert not _runner(cache_dir=tmp_path / "fresh").run(
+            _points(2)
+        ).points_resumed
 
     def test_rerun_resumes_every_point(self):
         points = _points(4)

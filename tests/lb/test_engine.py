@@ -105,7 +105,7 @@ class TestExactParity:
                 workload=trace.replayer(), engine="vectorized",
             )
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=17),
         m=st.integers(min_value=1, max_value=9),
@@ -113,13 +113,59 @@ class TestExactParity:
         seed=st.integers(min_value=0, max_value=10_000),
         discipline=st.sampled_from(VEC_DISCIPLINES),
         p_colocate=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        chunk_steps=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
+        warmup_fraction=st.sampled_from([0.0, 0.2, 0.5]),
+        max_total_queue=st.one_of(
+            st.just(float("inf")), st.integers(min_value=0, max_value=60)
+        ),
     )
-    def test_property_parity(self, n, m, timesteps, seed, discipline, p_colocate):
+    def test_property_parity(
+        self, n, m, timesteps, seed, discipline, p_colocate, chunk_steps,
+        warmup_fraction, max_total_queue,
+    ):
         reference, vectorized = run_pair(
             RandomAssignment, n=n, m=m, timesteps=timesteps, seed=seed,
             discipline=discipline, p_colocate=p_colocate,
+            chunk_steps=chunk_steps, warmup_fraction=warmup_fraction,
+            max_total_queue=float(max_total_queue),
         )
         assert reference == vectorized
+
+    @pytest.mark.parametrize("discipline", VEC_DISCIPLINES)
+    def test_warmup_strictly_inside_a_chunk(self, discipline):
+        """Warmup step 30 falls mid-chunk (chunks of 16 start at 16 and
+        32), so the kernel call is split there."""
+        reference, vectorized = run_pair(
+            RandomAssignment, n=14, m=9, timesteps=150, seed=3,
+            discipline=discipline, chunk_steps=16,
+        )
+        assert reference == vectorized
+        assert vectorized.timesteps == 120
+
+    def test_early_stop_before_warmup(self):
+        """Stopping before the warmup step leaves nothing measured."""
+        reference, vectorized = run_pair(
+            RandomAssignment, n=40, m=4, timesteps=400, seed=6,
+            warmup_fraction=0.5, max_total_queue=100.0, chunk_steps=7,
+        )
+        assert reference == vectorized
+        assert vectorized.timesteps == 0
+        assert vectorized.served == 0
+
+    def test_overload_compacts_and_grows_the_window(self):
+        """Load 2 with tiny chunks: queues age across many chunks, so the
+        window both drops dead rows and grows past its first capacity."""
+        from repro.obs.metrics import capture
+
+        with capture() as registry:
+            reference, vectorized = run_pair(
+                RandomAssignment, n=24, m=12, timesteps=300, seed=2,
+                p_colocate=0.3, chunk_steps=4,
+            )
+            window_bytes = registry.snapshot()["gauges"]["engine.window_bytes"]
+        assert reference == vectorized
+        first_window = 4 * 2 * 12 * np.dtype(np.int32).itemsize
+        assert window_bytes > first_window
 
 
 class TestDistributionalParity:
