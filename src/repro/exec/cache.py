@@ -1,17 +1,24 @@
 """Content-addressed on-disk cache for sweep point results.
 
-A sweep point is identified by *what would be computed*: the config
-dict, the seed, and a token derived from the work function's own code
-(module, qualname, source text, default arguments, and closure cells).
-Editing a policy class referenced from a config therefore changes the
-key and forces a recompute of exactly the affected points, while
-untouched points keep hitting the cache.
+A sweep point is identified by *what would be computed*. Its key hashes:
 
-The key deliberately does **not** chase transitive imports — editing a
-helper deep inside the simulator will not invalidate old entries. Bump
-:data:`CACHE_VERSION`, call :meth:`ResultCache.clear`, or delete the
-cache directory (``REPRO_CACHE_DIR``, default ``.repro_cache``) when
-that matters.
+- the config (callables in it, such as policy classes, by their code)
+  and the seed;
+- the resolved array backend;
+- a fingerprint of the work function's own code (module, qualname,
+  source text, default arguments, and closure cells), which covers
+  work functions that live outside the package, in benchmarks, tests
+  and scripts;
+- :func:`source_digest`, a digest of every ``.py`` file of the
+  installed ``repro`` package, so editing any package module — a
+  simulator helper deep in an import chain included — invalidates every
+  entry at once.
+
+The key does **not** cover code outside ``repro`` that the work
+function reaches through imports (a helper module next to a benchmark
+script, or a third-party library such as NumPy): after editing such
+code, call :meth:`ResultCache.clear` or delete the cache directory
+(``REPRO_CACHE_DIR``, default ``.repro_cache``).
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._version import __version__
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_registry
 
@@ -40,32 +46,13 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ResultCache",
     "cache_key",
+    "source_digest",
     "stable_fingerprint",
 ]
 
-#: Bump to invalidate every existing cache entry at once.
-#: v2: SimulationResult grew a ``degradation`` field; cached pickles
-#: from v1 would deserialize without it and confuse consumers.
-#: v3: SimulationResult grew a ``manifest`` field (observability layer).
-#: v4: Fig 3 batched screening pipeline — ``advantage_probability`` grew
-#: a ``method`` parameter and the fig3 CLI now caches its points; the
-#: work-function fingerprint does not chase transitive imports, so the
-#: pipeline change must invalidate old Fig 3 entries here.
-#: v5: pluggable array backends + chunked streaming Fig 4 engine — keys
-#: now embed the resolved backend name, the paired-policy per-seed
-#: values changed for multi-chunk runs, and the ``n >= 6`` Fig 3 screen
-#: budget changed; pre-backend entries must not replay.
-#: v6: beyond-XOR games refactor — the game layer gained the
-#: ``(prob_mat, pred_mat)`` representation and k-party group policies;
-#: cached results referencing pre-refactor classes must not replay
-#: (and can no longer unpickle — see :meth:`ResultCache.get`).
-#: v7: quantum-value-bounds pipeline — fig3 configs grew a
-#: ``game-family`` axis and non-XOR points run the see-saw/NPA
-#: cascade; pre-cascade entries must not replay against the new
-#: config shape.
-#: v8: crash-safe cache framing — entries are now ``RPC1`` + CRC32 +
-#: pickle (verified on read); unframed pre-v8 files would read as
-#: corrupt, so their keys must never be looked up.
+#: Version of the on-disk entry format (v8: ``RPC1`` magic + CRC32 +
+#: pickle). Bump it only when that format changes; code changes
+#: invalidate entries through :func:`source_digest`.
 CACHE_VERSION = 8
 
 #: Default cache directory (relative to the working directory) when
@@ -185,21 +172,43 @@ def stable_fingerprint(obj) -> str:
     return _fingerprint(obj, set())
 
 
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over the source of the installed ``repro`` package.
+
+    Hashes every ``.py`` file under the package root — its relative
+    path, its length and its bytes, in sorted path order — so the digest
+    changes whenever any package module does, and not when the package
+    is merely copied or installed elsewhere. Computed once per process.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    paths = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py"))
+    for relative in paths:
+        data = (root / relative).read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def cache_key(
     config, seed: int, *, code_token: str = "", backend: str | None = None
 ) -> str:
     """The cache key for one (config, seed) sweep point.
 
-    ``backend`` is the resolved array-backend name (see
-    :mod:`repro.backend`); it participates in the key so results never
-    replay across backends — numpy and numba agree bit-for-bit on the
-    Fig 4 kernels but only to LAPACK tolerance on the SDP projections,
-    and a cache hit must mean "this exact computation".
+    ``code_token`` fingerprints the work function (see
+    :func:`stable_fingerprint`); :func:`source_digest` stands for the
+    package code that function reaches. ``backend`` is the resolved
+    array-backend name (see :mod:`repro.backend`); it participates in
+    the key so results never replay across backends — numpy and numba
+    agree bit-for-bit on the Fig 4 kernels but only to LAPACK tolerance
+    on the SDP projections, and a cache hit must mean "this exact
+    computation".
     """
     material = "|".join(
         [
             f"v{CACHE_VERSION}",
-            f"repro-{__version__}",
+            f"repro-src:{source_digest()}",
             code_token,
             f"backend:{backend or 'numpy'}",
             stable_fingerprint(config),

@@ -220,12 +220,6 @@ class SweepJournal:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- replay -----------------------------------------------------------
 
     def replay(self) -> JournalState:
@@ -281,9 +275,9 @@ class SweepJournal:
     def repair(self, state: JournalState) -> None:
         """Truncate a torn tail so new appends land on a frame boundary.
 
-        Without this, a resume after mid-frame truncation would append
-        its first record onto the torn line, leaving every post-resume
-        frame unreadable by a *second* resume. Standard WAL recovery:
+        Without this, a run after mid-frame truncation would append its
+        first record onto the torn line, leaving every later frame
+        unreadable by the next resume. Standard WAL recovery:
         cut back to the longest valid prefix, then append.
         """
         if state.valid_bytes is None:
@@ -299,14 +293,6 @@ class SweepJournal:
             fh.truncate(state.valid_bytes)
             fh.flush()
             os.fsync(fh.fileno())
-
-    def delete(self) -> None:
-        """Remove the journal file (after a fully completed sweep)."""
-        self.close()
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
 
 
 def list_journals(

@@ -4,11 +4,15 @@
 :class:`~concurrent.futures.ProcessPoolExecutor`, consults a
 content-addressed on-disk :class:`~repro.exec.cache.ResultCache` before
 computing anything, and reports per-run metrics through a
-:class:`RunReport`. ``jobs=1`` is an executor-free serial path, and the
-engine guarantees parallel and serial runs of the same points are
-bit-identical: every point is computed by the same pure function of
-``(config, seed)``, each in a fresh context, and results are returned
-in submission order regardless of completion order.
+:class:`RunReport`. ``jobs=1`` runs the points in-process, without an
+executor. Both paths run each point through the same
+:func:`_execute_point` (metrics capture, ``point`` span, fault plan)
+and hand its outcome to the same writeback, so they differ only in
+where the point runs. The engine guarantees parallel and serial runs of
+the same points are bit-identical: every point is computed by the same
+pure function of ``(config, seed)``, each in a fresh context, and
+results are returned in submission order regardless of completion
+order.
 
 Long sweeps survive faults on three planes:
 
@@ -49,6 +53,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.exec import journal as _journal
@@ -354,47 +359,67 @@ def _compute_with_faults(
             attempt += 1
 
 
-def _execute_point(item):
-    """Worker entry: one point under the installed fault plan.
+class _Outcome(NamedTuple):
+    """How one computed point settled; ``error`` is set when it failed."""
 
-    Returns ``(index, status, value, wall, attempts, snapshot, error)``
-    with ``status`` of ``"ok"`` or ``"failed"``; a ``"failed"`` tuple is
-    only produced under ``failures="record"`` — in ``"raise"`` mode the
-    exhausted exception propagates through the future, preserving the
-    historical abort-the-sweep behavior.
+    value: object
+    wall: float
+    retries: int
+    snapshot: dict
+    error: str | None = None
+
+
+def _execute_point(fn: Callable, fault: _FaultPlan, item) -> _Outcome:
+    """Run one point under the fault plan: the serial and pool paths' shared
+    per-point work.
+
+    A failed outcome is only produced under ``failures="record"``; in
+    ``"raise"`` mode the exhausted exception propagates (through the
+    future, on the pool path), aborting the sweep.
     """
-    index, config, seed, base_attempt = item
-    fault = _WORKER_FAULT
+    _, config, seed, base_attempt = item
+    value, error = None, None
+    retries = fault.retries - base_attempt
     start = time.perf_counter()
-    # Capture the point's metrics in isolation so the parent can merge
+    # Capture the point's metrics in isolation so the caller merges
     # exactly this point's delta — the invariant that per-worker counter
-    # sums equal a serial run's counters over the same point set.
-    with _metrics.capture() as point_registry:
+    # sums equal a serial run's counters over the same point set. The
+    # caller records OUTSIDE this capture, into the run registry.
+    with _metrics.capture() as registry, _spans.span("point", seed=seed):
         try:
-            value, attempts = _compute_with_faults(
-                _WORKER_FN, config, seed, fault, base_attempt
+            value, retries = _compute_with_faults(
+                fn, config, seed, fault, base_attempt
             )
         except Exception as exc:
             if fault.failures != "record":
                 raise
-            point_registry.counter("sweep.points.failed").inc()
-            return (
-                index,
-                "failed",
-                None,
-                time.perf_counter() - start,
-                fault.retries - base_attempt,
-                point_registry.snapshot(),
-                f"{type(exc).__name__}: {exc}",
-            )
-    return (
-        index,
-        "ok",
-        value,
-        time.perf_counter() - start,
-        attempts,
-        point_registry.snapshot(),
-        None,
+            error = f"{type(exc).__name__}: {exc}"
+    return _Outcome(
+        value, time.perf_counter() - start, retries, registry.snapshot(), error
+    )
+
+
+def _pool_point(item) -> _Outcome:
+    """Pool worker entry: :func:`_execute_point` with the installed fn."""
+    return _execute_point(_WORKER_FN, _WORKER_FAULT, item)
+
+
+def _replay_point(record: dict, config, seed: int) -> PointResult | None:
+    """A journaled completion as a result, or ``None`` to recompute."""
+    if record.get("status") != "done":
+        return None
+    try:
+        value = _journal.decode_value(record["value"])
+    except Exception:
+        _metrics.get_registry().counter("journal.corrupt").inc()
+        return None
+    return PointResult(
+        config=config,
+        seed=seed,
+        value=value,
+        wall_seconds=0.0,
+        cached=False,
+        resumed=True,
     )
 
 
@@ -520,10 +545,14 @@ class SweepRunner:
         """Content-addressed identity of a point set under this runner.
 
         Derived from the label and every point's cache key, so the same
-        sweep (same configs, seeds, work-function code, and backend)
-        maps to the same journal file across invocations.
+        sweep (same configs, seeds, code, and backend) maps to the same
+        journal file across invocations.
         """
-        keys = [self._key(config, int(seed)) for config, seed in points]
+        return self._run_key(
+            [self._key(config, int(seed)) for config, seed in points]
+        )
+
+    def _run_key(self, keys: Sequence[str]) -> str:
         material = "|".join([self.label, *keys])
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
@@ -557,30 +586,36 @@ class SweepRunner:
         cache_hits = 0
         resumed = 0
         compute_wall = 0.0
-        keys: list[str] | None = None
+        keys: list[str | None] = [None] * total
         run_key: str | None = None
         journal: _journal.SweepJournal | None = None
         if self._cache is not None or self._journal_enabled:
             keys = [self._key(config, seed) for config, seed in submitted]
         if self._journal_enabled:
-            material = "|".join([self.label, *keys])
-            run_key = hashlib.sha256(
-                material.encode("utf-8")
-            ).hexdigest()[:16]
+            run_key = self._run_key(keys)
             journal = _journal.SweepJournal(run_key, self._journal_dir)
         try:
             with _metrics.capture(propagate=True) as run_registry, _spans.span(
                 f"sweep.{self.label}", points=total
             ):
                 run_registry.counter("sweep.runs").inc()
-                journal_state: _journal.JournalState | None = None
-                if journal is not None and resume:
-                    journal_state = journal.replay()
-                    journal.repair(journal_state)
+                # Journaled point records by key. The torn tail is cut
+                # back to a frame boundary on every run, so new appends
+                # stay replayable; only a resumed run skips journaled
+                # points.
+                journaled: dict[str, dict] = {}
+                if journal is not None:
+                    state = journal.replay()
+                    journal.repair(state)
+                    journal.write_header(
+                        label=self.label, total=total, meta=self._journal_meta
+                    )
+                    journaled = state.points
                 for index, (config, seed) in enumerate(submitted):
+                    key = keys[index]
                     if self._cache is not None:
                         lookup = time.perf_counter()
-                        hit, value = self._cache.get(keys[index])
+                        hit, value = self._cache.get(key)
                         if hit:
                             outcomes[index] = PointResult(
                                 config=config,
@@ -591,15 +626,24 @@ class SweepRunner:
                             )
                             cache_hits += 1
                             run_registry.counter("sweep.points.cached").inc()
+                            if journal is not None and key not in journaled:
+                                # Checkpoint cache-served points too, so
+                                # the journal stays a complete record of
+                                # the sweep once the cache is cleared.
+                                journal.record_point(
+                                    key=key,
+                                    index=index,
+                                    seed=seed,
+                                    status="done",
+                                    value=value,
+                                )
                             self._emit(
                                 f"[sweep:{self.label}] point "
                                 f"{index + 1}/{total} seed={seed} cached"
                             )
                             continue
-                    if journal_state is not None:
-                        replayed = self._replay_point(
-                            journal_state, keys[index], config, seed
-                        )
+                    if resume and key in journaled:
+                        replayed = _replay_point(journaled[key], config, seed)
                         if replayed is not None:
                             outcomes[index] = replayed
                             resumed += 1
@@ -608,9 +652,7 @@ class SweepRunner:
                                 # The cache missed but the journal has
                                 # the value: repopulate (cache cleared
                                 # or torn between crash and resume).
-                                self._cache.put_if_absent(
-                                    keys[index], replayed.value
-                                )
+                                self._cache.put_if_absent(key, replayed.value)
                             self._emit(
                                 f"[sweep:{self.label}] point "
                                 f"{index + 1}/{total} seed={seed} "
@@ -618,41 +660,18 @@ class SweepRunner:
                             )
                             continue
                     pending.append((index, config, seed, 0))
-                if journal is not None:
-                    journal.write_header(
-                        label=self.label,
-                        total=total,
-                        meta=self._journal_meta,
-                    )
-                    # Checkpoint cache-served points too, so the journal
-                    # is a complete record of the sweep even when the
-                    # cache is later cleared or unavailable.
-                    for index, (config, seed) in enumerate(submitted):
-                        outcome = outcomes[index]
-                        if (
-                            outcome is None
-                            or not outcome.cached
-                            or (
-                                journal_state is not None
-                                and keys[index] in journal_state.points
-                            )
-                        ):
-                            continue
-                        journal.record_point(
-                            key=keys[index],
-                            index=index,
-                            seed=seed,
-                            status="done",
-                            value=outcome.value,
-                        )
 
                 if pending:
                     compute_start = time.perf_counter()
                     jobs = min(self.jobs, len(pending))
                     sink = _RecordSink(
-                        self, outcomes, failures, journal, keys, total
+                        self,
+                        outcomes,
+                        failures,
+                        journal,
+                        keys,
+                        done=total - len(pending),
                     )
-                    sink.done = total - len(pending)
                     if jobs == 1:
                         self._run_serial(pending, sink)
                     else:
@@ -666,9 +685,6 @@ class SweepRunner:
         from repro.backend import resolve_backend_name
 
         wall_clock = time.perf_counter() - start
-        retries_total = sum(
-            p.retries for p in outcomes if p is not None
-        ) + sum(f.retries for f in failures)
         run_manifest = _manifest.RunManifest.collect(
             "sweep",
             seeds=tuple(seed for _, seed in submitted),
@@ -697,7 +713,8 @@ class SweepRunner:
             compute_wall_clock=compute_wall,
             points_resumed=resumed,
             points_failed=tuple(failures),
-            retries=retries_total,
+            # Failed points are in ``outcomes`` too: count each point once.
+            retries=sum(p.retries for p in outcomes),
             run_key=run_key,
             manifest=run_manifest,
         )
@@ -709,67 +726,9 @@ class SweepRunner:
         self._emit(report.summary())
         return report
 
-    def _replay_point(
-        self,
-        state: _journal.JournalState,
-        key: str,
-        config,
-        seed: int,
-    ) -> PointResult | None:
-        """One point's journaled completion, or ``None`` to recompute."""
-        record = state.points.get(key)
-        if record is None or record.get("status") != "done":
-            return None
-        try:
-            value = _journal.decode_value(record["value"])
-        except Exception:
-            _metrics.get_registry().counter("journal.corrupt").inc()
-            return None
-        return PointResult(
-            config=config,
-            seed=seed,
-            value=value,
-            wall_seconds=0.0,
-            cached=False,
-            resumed=True,
-        )
-
     def _run_serial(self, pending, sink: "_RecordSink") -> None:
         for item in pending:
-            index, config, seed, base_attempt = item
-            begin = time.perf_counter()
-            error = None
-            # The sink must record OUTSIDE the point capture so its
-            # snapshot merge lands in the run registry, not the
-            # about-to-be-discarded point registry.
-            with _metrics.capture() as point_registry, _spans.span(
-                "point", seed=seed
-            ):
-                try:
-                    value, attempts = _compute_with_faults(
-                        self._fn, config, seed, self._fault, base_attempt
-                    )
-                except Exception as exc:
-                    if self._fault.failures != "record":
-                        raise
-                    point_registry.counter("sweep.points.failed").inc()
-                    error = f"{type(exc).__name__}: {exc}"
-            if error is not None:
-                sink.record_failure(
-                    item,
-                    error,
-                    self._fault.retries - base_attempt,
-                    time.perf_counter() - begin,
-                    point_registry.snapshot(),
-                )
-                continue
-            sink.record_success(
-                item,
-                value,
-                time.perf_counter() - begin,
-                attempts,
-                point_registry.snapshot(),
-            )
+            sink.record(item, _execute_point(self._fn, self._fault, item))
 
     def _make_executor(self, jobs: int) -> ProcessPoolExecutor:
         methods = multiprocessing.get_all_start_methods()
@@ -810,7 +769,7 @@ class SweepRunner:
             broken = False
             with executor:
                 futures = {
-                    executor.submit(_execute_point, item): item
+                    executor.submit(_pool_point, item): item
                     for item in queue.values()
                 }
                 remaining = set(futures)
@@ -849,13 +808,15 @@ class SweepRunner:
                             "sweep worker died and the retry budget is "
                             f"exhausted (point index {index}, seed {seed})"
                         )
-                    registry.counter("sweep.points.failed").inc()
-                    sink.record_failure(
+                    sink.record(
                         (index, config, seed, base_attempt),
-                        "BrokenProcessPool: worker process died",
-                        base_attempt,
-                        0.0,
-                        {},
+                        _Outcome(
+                            value=None,
+                            wall=0.0,
+                            retries=base_attempt,
+                            snapshot={},
+                            error="BrokenProcessPool: worker process died",
+                        ),
                     )
                     exhausted.append(index)
                 else:
@@ -873,108 +834,84 @@ class SweepRunner:
         exceptions under ``failures="raise"``.
         """
         try:
-            index, status, value, wall, attempts, snapshot, error = (
-                future.result()
-            )
+            outcome = future.result()
         except BrokenProcessPool:
             return False
         del queue[item[0]]
-        if status == "ok":
-            sink.record_success(item, value, wall, attempts, snapshot)
-        else:
-            sink.record_failure(item, error, attempts, wall, snapshot)
+        sink.record(item, outcome)
         return True
 
 
 class _RecordSink:
     """Per-run writeback: outcomes, metrics, journal, cache, progress.
 
-    Every finished point flows through here — from the serial loop, the
-    pool's completion loop, and the pool-rebuild path — so checkpoint
-    appends and cache publication happen the moment a point settles, not
-    at the end of the sweep. That per-point durability is what makes a
-    SIGKILLed sweep resumable at the granularity of single points.
+    Every computed point flows through :meth:`record` — from the serial
+    loop, the pool's completion loop, and the pool-rebuild path — so
+    checkpoint appends and cache publication happen the moment a point
+    settles, not at the end of the sweep. That per-point durability is
+    what makes a SIGKILLed sweep resumable at the granularity of single
+    points.
     """
 
     def __init__(
-        self, runner: SweepRunner, outcomes, failures, journal, keys, total
+        self, runner: SweepRunner, outcomes, failures, journal, keys, done
     ) -> None:
         self.runner = runner
         self.outcomes = outcomes
         self.failures = failures
         self.journal = journal
         self.keys = keys
-        self.total = total
-        self.done = 0
+        self.done = done
 
-    def record_success(self, item, value, wall, attempts, snapshot) -> None:
+    def record(self, item, outcome: _Outcome) -> None:
         index, config, seed, _ = item
+        value, wall, retries, snapshot, error = outcome
+        failed = error is not None
         self.outcomes[index] = PointResult(
             config=config,
             seed=seed,
             value=value,
             wall_seconds=wall,
             cached=False,
-            retries=attempts,
+            failed=failed,
+            retries=retries,
         )
         registry = _metrics.get_registry()
         registry.merge_snapshot(snapshot)
-        registry.counter("sweep.points.computed").inc()
-        registry.timer("sweep.point").observe(wall)
-        if self.runner._cache is not None:
-            self.runner._cache.put_if_absent(self.keys[index], value)
+        if failed:
+            registry.counter("sweep.points.failed").inc()
+            self.failures.append(
+                PointFailure(
+                    index=index,
+                    config=config,
+                    seed=seed,
+                    error=error,
+                    retries=retries,
+                    wall_seconds=wall,
+                )
+            )
+            status = f"FAILED after {retries} retries: {error}"
+        else:
+            registry.counter("sweep.points.computed").inc()
+            registry.timer("sweep.point").observe(wall)
+            if self.runner._cache is not None:
+                self.runner._cache.put_if_absent(self.keys[index], value)
+            status = f"{wall:.3f}s"
+            if retries:
+                status += f" ({retries} retries)"
         if self.journal is not None:
             self.journal.record_point(
                 key=self.keys[index],
                 index=index,
                 seed=seed,
-                status="done",
+                status="failed" if failed else "done",
                 value=value,
                 wall_seconds=wall,
-                retries=attempts,
-            )
-        self.done += 1
-        self.runner._emit(
-            f"[sweep:{self.runner.label}] point {self.done}/{self.total} "
-            f"seed={seed} {wall:.3f}s"
-            + (f" ({attempts} retries)" if attempts else "")
-        )
-
-    def record_failure(self, item, error, attempts, wall, snapshot) -> None:
-        index, config, seed, _ = item
-        self.outcomes[index] = PointResult(
-            config=config,
-            seed=seed,
-            value=None,
-            wall_seconds=wall,
-            cached=False,
-            failed=True,
-            retries=attempts,
-        )
-        self.failures.append(
-            PointFailure(
-                index=index,
-                config=config,
-                seed=seed,
-                error=error,
-                retries=attempts,
-                wall_seconds=wall,
-            )
-        )
-        registry = _metrics.get_registry()
-        registry.merge_snapshot(snapshot)
-        if self.journal is not None:
-            self.journal.record_point(
-                key=self.keys[index],
-                index=index,
-                seed=seed,
-                status="failed",
-                wall_seconds=wall,
-                retries=attempts,
+                retries=retries,
                 error=error,
             )
         self.done += 1
         self.runner._emit(
-            f"[sweep:{self.runner.label}] point {self.done}/{self.total} "
-            f"seed={seed} FAILED after {attempts} retries: {error}"
+            f"[sweep:{self.runner.label}] point {self.done}/"
+            f"{len(self.outcomes)} seed={seed} {status}"
         )

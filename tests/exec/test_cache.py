@@ -2,12 +2,71 @@
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import ResultCache, cache_key, stable_fingerprint
 from repro.lb import CHSHPairedAssignment, RandomAssignment
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Runs one cached ``sweep_load`` point with whichever ``repro`` package
+#: comes first on ``sys.path`` and prints its cache keys and run key.
+_SWEEP_KEYS = """
+import json, pathlib, sys
+
+import repro
+from repro.exec import SweepRunner
+from repro.lb import RandomAssignment, sweep_load
+
+run_keys = []
+run = SweepRunner.run
+
+
+def spy(self, points, **kwargs):
+    points = list(points)
+    run_keys.append(self.run_key(points))
+    return run(self, points, **kwargs)
+
+
+SweepRunner.run = spy
+cache = pathlib.Path(sys.argv[1])
+sweep_load(
+    RandomAssignment, num_balancers=6, loads=(1.0,), timesteps=20, seed=5,
+    cache=True, cache_dir=cache,
+)
+print(json.dumps({
+    "package": repro.__file__,
+    "cache_keys": sorted(p.stem for p in cache.glob("*/*.pkl")),
+    "run_keys": run_keys,
+}))
+"""
+
+
+def _sweep_keys(src_root: Path, cache_dir: Path) -> dict:
+    env = dict(
+        os.environ, PYTHONPATH=str(src_root), PYTHONDONTWRITEBYTECODE="1"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_KEYS, str(cache_dir)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cache_dir.parent,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    keys = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert Path(keys["package"]).is_relative_to(src_root)
+    return keys
 
 
 def _module_fn(config, seed):
@@ -72,6 +131,31 @@ class TestCacheKey:
         assert cache_key({"a": 2}, 0, code_token="t") != base
         assert cache_key({"a": 1}, 0, code_token="u") != base
         assert cache_key({"a": 1}, 0, code_token="t") == base
+
+
+class TestSourceDigest:
+    def test_keys_follow_the_package_source(self, tmp_path):
+        """Editing a module that the work function reaches only through
+        imports (the Fig 4 engine, under ``sweep_load``) changes the
+        point's cache keys and its run key; a byte-identical copy of the
+        package elsewhere keeps them."""
+        copy = tmp_path / "copy"
+        shutil.copytree(
+            REPO_SRC / "repro",
+            copy / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        original = _sweep_keys(REPO_SRC, tmp_path / "original")
+        unedited = _sweep_keys(copy, tmp_path / "unedited")
+        with open(copy / "repro" / "lb" / "engine.py", "a") as fh:
+            fh.write("\n# edited\n")
+        edited = _sweep_keys(copy, tmp_path / "edited")
+        assert len(original["cache_keys"]) == 1
+        assert len(original["run_keys"]) == 1
+        assert unedited["cache_keys"] == original["cache_keys"]
+        assert unedited["run_keys"] == original["run_keys"]
+        assert edited["cache_keys"] != original["cache_keys"]
+        assert edited["run_keys"] != original["run_keys"]
 
 
 class TestResultCache:

@@ -14,6 +14,8 @@ contract points of the fault plane:
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -26,6 +28,11 @@ from tests.exec._faultlib import FlakyWorker, deterministic_value
 #: production default.
 FAST = {"retry_backoff": 0.001}
 
+#: Pool size of the ``jobs``-parametrized cases: ``REPRO_JOBS``, at least
+#: 2 (default 2), so the fault plane can be rerun under a wider pool. The
+#: runner still caps a pool at the number of points a case submits.
+POOL = max(2, int(os.environ.get("REPRO_JOBS") or 2))
+
 
 def _points(n: int, tag: str = "fi"):
     return [({"tag": tag}, 100 + i) for i in range(n)]
@@ -33,6 +40,18 @@ def _points(n: int, tag: str = "fi"):
 
 def _clean_values(points):
     return [deterministic_value(config, seed) for config, seed in points]
+
+
+class PoisonSeed:
+    """Fails every attempt at one seed; every other point is clean."""
+
+    def __init__(self, poisoned: int) -> None:
+        self.poisoned = poisoned
+
+    def __call__(self, config, seed):
+        if seed == self.poisoned:
+            raise ValueError("poisoned point")
+        return deterministic_value(config, seed)
 
 
 @pytest.fixture
@@ -64,7 +83,7 @@ class TestValidation:
 
 
 class TestRetryRecovery:
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, POOL])
     def test_retry_recovers_bit_identically(self, flaky, jobs):
         """Two injected failures per point, three retries: the sweep
         recovers and every value equals the unfaulted computation."""
@@ -119,7 +138,7 @@ class TestBackoffDeterminism:
 
 
 class TestExhaustedRetries:
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, POOL])
     def test_exhaustion_records_failure_not_raise(self, flaky, jobs):
         """A point that never stops failing becomes a PointFailure; the
         rest of the sweep completes normally."""
@@ -138,6 +157,23 @@ class TestExhaustedRetries:
         assert failure.retries == 1
         assert report.values() == [None, None, None]
         assert all(p.failed for p in report.points)
+
+    @pytest.mark.parametrize("jobs", [1, POOL])
+    def test_failed_point_retries_counted_once(self, jobs):
+        """Regression: a failed point sits in both ``points`` and
+        ``points_failed``, and the report used to sum its retries from
+        both, so one always-failing point with ``retries=2`` reported 4."""
+        report = SweepRunner(
+            PoisonSeed(poisoned=101),
+            jobs=jobs,
+            retries=2,
+            failures="record",
+            **FAST,
+        ).run(_points(2))
+        assert [f.index for f in report.points_failed] == [1]
+        assert report.points_failed[0].retries == 2
+        assert report.retries == 2
+        assert "2 retries" in report.summary()
 
     def test_partial_failure_keeps_good_points(self, flaky, tmp_path):
         """Only seed 101 is poisoned; the other points' values are
@@ -183,7 +219,7 @@ class TestExhaustedRetries:
 
 
 class TestTimeouts:
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, POOL])
     def test_hang_is_timed_out_and_retried(self, flaky, jobs):
         """A first-call hang trips the per-point SIGALRM deadline, the
         retry recomputes, and values match the unfaulted run."""

@@ -121,6 +121,25 @@ class TestJournalLifecycle:
         assert report.points_resumed == 0
         assert report.values() == _clean_values(_points(3, tag="fresh"))
 
+    def test_cache_served_points_are_journaled_once(self, tmp_path):
+        """A journaled run over a cache that an unjournaled run filled
+        checkpoints every cache-served point once; re-runs append
+        nothing, and the journal alone later replays the whole sweep."""
+        points = _points(4, tag="served")
+        cache = ResultCache(tmp_path / "cache")
+        _runner(cache=cache, journal=False).run(points)
+        with capture() as registry:
+            served = _runner(cache=cache).run(points)
+        assert served.cache_hits == 4
+        assert registry.counter("journal.appends").value == 5  # header + 4
+        with capture() as registry:
+            _runner(cache=cache).run(points)
+        assert registry.counter("journal.appends").value == 0
+        cache.clear()
+        replayed = _runner(cache=cache).run(points)
+        assert replayed.points_resumed == 4
+        assert replayed.values() == _clean_values(points)
+
     def test_journal_repopulates_cleared_cache(self):
         """Cache wiped between runs: values come back from the journal
         and get republished, so a third run is pure cache hits."""
@@ -247,6 +266,19 @@ class TestPrefixTruncation:
         assert registry.counter("journal.corrupt").value >= 1
         assert report.points_resumed == len(points) - 1
         assert report.points_computed == 1
+
+    def test_fresh_run_repairs_torn_tail(self):
+        """Regression: ``resume=False`` used to append its first frame
+        onto a torn tail line, so a later resume lost every point that
+        run journaled."""
+        points = _points(4, tag="torn")
+        report = _runner().run(points)
+        path = default_journal_dir() / f"{report.run_key}.jsonl"
+        path.write_bytes(path.read_bytes()[:-7])
+        assert _runner().run(points, resume=False).points_computed == 4
+        again = _runner().run(points)
+        assert again.points_resumed == 4
+        assert again.values() == _clean_values(points)
 
     def test_bitflip_stops_replay_at_corrupt_frame(self, baseline):
         points, clean_values, path, raw = baseline
