@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default="auto",
                       help="per-point pipeline: 'batched' runs the "
                       "screening cascade + stacked ADMM, 'reference' the "
-                      "serial per-game SDP loop, 'auto' the cascade "
+                      "serial per-game SDP loop (xor family only), "
+                      "'auto' the cascade "
                       "(per-game decisions are identical either way; "
                       "see docs/reproducing.md)")
     fig3.add_argument("--game-family",
@@ -836,6 +837,10 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if args.command == "chsh":
         _cmd_chsh()
     elif args.command == "fig3":
+        if args.method == "reference" and args.game_family != "xor":
+            parser.error(
+                "fig3: --method reference runs only --game-family xor"
+            )
         _cmd_fig3(args)
     elif args.command == "fig4":
         _cmd_fig4(args)

@@ -204,7 +204,9 @@ def advantage_decisions(
     cell-replacement / win-density parameter) and decide them with the
     see-saw/NPA cascade (:func:`repro.games.bounds.screen_nonlocal_games`);
     only certified advantages count, so the reported fraction is a
-    lower bound for those families.
+    lower bound for those families. Those families have no serial
+    reference loop, so ``method="reference"`` raises :class:`GameError`
+    for them.
     """
     if num_games < 1:
         raise GameError("need at least one game")
@@ -213,6 +215,11 @@ def advantage_decisions(
             f"unknown method {method!r}; expected one of {ADVANTAGE_METHODS}"
         )
     if game_family != "xor":
+        if method == "reference":
+            raise GameError(
+                f"method 'reference' decides only the 'xor' family, "
+                f"not {game_family!r}"
+            )
         from repro.games.bounds import (
             sample_game_family,
             screen_nonlocal_games,

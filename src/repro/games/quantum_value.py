@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GameError
+from repro.games.batch import alternating_lower_bound_batch, bias_cost_batch
 from repro.games.strategies import BinaryObservable, QuantumStrategy
 from repro.games.xor import XORGame
 from repro.quantum.gates import pauli
@@ -79,12 +80,7 @@ def _bias_cost_matrix(game: XORGame) -> np.ndarray:
     ``sum W_xy <u_x, v_y>`` equals ``<C, X>`` for the Gram matrix ``X``
     with ``C`` holding ``W/2`` in the off-diagonal blocks.
     """
-    w = game.cost_matrix()
-    nx, ny = w.shape
-    c = np.zeros((nx + ny, nx + ny))
-    c[:nx, nx:] = w / 2.0
-    c[nx:, :nx] = w.T / 2.0
-    return c
+    return bias_cost_batch(game.cost_matrix()[None])[0]
 
 
 def alternating_bias_lower_bound(
@@ -100,34 +96,20 @@ def alternating_bias_lower_bound(
     update; monotone in the objective. Returns the best
     ``(bias, U, V)`` over random restarts. A lower bound only — the SDP
     certifies optimality.
+
+    This is the one-game call of
+    :func:`repro.games.batch.alternating_lower_bound_batch`: the restarts
+    run as one stack, each stops on its own convergence, and the result
+    is bit-identical to that game's slice in any batch run with the same
+    budget and seed.
     """
-    w = game.cost_matrix()
-    nx, ny = w.shape
-    dim = nx + ny
-    rng = np.random.default_rng(seed)
-    best_bias = -np.inf
-    best_u = best_v = None
-    for _ in range(max(1, restarts)):
-        v = rng.normal(size=(ny, dim))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        u = np.zeros((nx, dim))
-        bias = -np.inf
-        for _ in range(iterations):
-            u = w @ v
-            norms = np.linalg.norm(u, axis=1, keepdims=True)
-            u = np.divide(u, norms, out=np.zeros_like(u), where=norms > 1e-15)
-            v = w.T @ u
-            norms = np.linalg.norm(v, axis=1, keepdims=True)
-            v = np.divide(v, norms, out=np.zeros_like(v), where=norms > 1e-15)
-            new_bias = float(np.sum(w * (u @ v.T)))
-            if new_bias - bias < 1e-12:
-                bias = new_bias
-                break
-            bias = new_bias
-        if bias > best_bias:
-            best_bias, best_u, best_v = bias, u.copy(), v.copy()
-    assert best_u is not None and best_v is not None
-    return best_bias, best_u, best_v
+    bias, u, v = alternating_lower_bound_batch(
+        game.cost_matrix()[None],
+        restarts=restarts,
+        iterations=iterations,
+        seed=seed,
+    )
+    return float(bias[0]), u[0], v[0]
 
 
 def xor_quantum_bias(

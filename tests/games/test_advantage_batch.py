@@ -26,7 +26,11 @@ from repro.games import (
     screen_game_batch,
     xor_game_from_graph,
 )
-from repro.games.batch import STAGES, bias_cost_batch
+from repro.games.batch import (
+    STAGES,
+    alternating_lower_bound_batch,
+    bias_cost_batch,
+)
 from repro.sdp import solve_diagonal_sdp, solve_diagonal_sdp_batch
 
 
@@ -171,6 +175,19 @@ class TestDecisionParity:
         with pytest.raises(GameError):
             advantage_decisions(5, 0.5, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("family", ["colocation3", "random-nonlocal"])
+    def test_reference_method_is_xor_only(self, family):
+        # Only the XOR family has the serial per-game SDP loop.
+        with pytest.raises(GameError, match="reference"):
+            advantage_decisions(
+                3,
+                0.5,
+                3,
+                np.random.default_rng(0),
+                method="reference",
+                game_family=family,
+            )
+
 
 class TestCascadeReport:
     def test_report_internal_consistency(self):
@@ -224,3 +241,19 @@ class TestCascadeReport:
         assert sum(
             counters.get(f"fig3.cascade.{name}", 0) for name in STAGES
         ) == 10
+
+    def test_ascent_counts_slice_iterations(self):
+        from repro.obs import capture
+
+        costs = sample_game_batch(
+            5, 0.5, 1, np.random.default_rng(8)
+        ).cost_matrices()
+        with capture() as registry:
+            alternating_lower_bound_batch(costs)
+        single = registry.snapshot()["counters"]["fig3.ascent.iterations"]
+        assert 0 < single <= 3 * 200
+        # Copies of one game run identical trajectories.
+        with capture() as registry:
+            alternating_lower_bound_batch(np.repeat(costs, 4, axis=0))
+        counters = registry.snapshot()["counters"]
+        assert counters["fig3.ascent.iterations"] == 4 * single

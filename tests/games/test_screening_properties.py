@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the Fig 3 screening cascade.
 
-Two invariants keep the cascade honest on *every* input, not just the
+Three invariants keep the cascade honest on *every* input, not just the
 seeds the differential suite happens to draw:
 
 1. the bound sandwich — the screens' quantities bracket the reference
@@ -9,7 +9,9 @@ seeds the differential suite happens to draw:
    convergence noise; the heuristic lower bound may sit a hair below the
    classical bias, which is exactly why the cascade keeps a margin);
 2. the verdict — whatever path a game takes through the cascade, the
-   decision equals ``has_quantum_advantage`` on that game.
+   decision equals ``has_quantum_advantage`` on that game;
+3. batch independence — a game's ascent (bias, U and V) is bit-identical
+   in any batch, alone, and through the serial heuristic.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.games import (
+    alternating_bias_lower_bound,
     has_quantum_advantage,
     sample_game_batch,
     screen_game_batch,
@@ -102,3 +105,33 @@ def test_verdicts_invariant_to_heuristic_quality(
         batch, restarts=restarts, iterations=iterations
     )
     assert np.array_equal(full.verdicts, crippled.verdicts)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=seeds,
+    num_types=st.integers(min_value=3, max_value=6),
+    p=probabilities,
+    restarts=st.integers(min_value=1, max_value=3),
+    iterations=st.integers(min_value=1, max_value=40),
+)
+def test_ascent_does_not_depend_on_batch_mates(
+    seed, num_types, p, restarts, iterations
+):
+    """Each (restart, game) slice stops on its own convergence."""
+    batch = draw_batch(seed, num_types, p, num_games=6)
+    costs = batch.cost_matrices()
+    budget = {"restarts": restarts, "iterations": iterations}
+    bias, u, v = alternating_lower_bound_batch(costs, **budget)
+    for index in range(batch.num_games):
+        alone = alternating_lower_bound_batch(
+            costs[index : index + 1], **budget
+        )
+        serial = alternating_bias_lower_bound(batch.game(index), **budget)
+        for one_bias, one_u, one_v in (
+            (alone[0][0], alone[1][0], alone[2][0]),
+            serial,
+        ):
+            assert one_bias == bias[index]
+            assert np.array_equal(one_u, u[index])
+            assert np.array_equal(one_v, v[index])

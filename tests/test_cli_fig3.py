@@ -11,6 +11,8 @@ independences.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -146,3 +148,16 @@ class TestValidation:
     def test_rejects_unknown_method(self):
         with pytest.raises(SystemExit):
             main(["fig3", "--method", "sorcery"])
+
+    @pytest.mark.parametrize("family", ["colocation3", "random-nonlocal"])
+    def test_rejects_reference_method_for_non_xor_family(
+        self, family, capsys
+    ):
+        cache_root = Path(os.environ["REPRO_CACHE_DIR"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--games", "3", "--points", "0.5", "--method",
+                  "reference", "--game-family", family])
+        assert excinfo.value.code == 2
+        assert "--method reference" in capsys.readouterr().err
+        # Rejected before any sweep: no cache entry, no journal.
+        assert not cache_root.exists()
