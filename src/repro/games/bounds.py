@@ -191,7 +191,10 @@ class NonlocalScreenReport:
         lower_bounds: certified see-saw lower bounds (``nan`` for
             games decided before the see-saw stage).
         upper_bounds: rigorous NPA upper bounds (``nan`` when the
-            cascade never needed them).
+            cascade never needed them). Each is the bound that settled
+            the verdict: the NPA solve stops once its bound reaches
+            ``classical + threshold``, so an "upper" game's entry can
+            lie above its converged bound.
         threshold: the advantage threshold used.
     """
 
@@ -227,9 +230,10 @@ def screen_nonlocal_games(
     The general-game analogue of the Fig 3 XOR cascade: (1)
     **perfect** — a classically-perfect game cannot show advantage;
     (2) **lower** — the see-saw's certified lower bound proves it;
-    (3) **upper** — the NPA bound refutes it; (4) **undecided** — the
-    bounds straddle the threshold; scored as no-advantage but counted
-    separately so sweeps can report their resolution rate.
+    (3) **upper** — the NPA bound refutes it; its solve stops as soon
+    as the bound reaches ``classical + threshold``; (4) **undecided** —
+    the bounds straddle the threshold; scored as no-advantage but
+    counted separately so sweeps can report their resolution rate.
     """
     games = list(games)
     num_games = len(games)
@@ -264,7 +268,10 @@ def screen_nonlocal_games(
                 stages.append("lower")
                 continue
             upper, _ = npa_upper_bound(
-                game, level=npa_level, tolerance=tolerance
+                game,
+                level=npa_level,
+                tolerance=tolerance,
+                decide_below=classical + threshold,
             )
             upper_bounds[index] = upper
             if upper <= classical + threshold:

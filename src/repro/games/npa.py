@@ -314,6 +314,7 @@ def npa_upper_bound(
     level: str = "1+ab",
     tolerance: float = 1e-8,
     max_iterations: int = 20_000,
+    decide_below: float | None = None,
 ) -> tuple[float, SDPResult]:
     """Rigorous NPA upper bound on the quantum value of any two-player
     game with finite alphabets.
@@ -323,6 +324,12 @@ def npa_upper_bound(
     solver's repaired dual certificate with the relaxation constant,
     so it is a true upper bound on the quantum win probability even
     when the ADMM stops early.
+
+    ``decide_below`` is a decision line on the win probability for a
+    caller that needs only a verdict: the solve stops as soon as its
+    bound is at or below the line, instead of converging (see the
+    partition solver's ``stop_below``). A bound that never reaches the
+    line is the converged bound.
 
     Returns ``(bound, sdp_result)``.
     """
@@ -344,5 +351,8 @@ def npa_upper_bound(
             relaxation.zero_entries,
             tolerance=tolerance,
             max_iterations=max_iterations,
+            stop_below=None
+            if decide_below is None
+            else decide_below - relaxation.constant,
         )
     return relaxation.constant + result.upper_bound, result

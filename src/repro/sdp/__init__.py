@@ -1,10 +1,11 @@
-"""Small dense SDP solver (ADMM) and Gram-vector utilities.
+"""Dense ADMM SDP solvers and Gram-vector utilities.
 
 Standing in for Toqito's SDP backends (DESIGN.md §2): computes the
-Tsirelson quantum value of XOR games and NPA level-1 upper bounds.
+Tsirelson quantum value of XOR games, serially or as a stack, and NPA
+upper bounds.
 """
 
-from repro.sdp.admm import solve_diagonal_sdp, solve_partition_sdp, solve_sdp
+from repro.sdp.admm import solve_diagonal_sdp, solve_partition_sdp
 from repro.sdp.batch import (
     dual_upper_bound_batch,
     repair_feasible_batch,
@@ -23,7 +24,6 @@ __all__ = [
     "solve_diagonal_sdp",
     "solve_diagonal_sdp_batch",
     "solve_partition_sdp",
-    "solve_sdp",
     "dual_upper_bound_batch",
     "repair_feasible_batch",
     "gram_rank",

@@ -1,20 +1,26 @@
-"""A small dense SDP solver based on ADMM splitting.
+"""Dense SDP solvers based on ADMM splitting.
 
-Solves problems of the form::
+Two problem forms, each with its own affine step:
 
-    maximize    <C, X>
-    subject to  diag(X) = d        (unit diagonal by default)
-                A_k(X) = b_k       (optional extra affine constraints)
-                X  is symmetric PSD
-
-This covers everything the repo needs: the Tsirelson SDP that computes the
-quantum value of an XOR game (DESIGN.md, Fig 3) and the NPA level-1
-relaxation used as an upper bound for the ECMP conjecture (§4.2).
+* :func:`solve_diagonal_sdp` — ``max <C, X> s.t. diag(X) = d, X PSD``,
+  the Tsirelson SDP that computes the quantum value of an XOR game
+  (DESIGN.md, Fig 3). Its stacked sibling is
+  :func:`repro.sdp.batch.solve_diagonal_sdp_batch`.
+* :func:`solve_partition_sdp` — a moment-matrix SDP whose entries are
+  identified in classes or pinned to zero, the NPA relaxations of
+  :mod:`repro.games.npa` (the ECMP conjecture, §4.2, and the general-game
+  cascade).
 
 The method alternates between an affine projection (X-step, absorbing the
 linear objective), a PSD cone projection (Z-step, one eigendecomposition),
-and a scaled dual update. For the matrix sizes in this repo (n <= ~40)
-each iteration costs microseconds.
+and a scaled dual update. Every solver steps on the cost divided by its
+Frobenius norm, which is the penalty ``rho = ||C||_F`` (Boyd et al.,
+*Distributed Optimization and Statistical Learning via ADMM*, 2011,
+§3.4.1). The iterates then depend only on ``C / ||C||_F``: scaling a cost
+leaves the iteration count unchanged, and the small XOR cost blocks
+(``||C||_F`` ~ 0.1 at n = 8) no longer take steps ten times too short.
+The stop test reads both residuals in units of ``X``. For the matrix
+sizes in this repo (n <= ~40) each iteration costs microseconds.
 
 The returned :class:`~repro.sdp.result.SDPResult` carries both a strictly
 feasible primal value (a true lower bound on the optimum) and a repaired
@@ -24,24 +30,35 @@ advantage/no-advantage calls.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.obs import metrics as _metrics
+from repro.sdp.batch import _check_diagonal, _cost_scales, _require_finite
 from repro.sdp.projections import project_psd, symmetrize
 from repro.sdp.result import SDPResult
 
-__all__ = ["solve_diagonal_sdp", "solve_partition_sdp", "solve_sdp"]
+__all__ = ["solve_diagonal_sdp", "solve_partition_sdp"]
+
+#: Iterations between two evaluations of the partition solver's dual
+#: bound against its decision line (``stop_below``).
+LINE_CHECK_PERIOD = 25
+
+
+def _symmetric_cost(cost) -> np.ndarray:
+    """Symmetric part of a square, finite cost matrix."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise SolverError(f"cost must be square, got shape {cost.shape}")
+    return symmetrize(_require_finite(cost, "cost"))
 
 
 def solve_diagonal_sdp(
     cost: np.ndarray,
     diagonal: np.ndarray | None = None,
     *,
-    rho: float = 1.0,
     tolerance: float = 1e-8,
     max_iterations: int = 50_000,
     warm_start: np.ndarray | None = None,
@@ -51,38 +68,31 @@ def solve_diagonal_sdp(
     Args:
         cost: symmetric cost matrix ``C`` (symmetrized if not).
         diagonal: required diagonal ``d`` (all ones by default).
-        rho: ADMM penalty parameter.
-        tolerance: residual threshold for convergence.
-        max_iterations: iteration cap; exceeding it raises unless the
-            residuals are already small (then ``converged=False``).
+        tolerance: threshold on both residuals, ``||X - Z||_F`` and
+            ``||Z - Z_prev||_F``.
+        max_iterations: iteration cap. A solve that reaches it returns
+            with ``converged=False``; it never raises. The repaired
+            primal and the dual bound stay valid, only looser.
         warm_start: optional initial ``Z`` (e.g. a Gram matrix from a
             heuristic solver) to cut iterations.
 
     Returns:
         SDPResult with a feasible primal matrix and a dual upper bound.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise SolverError(f"cost must be square, got shape {cost.shape}")
-    c = symmetrize(cost)
+    c = _symmetric_cost(cost)
     n = c.shape[0]
-    if diagonal is None:
-        diagonal = np.ones(n)
+    diagonal = _check_diagonal(diagonal, n)
+    if warm_start is None:
+        z = np.diag(diagonal)
     else:
-        diagonal = np.asarray(diagonal, dtype=float)
-        if diagonal.shape != (n,):
-            raise SolverError(
-                f"diagonal has shape {diagonal.shape}, expected ({n},)"
-            )
-        if (diagonal <= 0).any():
-            raise SolverError("diagonal entries must be positive")
-
-    if warm_start is not None:
-        z = symmetrize(np.asarray(warm_start, dtype=float))
+        z = np.asarray(warm_start, dtype=float)
         if z.shape != (n, n):
-            raise SolverError("warm start has wrong shape")
-    else:
-        z = np.diag(diagonal).astype(float)
+            raise SolverError(
+                f"warm start has shape {z.shape}, expected {(n, n)}"
+            )
+        z = symmetrize(_require_finite(z, "warm start"))
+    # A batch of one, so the trajectory matches the stacked solver's.
+    c_hat = c / _cost_scales(c[None])[0]
     u = np.zeros((n, n))
 
     primal_res = dual_res = float("inf")
@@ -91,7 +101,7 @@ def solve_diagonal_sdp(
         # X-step: unconstrained minimizer of the augmented Lagrangian,
         # then exact projection onto the diagonal constraint (the
         # quadratic is isotropic, so overwriting the diagonal is exact).
-        x = z - u + c / rho
+        x = z - u + c_hat
         np.fill_diagonal(x, diagonal)
         # Z-step: PSD projection.
         z_prev = z
@@ -99,7 +109,7 @@ def solve_diagonal_sdp(
         # Dual update.
         u = u + x - z
         primal_res = float(np.linalg.norm(x - z))
-        dual_res = float(rho * np.linalg.norm(z - z_prev))
+        dual_res = float(np.linalg.norm(z - z_prev))
         if primal_res < tolerance and dual_res < tolerance:
             break
 
@@ -119,100 +129,6 @@ def solve_diagonal_sdp(
     )
 
 
-def solve_sdp(
-    cost: np.ndarray,
-    constraints: Sequence[tuple[np.ndarray, float]],
-    *,
-    rho: float = 1.0,
-    tolerance: float = 1e-8,
-    max_iterations: int = 50_000,
-) -> SDPResult:
-    """Solve ``max <C, X> s.t. <A_k, X> = b_k, X PSD``.
-
-    The general-constraint sibling of :func:`solve_diagonal_sdp`. Every
-    ``A_k`` is symmetrized. The affine projection is computed through a
-    precomputed pseudo-inverse, so the constraint list should be modest
-    (tens of constraints on matrices up to ~50x50).
-    """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise SolverError(f"cost must be square, got shape {cost.shape}")
-    c = symmetrize(cost)
-    n = c.shape[0]
-    if not constraints:
-        raise SolverError("solve_sdp needs at least one constraint")
-    rows = []
-    rhs = []
-    for a_k, b_k in constraints:
-        a_k = symmetrize(np.asarray(a_k, dtype=float))
-        if a_k.shape != (n, n):
-            raise SolverError(
-                f"constraint shape {a_k.shape} does not match cost {c.shape}"
-            )
-        rows.append(a_k.reshape(-1))
-        rhs.append(float(b_k))
-    a_mat = np.stack(rows)
-    b_vec = np.asarray(rhs)
-    gram = a_mat @ a_mat.T
-    rank = int(np.linalg.matrix_rank(gram))
-    if rank < gram.shape[0]:
-        # Linearly dependent constraints: the pseudo-inverse silently
-        # switches the affine step to a least-squares projection. That
-        # is the right continuation when the dependent rows are
-        # *consistent*, but contradictory rows get averaged away — so
-        # make the degeneracy visible instead of swallowing it.
-        _metrics.get_registry().counter("sdp.gram_rank_deficient").inc()
-        warnings.warn(
-            f"solve_sdp constraint Gram matrix is rank-deficient "
-            f"(rank {rank} < {gram.shape[0]}): constraints are linearly "
-            "dependent; the affine projection falls back to the "
-            "least-squares pseudo-inverse and contradictory constraints "
-            "would be silently averaged",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    try:
-        gram_inv = np.linalg.pinv(gram)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SolverError("constraint Gram matrix is singular") from exc
-
-    def project_affine(mat: np.ndarray) -> np.ndarray:
-        flat = mat.reshape(-1)
-        correction = a_mat.T @ (gram_inv @ (a_mat @ flat - b_vec))
-        return symmetrize((flat - correction).reshape(n, n))
-
-    z = project_affine(np.eye(n))
-    u = np.zeros((n, n))
-    primal_res = dual_res = float("inf")
-    iteration = 0
-    for iteration in range(1, max_iterations + 1):
-        x = project_affine(z - u + c / rho)
-        z_prev = z
-        z = project_psd(x + u)
-        u = u + x - z
-        primal_res = float(np.linalg.norm(x - z))
-        dual_res = float(rho * np.linalg.norm(z - z_prev))
-        if primal_res < tolerance and dual_res < tolerance:
-            break
-
-    converged = primal_res < tolerance and dual_res < tolerance
-    _metrics.get_registry().counter("admm.iterations").inc(iteration)
-    # Blend to the PSD iterate and report residual-feasibility; callers of
-    # the general form accept approximate feasibility (documented).
-    objective = float(np.sum(c * z))
-    eigs = np.linalg.eigvalsh(symmetrize(z))
-    psd_violation = max(0.0, float(-eigs.min()))
-    return SDPResult(
-        matrix=z,
-        objective=objective,
-        upper_bound=objective + primal_res + psd_violation,
-        iterations=iteration,
-        primal_residual=primal_res,
-        dual_residual=dual_res,
-        converged=converged,
-    )
-
-
 def solve_partition_sdp(
     cost: np.ndarray,
     classes: Sequence[Sequence[tuple[int, int]]],
@@ -220,19 +136,18 @@ def solve_partition_sdp(
     *,
     corner_value: float = 1.0,
     diagonal_cap: float = 1.0,
-    rho: float = 1.0,
     tolerance: float = 1e-8,
     max_iterations: int = 20_000,
+    stop_below: float | None = None,
 ) -> SDPResult:
     """Solve a moment-matrix SDP with entry-identification constraints.
 
     ``max <C, X>  s.t.  X PSD,  X[0, 0] = corner_value,
     X[e] = 0 for e in zero_entries, and all entries within each class
     equal`` — the constraint structure of an NPA moment matrix, where
-    distinct index pairs carry the same canonical monomial. Unlike
-    :func:`solve_sdp`, the affine step is an exact O(nnz)
-    scatter/gather (weighted class means) instead of a dense
-    pseudo-inverse, so thousands of identifications stay cheap.
+    distinct index pairs carry the same canonical monomial. The affine
+    step is an exact O(nnz) scatter/gather (weighted class means), so
+    thousands of identifications stay cheap.
 
     The returned ``upper_bound`` is rigorous for any matrix that is
     feasible *and* has every diagonal entry at most ``diagonal_cap``
@@ -243,6 +158,14 @@ def solve_partition_sdp(
     ``n * diagonal_cap``. The bound therefore holds even before
     convergence — early stopping only loosens it.
 
+    A caller that needs only to know whether the optimum lies at or
+    below some value passes it as ``stop_below``. Every
+    :data:`LINE_CHECK_PERIOD` iterations the solve then evaluates the
+    bound at the current iterate, and it stops as soon as the bound is
+    at or below the line. The check only reads the iterate, so a solve
+    whose bound never reaches the line returns exactly what it returns
+    without one.
+
     Args:
         cost: symmetric cost matrix ``C`` (symmetrized if not).
         classes: groups of ``(i, j)`` index pairs (``i <= j``) whose
@@ -252,15 +175,15 @@ def solve_partition_sdp(
             normalization).
         diagonal_cap: per-entry diagonal bound used only in the dual
             repair; must hold for every feasible matrix of interest.
-        rho: ADMM penalty parameter.
-        tolerance: residual threshold for convergence.
+        tolerance: threshold on both residuals, ``||X - Z||_F`` and
+            ``||Z - Z_prev||_F``.
         max_iterations: iteration cap (no exception on hitting it —
             the repaired bound stays valid, just looser).
+        stop_below: optional decision line for ``upper_bound``, in the
+            units of ``<C, X>``; a solve that stops there returns with
+            ``converged=False`` and counts in ``npa.verdict_stops``.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise SolverError(f"cost must be square, got shape {cost.shape}")
-    c = symmetrize(cost)
+    c = _symmetric_cost(cost)
     n = c.shape[0]
     if corner_value <= 0:
         raise SolverError("corner_value must be positive")
@@ -319,34 +242,50 @@ def solve_partition_sdp(
         out[0, 0] = corner_value
         return out
 
+    scale = _cost_scales(c[None])[0]
+    c_hat = c / scale
+
+    def dual_bound(u: np.ndarray) -> float:
+        # The scaled iteration's dual variable is U; the slack of the
+        # original problem is -||C||_F * U.
+        return _partition_dual_bound(
+            c,
+            -scale * symmetrize(u),
+            class_means,
+            (cls_rows, cls_cols, cls_ids),
+            (zr, zc),
+            corner_value=corner_value,
+            diagonal_cap=diagonal_cap,
+        )
+
+    registry = _metrics.get_registry()
     z = np.eye(n) * min(corner_value, diagonal_cap)
     u = np.zeros((n, n))
     primal_res = dual_res = float("inf")
     iteration = 0
     for iteration in range(1, max_iterations + 1):
         # X-step: the augmented-Lagrangian quadratic is isotropic, so
-        # the exact minimizer is the affine projection of z - u + C/rho.
-        x = project_affine(z - u + c / rho)
+        # the exact minimizer is the affine projection of z - u + C_hat.
+        x = project_affine(z - u + c_hat)
         z_prev = z
         z = project_psd(x + u)
         u = u + x - z
         primal_res = float(np.linalg.norm(x - z))
-        dual_res = float(rho * np.linalg.norm(z - z_prev))
+        dual_res = float(np.linalg.norm(z - z_prev))
         if primal_res < tolerance and dual_res < tolerance:
+            break
+        if (
+            stop_below is not None
+            and iteration % LINE_CHECK_PERIOD == 0
+            and dual_bound(u) <= stop_below
+        ):
+            registry.counter("npa.verdict_stops").inc()
             break
 
     converged = primal_res < tolerance and dual_res < tolerance
-    _metrics.get_registry().counter("admm.iterations").inc(iteration)
+    registry.counter("admm.iterations").inc(iteration)
     objective = float(np.sum(c * z))
-    upper = _partition_dual_bound(
-        c,
-        -rho * symmetrize(u),
-        class_means,
-        (cls_rows, cls_cols, cls_ids),
-        (zr, zc),
-        corner_value=corner_value,
-        diagonal_cap=diagonal_cap,
-    )
+    upper = dual_bound(u)
     return SDPResult(
         matrix=z,
         objective=objective,
@@ -370,7 +309,7 @@ def _partition_dual_bound(
 ) -> float:
     """Rigorous upper bound from the partition SDP's repaired dual.
 
-    ``M = C + S`` (with ``S = -rho U`` the ADMM dual iterate) is split
+    ``M = C + S`` (with ``S = -||C||_F U`` the ADMM dual iterate) is split
     into a part lying exactly in the span of the constraint matrices
     and a residual ``R`` (the weighted class means plus everything on
     unconstrained entries). For any feasible ``X`` with

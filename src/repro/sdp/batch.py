@@ -44,6 +44,25 @@ def _frobenius_batch(matrices: np.ndarray, backend=None) -> np.ndarray:
     return np.sqrt(np.einsum("bij,bij->b", matrices, matrices))
 
 
+def _cost_scales(costs: np.ndarray) -> np.ndarray:
+    """ADMM step scale of every cost in a ``(B, n, n)`` stack.
+
+    Each solver iterates on ``C / ||C||_F``, which is the penalty
+    ``rho = ||C||_F``; a zero cost keeps scale 1. The serial solvers call
+    this on a batch of one, so their trajectories match the stacked
+    solver's slice for slice.
+    """
+    norms = _frobenius_batch(costs)
+    return np.where(norms > 0.0, norms, 1.0)
+
+
+def _require_finite(array: np.ndarray, what: str) -> np.ndarray:
+    """``array`` itself, or :class:`SolverError` if any entry is not finite."""
+    if not np.isfinite(array).all():
+        raise SolverError(f"{what} has non-finite entries")
+    return array
+
+
 def _check_diagonal(diagonal, n: int) -> np.ndarray:
     if diagonal is None:
         return np.ones(n)
@@ -52,8 +71,8 @@ def _check_diagonal(diagonal, n: int) -> np.ndarray:
         raise SolverError(
             f"diagonal has shape {diagonal.shape}, expected ({n},)"
         )
-    if (diagonal <= 0).any():
-        raise SolverError("diagonal entries must be positive")
+    if not (np.isfinite(diagonal) & (diagonal > 0)).all():
+        raise SolverError("diagonal entries must be positive and finite")
     return diagonal
 
 
@@ -115,7 +134,6 @@ def solve_diagonal_sdp_batch(
     costs: np.ndarray,
     diagonal: np.ndarray | None = None,
     *,
-    rho: float = 1.0,
     tolerance: float = 1e-8,
     max_iterations: int = 50_000,
     warm_starts: np.ndarray | None = None,
@@ -127,8 +145,8 @@ def solve_diagonal_sdp_batch(
         costs: ``(B, n, n)`` stack of cost matrices (symmetrized).
         diagonal: required diagonal ``d`` shared by every slice (all
             ones by default).
-        rho: ADMM penalty parameter.
-        tolerance: residual threshold for per-slice convergence.
+        tolerance: per-slice threshold on both residuals,
+            ``||X - Z||_F`` and ``||Z - Z_prev||_F``.
         max_iterations: iteration cap; slices still active at the cap
             are returned with ``converged=False``.
         warm_starts: optional ``(B, n, n)`` stack of initial ``Z``
@@ -156,19 +174,19 @@ def solve_diagonal_sdp_batch(
     if num_games == 0:
         return []
     kernels = backend if isinstance(backend, ArrayBackend) else get_backend(backend)
-    c = symmetrize_batch(costs)
+    c = symmetrize_batch(_require_finite(costs, "costs"))
     diagonal = _check_diagonal(diagonal, n)
 
-    if warm_starts is not None:
-        z = symmetrize_batch(np.asarray(warm_starts, dtype=float))
+    if warm_starts is None:
+        z = np.broadcast_to(np.diag(diagonal), costs.shape).copy()
+    else:
+        z = np.asarray(warm_starts, dtype=float)
         if z.shape != costs.shape:
             raise SolverError(
-                f"warm starts have shape {warm_starts.shape}, expected "
-                f"{costs.shape}"
+                f"warm starts have shape {z.shape}, expected {costs.shape}"
             )
-        z = z.copy()
-    else:
-        z = np.broadcast_to(np.diag(diagonal), costs.shape).copy()
+        z = symmetrize_batch(_require_finite(z, "warm starts"))
+    c_hat = c / _cost_scales(c)[:, None, None]
     u = np.zeros_like(z)
     rows = np.arange(n)
 
@@ -179,7 +197,7 @@ def solve_diagonal_sdp_batch(
     converged = np.zeros(num_games, dtype=bool)
 
     active = np.arange(num_games)
-    c_active = c
+    c_active = c_hat
     iteration = 0
     total_iterations = 0
     primal = dual = None
@@ -188,13 +206,13 @@ def solve_diagonal_sdp_batch(
         total_iterations += active.size
         # X-step: unconstrained minimizer, then exact diagonal overwrite
         # (isotropic quadratic), exactly as in the serial solver.
-        x = z - u + c_active / rho
+        x = z - u + c_active
         x[:, rows, rows] = diagonal
         z_prev = z
         z = project_psd_batch(x + u, backend=kernels)
         u = u + x - z
         primal = _frobenius_batch(x - z, kernels)
-        dual = rho * _frobenius_batch(z - z_prev, kernels)
+        dual = _frobenius_batch(z - z_prev, kernels)
         done = (primal < tolerance) & (dual < tolerance)
         if done.any():
             finished = active[done]

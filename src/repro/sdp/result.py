@@ -21,7 +21,9 @@ class SDPResult:
             upper_bound`` up to the reported residuals).
         iterations: ADMM iterations used.
         primal_residual: final ``||X - Z||_F`` consensus residual.
-        dual_residual: final ``rho * ||Z - Z_prev||_F`` residual.
+        dual_residual: final ``||Z - Z_prev||_F`` change of the PSD
+            iterate. Both residuals are in the units of ``X``, whatever
+            the scale of the cost.
         converged: True when both residuals met the tolerance.
     """
 

@@ -14,7 +14,7 @@ from repro.sdp import (
     gram_vectors,
     project_psd,
     solve_diagonal_sdp,
-    solve_sdp,
+    solve_partition_sdp,
     symmetrize,
 )
 
@@ -106,6 +106,11 @@ class TestDiagonalSDP:
         with pytest.raises(SolverError):
             solve_diagonal_sdp(np.eye(2), diagonal=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_diagonal(self, value):
+        with pytest.raises(SolverError):
+            solve_diagonal_sdp(np.eye(2), diagonal=np.array([1.0, value]))
+
     def test_rejects_nonsquare_cost(self):
         with pytest.raises(SolverError):
             solve_diagonal_sdp(np.ones((2, 3)))
@@ -125,6 +130,23 @@ class TestDiagonalSDP:
         with pytest.raises(SolverError):
             solve_diagonal_sdp(np.eye(3), warm_start=np.eye(2))
 
+    def test_rejects_nonsquare_warm_start(self):
+        # The shape check runs before the warm start is symmetrized, so
+        # a non-square one is a SolverError, not a NumPy broadcast error.
+        with pytest.raises(SolverError):
+            solve_diagonal_sdp(np.eye(4), warm_start=np.ones((4, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_cost(self, value):
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_diagonal_sdp(np.full((3, 3), value))
+
+    def test_rejects_nonfinite_warm_start(self):
+        warm = np.eye(3)
+        warm[0, 1] = np.nan
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_diagonal_sdp(np.eye(3), warm_start=warm)
+
     def test_result_repr_and_gap(self):
         res = solve_diagonal_sdp(np.eye(2))
         assert isinstance(res, SDPResult)
@@ -132,69 +154,17 @@ class TestDiagonalSDP:
         assert res.gap == pytest.approx(res.upper_bound - res.objective)
 
 
-class TestGeneralSDP:
-    def test_reproduces_diagonal_case(self):
-        c = chsh_cost()
-        constraints = []
-        for i in range(4):
-            a = np.zeros((4, 4))
-            a[i, i] = 1.0
-            constraints.append((a, 1.0))
-        res = solve_sdp(c, constraints, tolerance=1e-9)
-        assert res.objective == pytest.approx(math.sqrt(2) / 2, abs=1e-6)
-
-    def test_trace_constraint(self):
-        # max <I, X> s.t. Tr(X) = 3 is 3.
-        res = solve_sdp(np.eye(4), [(np.eye(4), 3.0)])
-        assert res.objective == pytest.approx(3.0, abs=1e-6)
-
-    def test_off_diagonal_constraint(self):
-        # Pin X01 = 0.5 with unit diagonal; maximize X01 -> exactly 0.5.
-        c = np.zeros((2, 2))
-        c[0, 1] = c[1, 0] = 0.5
-        pin = np.zeros((2, 2))
-        pin[0, 1] = pin[1, 0] = 0.5
-        constraints = [
-            (np.diag([1.0, 0.0]), 1.0),
-            (np.diag([0.0, 1.0]), 1.0),
-            (pin, 0.5),
-        ]
-        res = solve_sdp(c, constraints)
-        assert res.objective == pytest.approx(0.5, abs=1e-6)
-
-    def test_requires_constraints(self):
+class TestPartitionSDP:
+    def test_rejects_nonsquare_cost(self):
         with pytest.raises(SolverError):
-            solve_sdp(np.eye(2), [])
+            solve_partition_sdp(np.ones((2, 3)), [])
 
-    def test_rejects_mismatched_constraint(self):
-        with pytest.raises(SolverError):
-            solve_sdp(np.eye(2), [(np.eye(3), 1.0)])
-
-    def test_degenerate_constraints_warn_and_count(self):
-        """Linearly dependent constraints make the Gram matrix rank
-        deficient; the affine step then runs through a least-squares
-        pseudo-inverse. That fallback must be loud: a RuntimeWarning and
-        the ``sdp.gram_rank_deficient`` counter, never silence."""
-        from repro.obs.metrics import capture
-
-        constraints = [(np.eye(3), 2.0), (np.eye(3), 2.0)]  # duplicated
-        with capture() as registry:
-            with pytest.warns(RuntimeWarning, match="rank-deficient"):
-                res = solve_sdp(np.eye(3), constraints)
-            snapshot = registry.snapshot()
-        assert snapshot["counters"]["sdp.gram_rank_deficient"] == 1
-        # Consistent duplicates: the least-squares continuation still
-        # solves the underlying problem (max Tr X s.t. Tr X = 2).
-        assert res.objective == pytest.approx(2.0, abs=1e-5)
-
-    def test_independent_constraints_stay_silent(self):
-        import warnings
-
-        constraints = [(np.eye(2), 1.0), (np.diag([1.0, -1.0]), 0.0)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            res = solve_sdp(np.eye(2), constraints)
-        assert res.objective == pytest.approx(1.0, abs=1e-6)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_cost(self, value):
+        cost = np.eye(3)
+        cost[1, 2] = cost[2, 1] = value
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_partition_sdp(cost, [((1, 1), (1, 2))])
 
 
 class TestGramVectors:

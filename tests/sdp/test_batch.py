@@ -185,6 +185,29 @@ class TestStackedSolver:
                 np.ones((2, 3, 3)), warm_starts=np.ones((1, 3, 3))
             )
 
+    def test_rejects_nonsquare_warm_starts(self):
+        # Checked before symmetrizing, which would raise NumPy's
+        # broadcast error instead.
+        with pytest.raises(SolverError):
+            solve_diagonal_sdp_batch(
+                np.ones((2, 3, 3)), warm_starts=np.ones((2, 3, 4))
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_costs(self, value):
+        costs = random_cost_stack(3, 4, 9)
+        costs[1, 0, 0] = value
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_diagonal_sdp_batch(costs)
+
+    def test_rejects_nonfinite_warm_starts(self):
+        warm = np.broadcast_to(np.eye(4), (3, 4, 4)).copy()
+        warm[2, 1, 3] = np.inf
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_diagonal_sdp_batch(
+                random_cost_stack(3, 4, 10), warm_starts=warm
+            )
+
     def test_emits_metrics(self):
         with capture() as registry:
             solve_diagonal_sdp_batch(random_cost_stack(4, 5, 8))
