@@ -355,6 +355,32 @@ def _fig3_argv(args: argparse.Namespace) -> list[str]:
     return argv
 
 
+def _check_fig3_args(args: argparse.Namespace) -> None:
+    """Raise :class:`GameError` for fig3 arguments no sweep point accepts.
+
+    The library checks the arguments itself: each point's family sampler
+    draws one game (or ``--games`` of them when that is below one, so the
+    sampler rejects the count), and the classical brute force runs on one
+    drawn game, which enforces its size limit.
+    """
+    from repro.games.batch import classical_bias_batch, sample_game_batch
+    from repro.games.bounds import sample_game_family
+
+    rng = np.random.default_rng(0)
+    num_games = min(args.games, 1)
+    for p in args.points:
+        if args.game_family == "xor":
+            sample = sample_game_batch(args.vertices, p, num_games, rng)
+        else:
+            sample = sample_game_family(
+                args.game_family, args.vertices, p, num_games, rng
+            )
+    if args.game_family == "xor":
+        classical_bias_batch(sample.cost_matrices())
+    else:
+        sample[0].classical_value()
+
+
 def _cmd_fig3(args: argparse.Namespace) -> None:
     from repro.analysis import format_table
     from repro.exec import SweepRunner
@@ -841,6 +867,12 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error(
                 "fig3: --method reference runs only --game-family xor"
             )
+        from repro.errors import GameError
+
+        try:
+            _check_fig3_args(args)
+        except GameError as exc:
+            parser.error(f"fig3: invalid arguments: {exc}")
         _cmd_fig3(args)
     elif args.command == "fig4":
         _cmd_fig4(args)

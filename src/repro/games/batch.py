@@ -21,12 +21,17 @@ SDP through a three-stage *screening cascade*:
    falls below ``classical + threshold`` by the margin, no advantage is
    possible.
 
-Only the undecided residue escalates to the rigorous stacked ADMM solve
-(:func:`repro.sdp.batch.solve_diagonal_sdp_batch`), warm-started from
-the heuristic Gram matrices. The decision rule at every stage sandwiches
-the quantity the reference path computes, so per-game verdicts are
-identical to ``has_quantum_advantage`` — asserted game-by-game in
-``tests/games/test_advantage_batch.py`` and in the Fig 3 benchmark.
+Only the undecided residue escalates to stage 4, **sdp**: the stacked
+ADMM solve (:func:`repro.sdp.batch.solve_diagonal_sdp_batch`),
+warm-started from the heuristic Gram matrices. It applies the rules of
+stages 2 and 3 to its own iterate through per-slice decision lines at
+``classical + threshold +/- margin``, so a game leaves the solver as
+soon as its repaired iterate proves or refutes the advantage; only a
+game whose bounds stay inside that band converges. The decision rule at
+every stage sandwiches the quantity the reference path computes, so
+per-game verdicts are identical to ``has_quantum_advantage`` — asserted
+game-by-game in ``tests/games/test_advantage_batch.py`` and in the
+Fig 3 benchmark.
 
 Sampling consumes the shared RNG in exactly the order of the serial
 :func:`~repro.games.graph_games.random_affinity_graph` loop (one
@@ -64,10 +69,12 @@ __all__ = [
 STAGES = ("perfect", "lower", "upper", "sdp")
 
 #: Safety margin the screening stages must clear before deciding without
-#: the rigorous solve. The heuristic bounds are exact in real arithmetic
+#: the converged solve. The heuristic bounds are exact in real arithmetic
 #: but the reference decision compares against an ADMM objective
 #: converged to ~1e-8, so screens only claim verdicts that out-margin
-#: that solver noise; everything closer escalates to the SDP stage.
+#: that solver noise. The SDP stage stops its slices at the same margin;
+#: only a game whose bounds stay within it of ``classical + threshold``
+#: is solved to convergence.
 DEFAULT_SCREEN_MARGIN = 1e-6
 
 
@@ -330,8 +337,11 @@ class CascadeReport:
         lower_bounds: heuristic quantum lower bounds (NaN for games the
             perfect stage decided before the ascent ran).
         upper_bounds: dual upper bounds (NaN where not computed).
-        sdp_objectives: rigorous SDP optima (NaN except for the residue
-            that escalated).
+        sdp_objectives: for the residue that escalated, the achievable
+            SDP objective that settled the verdict: the repaired iterate
+            at which the slice cleared or fell through its margin band,
+            or the converged optimum for a slice whose bounds stayed
+            inside the band. NaN for every other game.
         threshold: the advantage detection threshold in effect.
         margin: the screening safety margin in effect.
     """
@@ -384,7 +394,11 @@ def screen_game_batch(
     Games the perfect/lower/upper screens cannot settle with ``margin``
     to spare escalate to the stacked ADMM solve (warm-started from the
     heuristic Gram matrices), whose verdict applies the exact reference
-    rule ``objective > classical + threshold``.
+    rule ``objective > classical + threshold``. Each escalated slice
+    stops as soon as its repaired iterate settles that rule: when its
+    achievable objective exceeds ``classical + threshold + margin``
+    (advantage) or its dual bound is at most ``classical + threshold -
+    margin`` (none). Slices inside the band converge.
 
     ``restarts`` / ``iterations`` default per graph size (see
     :func:`default_screen_budget`); pass explicit values to pin a
@@ -441,23 +455,25 @@ def screen_game_batch(
                 refuted = bound <= classical[rest] + threshold - margin
                 stages[rest[refuted]] = STAGES.index("upper")
 
-                # Stage 4: rigorous stacked solve for the residue.
+                # Stage 4: stacked solve for the residue; each slice stops
+                # once its iterate settles the verdict (stages 2 and 3).
                 residue = rest[~refuted]
                 if residue.size:
                     registry.counter("admm.escalations").inc(
                         int(residue.size)
                     )
+                    line = classical[residue] + threshold
                     results = solve_diagonal_sdp_batch(
                         blocks[~refuted],
                         tolerance=tolerance,
                         warm_starts=grams[~refuted],
                         backend=backend,
+                        stop_below=line - margin,
+                        stop_above=line + margin,
                     )
                     objectives = np.array([r.objective for r in results])
                     sdp_obj[residue] = objectives
-                    verdicts[residue] = (
-                        objectives > classical[residue] + threshold
-                    )
+                    verdicts[residue] = objectives > line
                     stages[residue] = STAGES.index("sdp")
 
         registry.counter("fig3.cascade.games").inc(num_games)

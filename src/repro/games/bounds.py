@@ -323,7 +323,8 @@ def sample_game_family(
 
     Draw order is fixed (one ``rng.random`` block per game), so the
     sample is bit-identical for a given generator state regardless of
-    downstream screening.
+    downstream screening. ``num_types`` must be at least 1 for every
+    family, although ``"colocation3"`` does not use it.
     """
     if family not in GAME_FAMILIES:
         raise GameError(
@@ -334,6 +335,8 @@ def sample_game_family(
             "the 'xor' family uses the affinity-graph pipeline, not "
             "sample_game_family"
         )
+    if num_types < 1:
+        raise GameError(f"num_types {num_types} must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise GameError(f"family parameter p {p} outside [0, 1]")
     if num_games < 1:

@@ -36,15 +36,16 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.obs import metrics as _metrics
-from repro.sdp.batch import _check_diagonal, _cost_scales, _require_finite
+from repro.sdp.batch import (
+    LINE_CHECK_PERIOD,
+    _check_diagonal,
+    _cost_scales,
+    _require_finite,
+)
 from repro.sdp.projections import project_psd, symmetrize
 from repro.sdp.result import SDPResult
 
 __all__ = ["solve_diagonal_sdp", "solve_partition_sdp"]
-
-#: Iterations between two evaluations of the partition solver's dual
-#: bound against its decision line (``stop_below``).
-LINE_CHECK_PERIOD = 25
 
 
 def _symmetric_cost(cost) -> np.ndarray:
@@ -160,11 +161,11 @@ def solve_partition_sdp(
 
     A caller that needs only to know whether the optimum lies at or
     below some value passes it as ``stop_below``. Every
-    :data:`LINE_CHECK_PERIOD` iterations the solve then evaluates the
-    bound at the current iterate, and it stops as soon as the bound is
-    at or below the line. The check only reads the iterate, so a solve
-    whose bound never reaches the line returns exactly what it returns
-    without one.
+    :data:`~repro.sdp.batch.LINE_CHECK_PERIOD` iterations the solve then
+    evaluates the bound at the current iterate, and it stops as soon as
+    the bound is at or below the line. The check only reads the
+    iterate, so a solve whose bound never reaches the line returns
+    exactly what it returns without one.
 
     Args:
         cost: symmetric cost matrix ``C`` (symmetrized if not).

@@ -19,6 +19,12 @@ serial solver's, so every returned :class:`~repro.sdp.result.SDPResult`
 carries a true primal lower bound and a true dual upper bound —
 :func:`dual_upper_bound_batch` is also used standalone by the Fig 3
 screening cascade to refute advantage without any solve.
+
+A caller that needs only to know on which side of a band each optimum
+lies passes per-slice decision lines. Every :data:`LINE_CHECK_PERIOD`
+iterations each slice's repaired iterate is bounded from both sides,
+and a slice whose achievable value clears its upper line, or whose dual
+bound falls to its lower line, leaves the stack with those bounds.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ __all__ = [
     "repair_feasible_batch",
     "dual_upper_bound_batch",
 ]
+
+#: Iterations between two checks of an iterate's bounds against its
+#: decision lines, in this stacked solver and in the partition solver.
+LINE_CHECK_PERIOD = 25
 
 
 def _frobenius_batch(matrices: np.ndarray, backend=None) -> np.ndarray:
@@ -76,6 +86,20 @@ def _check_diagonal(diagonal, n: int) -> np.ndarray:
     return diagonal
 
 
+def _decision_line(
+    line, num_games: int, what: str, default: float
+) -> np.ndarray:
+    """A ``(B,)`` line array, filled with ``default`` when not given."""
+    if line is None:
+        return np.full(num_games, default)
+    line = np.asarray(line, dtype=float)
+    if line.shape != (num_games,):
+        raise SolverError(
+            f"{what} has shape {line.shape}, expected ({num_games},)"
+        )
+    return line
+
+
 def repair_feasible_batch(
     z: np.ndarray, diagonal: np.ndarray, *, backend=None
 ) -> np.ndarray:
@@ -93,6 +117,15 @@ def repair_feasible_batch(
     out = psd * (scale[:, :, None] * scale[:, None, :])
     out[:, rows, rows] = diagonal
     return out
+
+
+def _repaired_bounds(costs, z, diagonal, kernels):
+    """Each slice's repaired primal, its objective and its dual bound."""
+    feasible = repair_feasible_batch(z, diagonal, backend=kernels)
+    objectives = np.einsum("bij,bij->b", costs, feasible)
+    return feasible, objectives, dual_upper_bound_batch(
+        costs, feasible, diagonal
+    )
 
 
 def dual_upper_bound_batch(
@@ -138,6 +171,8 @@ def solve_diagonal_sdp_batch(
     max_iterations: int = 50_000,
     warm_starts: np.ndarray | None = None,
     backend: str | None = None,
+    stop_below: np.ndarray | None = None,
+    stop_above: np.ndarray | None = None,
 ) -> list[SDPResult]:
     """Solve ``max <C_b, X_b> s.t. diag(X_b) = d, X_b PSD`` for a stack.
 
@@ -155,6 +190,17 @@ def solve_diagonal_sdp_batch(
             residual norms — an :class:`~repro.backend.ArrayBackend`, a
             registry name, or ``None`` for environment/auto resolution
             (see :mod:`repro.backend`).
+        stop_below: optional ``(B,)`` decision lines for ``upper_bound``,
+            in the units of ``<C, X>``.
+        stop_above: optional ``(B,)`` decision lines for ``objective``.
+            Every :data:`LINE_CHECK_PERIOD` iterations each slice that
+            did not converge at that iteration is repaired and bounded;
+            it stops once its objective is above its ``stop_above`` or
+            its upper bound is at or below its ``stop_below``, returns
+            those bounds with ``converged=False``, and counts in
+            ``sdp.batch.verdict_stops``. The check only reads the
+            iterate, so a slice that never reaches a line returns
+            exactly what it returns without lines.
 
     Returns:
         One :class:`SDPResult` per slice, in input order, each with a
@@ -171,6 +217,9 @@ def solve_diagonal_sdp_batch(
     from repro.backend import ArrayBackend, get_backend
 
     num_games, n = costs.shape[0], costs.shape[1]
+    check_lines = stop_below is not None or stop_above is not None
+    below = _decision_line(stop_below, num_games, "stop_below", -np.inf)
+    above = _decision_line(stop_above, num_games, "stop_above", np.inf)
     if num_games == 0:
         return []
     kernels = backend if isinstance(backend, ArrayBackend) else get_backend(backend)
@@ -195,6 +244,11 @@ def solve_diagonal_sdp_batch(
     primal_out = np.full(num_games, np.inf)
     dual_out = np.full(num_games, np.inf)
     converged = np.zeros(num_games, dtype=bool)
+    # Slices stopped at a line keep the bounds they were checked with.
+    stopped = np.zeros(num_games, dtype=bool)
+    feasible = np.empty_like(z)
+    objectives = np.empty(num_games)
+    uppers = np.empty(num_games)
 
     active = np.arange(num_games)
     c_active = c_hat
@@ -214,13 +268,26 @@ def solve_diagonal_sdp_batch(
         primal = _frobenius_batch(x - z, kernels)
         dual = _frobenius_batch(z - z_prev, kernels)
         done = (primal < tolerance) & (dual < tolerance)
+        converged[active[done]] = True
+        if check_lines and iteration % LINE_CHECK_PERIOD == 0:
+            checked = np.flatnonzero(~done)
+            ids = active[checked]
+            repaired, lower, upper = _repaired_bounds(
+                c[ids], z[checked], diagonal, kernels
+            )
+            hit = (lower > above[ids]) | (upper <= below[ids])
+            leaving = ids[hit]
+            stopped[leaving] = True
+            feasible[leaving] = repaired[hit]
+            objectives[leaving] = lower[hit]
+            uppers[leaving] = upper[hit]
+            done[checked[hit]] = True
         if done.any():
             finished = active[done]
             final_z[finished] = z[done]
             iters[finished] = iteration
             primal_out[finished] = primal[done]
             dual_out[finished] = dual[done]
-            converged[finished] = True
             keep = ~done
             active = active[keep]
             z = z[keep]
@@ -240,10 +307,13 @@ def solve_diagonal_sdp_batch(
     registry.counter("sdp.batch.games").inc(num_games)
     registry.counter("sdp.batch.iterations").inc(total_iterations)
     registry.counter("admm.iterations").inc(total_iterations)
+    registry.counter("sdp.batch.verdict_stops").inc(int(stopped.sum()))
 
-    feasible = repair_feasible_batch(final_z, diagonal, backend=kernels)
-    objectives = np.einsum("bij,bij->b", c, feasible)
-    uppers = dual_upper_bound_batch(c, feasible, diagonal)
+    rest = ~stopped
+    if rest.any():
+        feasible[rest], objectives[rest], uppers[rest] = _repaired_bounds(
+            c[rest], final_z[rest], diagonal, kernels
+        )
     return [
         SDPResult(
             matrix=feasible[b],

@@ -157,12 +157,17 @@ class TestDecisionParity:
         for index, game in enumerate(games):
             assert report.verdicts[index] == has_quantum_advantage(game)
 
-    def test_forced_escalation_keeps_parity(self):
+    @pytest.mark.parametrize(
+        ("n", "iterations"), [(5, 3), (6, 0), (7, 0), (8, 0)]
+    )
+    def test_forced_escalation_keeps_parity(self, n, iterations):
         # Cripple the heuristic so the lower/upper screens barely decide
         # anything; the SDP stage must still reproduce the reference
-        # verdicts exactly.
-        batch = sample_game_batch(5, 0.5, 12, np.random.default_rng(31))
-        report = screen_game_batch(batch, restarts=1, iterations=3)
+        # verdicts exactly, also where its slices stop at a line.
+        batch = sample_game_batch(n, 0.5, 12, np.random.default_rng(31))
+        report = screen_game_batch(
+            batch, restarts=1, iterations=iterations
+        )
         assert report.stage_counts()["sdp"] > 0
         for index, game in enumerate(batch.games()):
             assert report.verdicts[index] == has_quantum_advantage(game)
@@ -241,6 +246,16 @@ class TestCascadeReport:
         assert sum(
             counters.get(f"fig3.cascade.{name}", 0) for name in STAGES
         ) == 10
+
+    def test_sdp_stage_stops_at_its_verdict(self):
+        from repro.obs import capture
+
+        batch = sample_game_batch(8, 0.5, 8, np.random.default_rng(5))
+        with capture() as registry:
+            screen_game_batch(batch, restarts=1, iterations=0)
+        counters = registry.snapshot()["counters"]
+        stops = counters["sdp.batch.verdict_stops"]
+        assert 0 < stops <= counters["admm.escalations"]
 
     def test_ascent_counts_slice_iterations(self):
         from repro.obs import capture

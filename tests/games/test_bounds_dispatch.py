@@ -132,3 +132,14 @@ def test_family_sampling_is_a_pure_function_of_rng_state(family):
         assert a.name == b.name
         assert np.array_equal(a.prob_mat, b.prob_mat)
         assert np.array_equal(a.pred_mat, b.pred_mat)
+
+
+@pytest.mark.parametrize("family", ["colocation3", "random-nonlocal"])
+@pytest.mark.parametrize("num_types", [0, -2])
+def test_family_sampling_rejects_empty_input_alphabets(family, num_types):
+    from repro.errors import GameError
+
+    with pytest.raises(GameError, match="num_types"):
+        sample_game_family(
+            family, num_types, 0.5, 2, np.random.default_rng(0)
+        )

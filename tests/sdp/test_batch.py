@@ -17,6 +17,7 @@ from repro.sdp import (
     solve_diagonal_sdp_batch,
     symmetrize_batch,
 )
+from repro.sdp.batch import LINE_CHECK_PERIOD
 
 from tests.sdp.test_admm import chsh_cost
 
@@ -214,3 +215,94 @@ class TestStackedSolver:
         assert registry.counter("sdp.batch.solves").value == 1
         assert registry.counter("sdp.batch.games").value == 4
         assert registry.counter("sdp.batch.iterations").value > 0
+
+
+def assert_same_result(a, b) -> None:
+    assert a.iterations == b.iterations
+    assert a.objective == b.objective
+    assert a.upper_bound == b.upper_bound
+    assert a.converged == b.converged
+    assert np.array_equal(a.matrix, b.matrix)
+
+
+def one_line(num: int, index: int, value: float, fill: float) -> np.ndarray:
+    line = np.full(num, fill)
+    line[index] = value
+    return line
+
+
+class TestDecisionLines:
+    """Per-slice lines stop a slice once its bounds settle on which side
+    of its band the optimum lies."""
+
+    def test_stop_above_returns_an_achievable_value(self):
+        costs = random_cost_stack(4, 6, 11)
+        reference = solve_diagonal_sdp_batch(costs)
+        line = np.array([res.objective for res in reference]) - 0.05
+        with capture() as registry:
+            results = solve_diagonal_sdp_batch(costs, stop_above=line)
+        assert registry.counter("sdp.batch.verdict_stops").value == 4
+        for res, ref, value in zip(results, reference, line):
+            assert not res.converged
+            assert res.iterations % LINE_CHECK_PERIOD == 0
+            assert res.iterations < ref.iterations
+            assert np.array_equal(np.diag(res.matrix), np.ones(6))
+            assert np.linalg.eigvalsh(res.matrix).min() >= -1e-9
+            assert res.objective > value
+            assert res.objective <= ref.upper_bound + 1e-9
+
+    def test_stop_below_returns_a_rigorous_bound(self):
+        costs = random_cost_stack(4, 6, 12)
+        reference = solve_diagonal_sdp_batch(costs)
+        line = np.array([res.objective for res in reference]) + 0.05
+        with capture() as registry:
+            results = solve_diagonal_sdp_batch(costs, stop_below=line)
+        assert registry.counter("sdp.batch.verdict_stops").value == 4
+        for res, ref, value in zip(results, reference, line):
+            assert not res.converged
+            assert res.iterations % LINE_CHECK_PERIOD == 0
+            assert res.iterations < ref.iterations
+            assert res.upper_bound <= value
+            assert res.upper_bound >= ref.objective - 1e-9
+
+    def test_unreachable_lines_change_nothing(self):
+        costs = random_cost_stack(5, 6, 13)
+        plain = solve_diagonal_sdp_batch(costs)
+        with capture() as registry:
+            lined = solve_diagonal_sdp_batch(
+                costs,
+                stop_below=np.full(5, -np.inf),
+                stop_above=np.full(5, np.inf),
+            )
+        assert registry.counter("sdp.batch.verdict_stops").value == 0
+        for a, b in zip(plain, lined):
+            assert_same_result(a, b)
+
+    def test_slice_ignores_the_lines_of_other_slices(self):
+        costs = random_cost_stack(4, 6, 14)
+        reference = solve_diagonal_sdp_batch(costs)
+        optima = np.array([res.objective for res in reference])
+        # Slice 0 stops above, slice 2 stops below, slices 1 and 3 run on.
+        below = one_line(4, 2, optima[2] + 0.05, -np.inf)
+        above = one_line(4, 0, optima[0] - 0.05, np.inf)
+        together = solve_diagonal_sdp_batch(
+            costs, stop_below=below, stop_above=above
+        )
+        assert not together[0].converged and not together[2].converged
+        for index in range(4):
+            alone = solve_diagonal_sdp_batch(
+                costs,
+                stop_below=one_line(4, index, below[index], -np.inf),
+                stop_above=one_line(4, index, above[index], np.inf),
+            )
+            assert_same_result(together[index], alone[index])
+        for index in (1, 3):
+            assert_same_result(together[index], reference[index])
+
+    @pytest.mark.parametrize("name", ["stop_below", "stop_above"])
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 1)])
+    def test_rejects_misshapen_lines(self, name, shape):
+        with pytest.raises(SolverError, match=name):
+            solve_diagonal_sdp_batch(
+                random_cost_stack(3, 4, 15), **{name: np.zeros(shape)}
+            )

@@ -161,3 +161,26 @@ class TestValidation:
         assert "--method reference" in capsys.readouterr().err
         # Rejected before any sweep: no cache entry, no journal.
         assert not cache_root.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--vertices", "1"],
+            ["--games", "0"],
+            ["--points", "1.5"],
+            ["--vertices", "30"],
+            ["--game-family", "random-nonlocal", "--vertices", "0"],
+        ],
+        ids=["one-vertex", "no-games", "p-above-one", "intractable-vertices",
+             "random-nonlocal-no-vertices"],
+    )
+    def test_rejects_arguments_no_point_accepts(self, extra, capsys):
+        cache_root = Path(os.environ["REPRO_CACHE_DIR"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--games", "3", "--points", "0.5", "--jobs", "1",
+                  *extra])
+        assert excinfo.value.code == 2
+        assert "fig3: invalid arguments" in capsys.readouterr().err
+        # Rejected before any sweep: no cache entry, and no journal for
+        # resume to replay.
+        assert not cache_root.exists()
