@@ -214,12 +214,14 @@ def bench_fig3_batched_cascade(benchmark):
     trajectory["stage_totals"] = stage_totals
     trajectory["cascade_efficiency"] = cascade_efficiency
 
-    # --- scale-up: n=6..8, where ADMM escalations actually happen -----
+    # --- scale-up: n=6..8 -------------------------------------------
     # No reference race here — the per-game loop would pay a full SDP
     # per game at n=8. Cross-backend verdict agreement at these sizes is
-    # covered by tests/backend/test_parity.py; the gate here is that the
-    # per-n screen budget still escalates a nonzero share of games to
-    # the batched ADMM stage (the cascade is screening, not guessing).
+    # covered by tests/backend/test_parity.py. The default screens now
+    # decide every game here (its ties fall to the classical dual
+    # certificate), so to keep the batched ADMM stage exercised the same
+    # games are screened again with the ascent off: that forced screen
+    # must escalate games and reach the default screen's verdicts.
     tier = scale_tier()
     scale_sizes = ladder("fig3_sizes")
     scale_games = ladder("fig3_games")
@@ -232,6 +234,10 @@ def bench_fig3_batched_cascade(benchmark):
         report = screen_game_batch(batch)
         seconds = time.perf_counter() - start
         counts = report.stage_counts()
+        start = time.perf_counter()
+        forced = screen_game_batch(batch, restarts=1, iterations=0)
+        forced_seconds = time.perf_counter() - start
+        forced_counts = forced.stage_counts()
         scale_rows.append(
             [
                 vertices,
@@ -239,6 +245,8 @@ def bench_fig3_batched_cascade(benchmark):
                 seconds,
                 scale_games / seconds,
                 counts["sdp"],
+                forced_seconds,
+                forced_counts["sdp"],
             ]
         )
         scale_points.append(
@@ -250,14 +258,17 @@ def bench_fig3_batched_cascade(benchmark):
                 "seconds": seconds,
                 "stage_counts": counts,
                 "sdp_escalations": counts["sdp"],
+                "forced_seconds": forced_seconds,
+                "forced_stage_counts": forced_counts,
             }
         )
-        if tier != "smoke":
-            assert counts["sdp"] > 0, (
-                f"no SDP escalations at n={vertices}: the screen budget "
-                "is deciding everything without ADMM, so the scale-up "
-                "point no longer exercises the hot kernel"
-            )
+        assert forced_counts["sdp"] > 0, (
+            f"no SDP escalations at n={vertices} with the ascent off, "
+            "so the scale-up point no longer exercises the hot kernel"
+        )
+        assert np.array_equal(forced.verdicts, report.verdicts), (
+            f"forced escalation changed a verdict at n={vertices}"
+        )
     trajectory["backend"] = resolve_backend_name()
     trajectory["scale_up"] = {"tier": tier, "points": scale_points}
 
@@ -278,7 +289,15 @@ def bench_fig3_batched_cascade(benchmark):
     )
     body += f"\n\nscale-up at p=0.5 (tier '{tier}'):\n"
     body += format_table(
-        ["n", "P(adv)", "seconds", "games/s", "to SDP"],
+        [
+            "n",
+            "P(adv)",
+            "seconds",
+            "games/s",
+            "to SDP",
+            "forced s",
+            "forced to SDP",
+        ],
         scale_rows,
         float_format="{:.4f}",
     )

@@ -9,17 +9,23 @@ SDP through a three-stage *screening cascade*:
    rules out an advantage: the quantum bias can never exceed 1, so any
    game with ``classical + threshold >= 1`` is decided immediately
    (this clears the all-colocate and all-exclusive columns of Fig 3).
-2. **lower** — the alternating-ascent heuristic produces an
+2. **upper** — a rigorous dual certificate
+   (:func:`repro.sdp.batch.dual_upper_bound_batch`) at the rank-1 Gram
+   matrix ``s s^T`` of the best classical ±1 assignment ``s``, which the
+   brute force already found; if it falls below ``classical +
+   threshold`` by a safety margin, no advantage is possible. At a tie
+   (quantum bias = classical bias) ``s s^T`` is an optimal SDP solution,
+   complementary slackness pins every dual optimum to the certificate's
+   guess ``y_i = s_i (C s)_i``, and the bound is exact, so every tie is
+   refuted here with one ``eigvalsh``.
+3. **lower** — the alternating-ascent heuristic produces an
    *achievable* quantum bias; if it clears the classical bias by the
-   threshold plus a safety margin, the advantage is proven (a lower
-   bound can only under-claim). All restarts of all games run as one
-   stack, and each (restart, game) slice stops on its own convergence
-   and leaves the stack, so a game's bound does not depend on which
-   games share its batch.
-3. **upper** — a rigorous dual certificate built from the heuristic's
-   Gram matrix (:func:`repro.sdp.batch.dual_upper_bound_batch`); if it
-   falls below ``classical + threshold`` by the margin, no advantage is
-   possible.
+   threshold plus the margin, the advantage is proven (a lower bound
+   can only under-claim). All restarts of all games run as one stack;
+   each (restart, game) slice stops on its own convergence, and all of
+   a game's slices stop at the first iteration where one of them clears
+   that line, so a game's bound does not depend on which games share
+   its batch.
 
 Only the undecided residue escalates to stage 4, **sdp**: the stacked
 ADMM solve (:func:`repro.sdp.batch.solve_diagonal_sdp_batch`),
@@ -56,16 +62,16 @@ __all__ = [
     "GameBatch",
     "CascadeReport",
     "sample_game_batch",
+    "classical_strategy_batch",
     "classical_bias_batch",
     "alternating_lower_bound_batch",
     "bias_cost_batch",
-    "default_screen_budget",
     "screen_game_batch",
     "screen_advantage_batch",
 ]
 
-#: Cascade stages in decision order. A game's ``stage`` records which
-#: one settled its verdict.
+#: Cascade stages. A game's ``stage`` is the index of the one that
+#: settled its verdict; they run in the order perfect, upper, lower, sdp.
 STAGES = ("perfect", "lower", "upper", "sdp")
 
 #: Safety margin the screening stages must clear before deciding without
@@ -76,26 +82,6 @@ STAGES = ("perfect", "lower", "upper", "sdp")
 #: only a game whose bounds stay within it of ``classical + threshold``
 #: is solved to convergence.
 DEFAULT_SCREEN_MARGIN = 1e-6
-
-
-def default_screen_budget(num_types: int) -> tuple[int, int]:
-    """Default ``(restarts, iterations)`` heuristic budget per graph size.
-
-    The screens stay correct under *any* budget — the lower/upper
-    sandwich uses rigorous bounds plus the safety margin, and the SDP
-    stage applies the exact reference rule — so the budget only trades
-    heuristic work against escalation volume. At the paper scale
-    (``n <= 5``) the historical generous budget keeps the sandwich so
-    tight that essentially nothing escalates, and changing it would
-    perturb bit-compatible verdict tests, so it is preserved. At the
-    ``n = 6..8`` scale the same budget makes escalations vanish too —
-    which wastes heuristic time *and* leaves the rigorous stacked-ADMM
-    path idle — so larger graphs get a deliberately lean ascent budget,
-    calibrated so a real residue reaches the SDP stage at every size.
-    """
-    if num_types <= 5:
-        return 3, 200
-    return 2, max(8, 72 // num_types)
 
 
 @dataclass(frozen=True)
@@ -192,26 +178,45 @@ def sample_game_batch(
     return GameBatch(distribution=dist, targets=targets)
 
 
-def classical_bias_batch(costs: np.ndarray) -> np.ndarray:
-    """Exact classical biases for a ``(B, nx, ny)`` stack of cost matrices.
+def classical_strategy_batch(
+    costs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact classical biases and optimal ±1 strategies for a stack.
 
     The same global-flip-reduced brute force as
     :meth:`XORGame.classical_bias`, with the whole batch riding each
     sign-chunk matmul: one ``(K, nx) @ (B, nx, ny)`` product per chunk.
+    Alice plays the first best row ``a`` of the chunks; Bob answers
+    ``sign(a^T W)`` with 0 read as +1, which attains the bias exactly.
+
+    Returns ``(bias (B,), signs (B, nx + ny))``, Alice's signs first.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 3:
         raise GameError(f"costs must be a (B, nx, ny) stack, got {costs.shape}")
-    nx = costs.shape[1]
+    num_games, nx = costs.shape[:2]
     if nx > 24:
         raise GameError(
             f"brute force over 2^{nx} assignments is not tractable"
         )
-    best = np.full(costs.shape[0], -np.inf)
+    games = np.arange(num_games)
+    best = np.full(num_games, -np.inf)
+    alice = np.zeros((num_games, nx))
     for signs in _sign_chunks(nx):
-        values = np.abs(signs @ costs).sum(axis=2).max(axis=1)
-        np.maximum(best, values, out=best)
-    return best
+        values = np.abs(signs @ costs).sum(axis=2)
+        rows = values.argmax(axis=1)
+        top = values[games, rows]
+        better = top > best
+        best[better] = top[better]
+        alice[better] = signs[rows[better]]
+    bob = np.where(np.einsum("bx,bxy->by", alice, costs) >= 0, 1.0, -1.0)
+    return best, np.concatenate([alice, bob], axis=1)
+
+
+def classical_bias_batch(costs: np.ndarray) -> np.ndarray:
+    """Exact classical biases for a ``(B, nx, ny)`` stack of cost matrices
+    (the bias half of :func:`classical_strategy_batch`)."""
+    return classical_strategy_batch(costs)[0]
 
 
 def alternating_lower_bound_batch(
@@ -220,6 +225,7 @@ def alternating_lower_bound_batch(
     restarts: int = 3,
     iterations: int = 200,
     seed: int = 0,
+    stop_above: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternating-ascent lower bounds on the quantum biases of a stack.
 
@@ -235,6 +241,13 @@ def alternating_lower_bound_batch(
     which is what :func:`~repro.games.quantum_value.alternating_bias_lower_bound`
     runs.
 
+    ``stop_above`` is an optional ``(B,)`` array of per-game lines. At
+    the first iteration where any restart of game ``b`` has a bias above
+    ``stop_above[b]``, all of that game's slices leave the stack with
+    their current iterates; the line is a function of the game's own
+    slices, so batch independence holds. ``None`` (or ``+inf``) lets
+    every slice run to its own stop.
+
     The objective comes from the row norms of the ``v`` update: with
     ``v_y = (W^T u)_y / |(W^T u)_y|`` it equals ``sum_y |(W^T u)_y|``
     (rows of norm <= 1e-15 become zero and count 0). The returned biases
@@ -249,6 +262,13 @@ def alternating_lower_bound_batch(
     if costs.ndim != 3:
         raise GameError(f"costs must be a (B, nx, ny) stack, got {costs.shape}")
     num_games, nx, ny = costs.shape
+    if stop_above is not None:
+        stop_above = np.asarray(stop_above, dtype=float)
+        if stop_above.shape != (num_games,):
+            raise GameError(
+                f"stop_above must have shape ({num_games},), "
+                f"got {stop_above.shape}"
+            )
     dim = nx + ny
     rounds = max(1, restarts)
     starts = np.random.default_rng(seed).normal(size=(rounds, ny, dim))
@@ -276,6 +296,11 @@ def alternating_lower_bound_batch(
         v = w_t @ u
         new_bias = _unit_rows(v).sum(axis=1)
         done = (new_bias - bias < 1e-12) | (step == iterations)
+        if stop_above is not None:
+            games = active % num_games
+            crossed = np.zeros(num_games, dtype=bool)
+            crossed[games[new_bias > stop_above[games]]] = True
+            done |= crossed[games]
         bias = new_bias
         if done.any():
             finished = active[done]
@@ -334,9 +359,11 @@ class CascadeReport:
         stages: index into :data:`STAGES` of the stage that decided each
             game.
         classical_bias: exact classical biases (always computed).
-        lower_bounds: heuristic quantum lower bounds (NaN for games the
-            perfect stage decided before the ascent ran).
-        upper_bounds: dual upper bounds (NaN where not computed).
+        lower_bounds: achievable quantum biases: the ascent's bound, or
+            the classical bias for games the upper stage refuted before
+            the ascent ran (NaN for games the perfect stage decided).
+        upper_bounds: dual upper bounds at the best classical
+            assignment's rank-1 Gram matrix (NaN for perfect games).
         sdp_objectives: for the residue that escalated, the achievable
             SDP objective that settled the verdict: the repaired iterate
             at which the slice cleared or fell through its margin band,
@@ -384,38 +411,36 @@ def screen_game_batch(
     threshold: float = 1e-5,
     tolerance: float = 1e-8,
     margin: float = DEFAULT_SCREEN_MARGIN,
-    restarts: int | None = None,
-    iterations: int | None = None,
+    restarts: int = 3,
+    iterations: int = 200,
     heuristic_seed: int = 0,
     backend: str | None = None,
 ) -> CascadeReport:
     """Decide quantum advantage for every game via the screening cascade.
 
-    Games the perfect/lower/upper screens cannot settle with ``margin``
+    Games the perfect/upper/lower screens cannot settle with ``margin``
     to spare escalate to the stacked ADMM solve (warm-started from the
     heuristic Gram matrices), whose verdict applies the exact reference
     rule ``objective > classical + threshold``. Each escalated slice
     stops as soon as its repaired iterate settles that rule: when its
     achievable objective exceeds ``classical + threshold + margin``
     (advantage) or its dual bound is at most ``classical + threshold -
-    margin`` (none). Slices inside the band converge.
+    margin`` (none). Slices inside the band converge. A negative or
+    non-finite ``margin`` would let the screens claim verdicts the
+    reference rule does not reach, so it raises :class:`GameError`.
 
-    ``restarts`` / ``iterations`` default per graph size (see
-    :func:`default_screen_budget`); pass explicit values to pin a
-    budget. ``backend`` selects the array-kernel backend for the
-    escalated stacked solve (see :mod:`repro.backend`).
+    ``restarts`` / ``iterations`` set the ascent budget; the screens
+    stay exact under any budget, which only moves games between the
+    lower and sdp stages. ``backend`` selects the array-kernel backend
+    for the escalated stacked solve (see :mod:`repro.backend`).
     """
-    if restarts is None or iterations is None:
-        budget_restarts, budget_iterations = default_screen_budget(
-            batch.num_types
-        )
-        restarts = budget_restarts if restarts is None else restarts
-        iterations = budget_iterations if iterations is None else iterations
+    if not (np.isfinite(margin) and margin >= 0.0):
+        raise GameError(f"margin must be finite and >= 0, got {margin}")
     costs = batch.cost_matrices()
     num_games = batch.num_games
     registry = _metrics.get_registry()
     with _spans.span("fig3.cascade", games=num_games):
-        classical = classical_bias_batch(costs)
+        classical, signs = classical_strategy_batch(costs)
         verdicts = np.zeros(num_games, dtype=bool)
         stages = np.zeros(num_games, dtype=int)
         lower = np.full(num_games, np.nan)
@@ -428,45 +453,53 @@ def screen_game_batch(
 
         undecided = np.flatnonzero(~perfect)
         if undecided.size:
-            bias_lb, u, v = alternating_lower_bound_batch(
-                costs[undecided],
-                restarts=restarts,
-                iterations=iterations,
-                seed=heuristic_seed,
+            # Stage 2: the dual certificate at the best classical
+            # strategy's rank-1 Gram matrix refutes the advantage; it is
+            # exact at every tie.
+            line = classical[undecided] + threshold
+            blocks = bias_cost_batch(costs[undecided])
+            best = signs[undecided]
+            bound = dual_upper_bound_batch(
+                blocks, best[:, :, None] * best[:, None, :]
             )
-            lower[undecided] = bias_lb
+            upper[undecided] = bound
+            refuted = bound <= line - margin
+            lower[undecided[refuted]] = classical[undecided[refuted]]
+            stages[undecided[refuted]] = STAGES.index("upper")
 
-            # Stage 2: achievable lower bound proves the advantage.
-            proven = bias_lb > classical[undecided] + threshold + margin
-            verdicts[undecided[proven]] = True
-            stages[undecided[proven]] = STAGES.index("lower")
-
-            rest = undecided[~proven]
+            rest = undecided[~refuted]
             if rest.size:
-                stacked = np.concatenate(
-                    [u[~proven], v[~proven]], axis=1
+                # Stage 3: achievable lower bound proves the advantage; a
+                # game leaves the ascent once one restart proves it.
+                line = line[~refuted]
+                blocks = blocks[~refuted]
+                bias_lb, u, v = alternating_lower_bound_batch(
+                    costs[rest],
+                    restarts=restarts,
+                    iterations=iterations,
+                    seed=heuristic_seed,
+                    stop_above=line + margin,
                 )
-                grams = stacked @ np.swapaxes(stacked, 1, 2)
-                blocks = bias_cost_batch(costs[rest])
-
-                # Stage 3: dual certificate refutes the advantage.
-                bound = dual_upper_bound_batch(blocks, grams)
-                upper[rest] = bound
-                refuted = bound <= classical[rest] + threshold - margin
-                stages[rest[refuted]] = STAGES.index("upper")
+                lower[rest] = bias_lb
+                proven = bias_lb > line + margin
+                verdicts[rest[proven]] = True
+                stages[rest[proven]] = STAGES.index("lower")
 
                 # Stage 4: stacked solve for the residue; each slice stops
                 # once its iterate settles the verdict (stages 2 and 3).
-                residue = rest[~refuted]
+                residue = rest[~proven]
                 if residue.size:
                     registry.counter("admm.escalations").inc(
                         int(residue.size)
                     )
-                    line = classical[residue] + threshold
+                    line = line[~proven]
+                    stacked = np.concatenate(
+                        [u[~proven], v[~proven]], axis=1
+                    )
                     results = solve_diagonal_sdp_batch(
-                        blocks[~refuted],
+                        blocks[~proven],
                         tolerance=tolerance,
-                        warm_starts=grams[~refuted],
+                        warm_starts=stacked @ np.swapaxes(stacked, 1, 2),
                         backend=backend,
                         stop_below=line - margin,
                         stop_above=line + margin,
@@ -504,8 +537,8 @@ def screen_advantage_batch(
     include_diagonal: bool = False,
     tolerance: float = 1e-8,
     margin: float = DEFAULT_SCREEN_MARGIN,
-    restarts: int | None = None,
-    iterations: int | None = None,
+    restarts: int = 3,
+    iterations: int = 200,
     backend: str | None = None,
 ) -> CascadeReport:
     """Sample one Fig 3 point's games and screen them in one pass."""

@@ -189,8 +189,9 @@ def advantage_decisions(
       SDP per game via :func:`~repro.games.quantum_value.has_quantum_advantage`.
     - ``"batched"`` — the screening cascade over the whole batch
       (:func:`repro.games.batch.screen_advantage_batch`): exact batched
-      classical bias, heuristic lower / dual upper screens, stacked
-      ADMM only for the undecided residue.
+      classical bias, a dual upper screen at the classical strategy, a
+      heuristic lower screen, stacked ADMM only for the undecided
+      residue.
     - ``"auto"`` (default) — the batched cascade; it samples the same
       games from ``rng`` and returns the same per-game verdicts.
 

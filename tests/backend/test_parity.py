@@ -107,14 +107,19 @@ def test_frobenius_batch_close(backends):
     assert np.allclose(got, expected, atol=0.0, rtol=1e-12)
 
 
+# At the default budget the screens decide every game at these sizes;
+# the forced budget skips the ascent so the SDP stage runs on numba.
+@pytest.mark.parametrize(
+    "budget", [{}, {"restarts": 1, "iterations": 0}], ids=["default", "forced"]
+)
 @pytest.mark.parametrize("num_types", [5, 6])
-def test_cascade_verdicts_agree_across_backends(num_types):
+def test_cascade_verdicts_agree_across_backends(num_types, budget):
     from repro.games.batch import sample_game_batch, screen_game_batch
 
     rng = np.random.default_rng(2)
     batch = sample_game_batch(num_types, 0.5, 40, rng)
     reports = {
-        name: screen_game_batch(batch, backend=name)
+        name: screen_game_batch(batch, backend=name, **budget)
         for name in ("numpy", "numba")
     }
     assert np.array_equal(

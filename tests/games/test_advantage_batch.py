@@ -19,19 +19,25 @@ from repro.games import (
     advantage_decisions,
     advantage_probability,
     classical_bias_batch,
+    classical_strategy_batch,
     has_quantum_advantage,
     random_affinity_graph,
     sample_game_batch,
     screen_advantage_batch,
     screen_game_batch,
     xor_game_from_graph,
+    xor_quantum_value,
 )
 from repro.games.batch import (
     STAGES,
     alternating_lower_bound_batch,
     bias_cost_batch,
 )
-from repro.sdp import solve_diagonal_sdp, solve_diagonal_sdp_batch
+from repro.sdp import (
+    dual_upper_bound_batch,
+    solve_diagonal_sdp,
+    solve_diagonal_sdp_batch,
+)
 
 
 def reference_games(num_types, p_exclusive, num_games, rng):
@@ -100,6 +106,97 @@ class TestClassicalBiasParity:
         with pytest.raises(GameError):
             classical_bias_batch(np.ones((1, 25, 25)))
 
+    @pytest.mark.parametrize("include_diagonal", [False, True])
+    def test_strategy_attains_the_bias(self, include_diagonal):
+        batch = sample_game_batch(
+            5, 0.5, 12, np.random.default_rng(6),
+            include_diagonal=include_diagonal,
+        )
+        costs = batch.cost_matrices()
+        bias, signs = classical_strategy_batch(costs)
+        assert set(np.unique(signs)) <= {-1.0, 1.0}
+        attained = np.einsum(
+            "bi,bij,bj->b", signs, bias_cost_batch(costs), signs
+        )
+        assert np.allclose(attained, bias, atol=1e-12, rtol=0.0)
+        assert np.array_equal(bias, classical_bias_batch(costs))
+        serial = [game.classical_bias() for game in batch.games()]
+        assert np.array_equal(bias, serial)
+
+
+def rank_one_certificates(costs):
+    """Classical biases and the dual bound at each game's ``s s^T``."""
+    bias, signs = classical_strategy_batch(costs)
+    grams = signs[:, :, None] * signs[:, None, :]
+    return bias, dual_upper_bound_batch(bias_cost_batch(costs), grams)
+
+
+class TestClassicalCertificate:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_bounds_the_optimum_and_is_exact_at_ties(self, n):
+        batch = sample_game_batch(n, 0.5, 16, np.random.default_rng(41))
+        classical, cert = rank_one_certificates(batch.cost_matrices())
+        ties = 0
+        for index, game in enumerate(batch.games()):
+            optimum = xor_quantum_value(game).quantum_bias
+            assert cert[index] >= optimum - 1e-9
+            if abs(optimum - classical[index]) <= 1e-9:
+                ties += 1
+                assert cert[index] - classical[index] <= 1e-12
+        assert ties > 0
+
+    def test_upper_stage_never_refutes_an_advantage(self):
+        batch = sample_game_batch(5, 0.5, 24, np.random.default_rng(43))
+        report = screen_game_batch(batch)
+        refuted = np.flatnonzero(report.stages == STAGES.index("upper"))
+        assert refuted.size > 0
+        for index in refuted:
+            assert not has_quantum_advantage(batch.game(index))
+        # A refuted game's lower bound is the classical bias it attains.
+        assert np.array_equal(
+            report.lower_bounds[refuted], report.classical_bias[refuted]
+        )
+
+
+class TestAscentLine:
+    costs = sample_game_batch(
+        5, 0.5, 6, np.random.default_rng(8)
+    ).cost_matrices()
+
+    def test_no_line_equals_an_infinite_line(self):
+        plain = alternating_lower_bound_batch(self.costs)
+        infinite = alternating_lower_bound_batch(
+            self.costs, stop_above=np.full(6, np.inf)
+        )
+        for expected, got in zip(plain, infinite):
+            assert np.array_equal(expected, got)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (6, 1)])
+    def test_rejects_misshapen_line(self, shape):
+        with pytest.raises(GameError):
+            alternating_lower_bound_batch(
+                self.costs, stop_above=np.zeros(shape)
+            )
+
+    def test_game_stops_at_its_first_crossing(self):
+        from repro.obs import capture
+
+        costs = self.costs[:1]
+        line = alternating_lower_bound_batch(costs)[0] - 1e-5
+        step = 1
+        while alternating_lower_bound_batch(costs, iterations=step)[0] <= line:
+            step += 1
+        assert step > 1
+        with capture() as registry:
+            lined = alternating_lower_bound_batch(costs, stop_above=line)
+        counters = registry.snapshot()["counters"]
+        assert counters["fig3.ascent.iterations"] == 3 * step
+        assert lined[0] > line
+        # Every restart leaves with its iterate from that iteration.
+        truncated = alternating_lower_bound_batch(costs, iterations=step)
+        for expected, got in zip(truncated, lined):
+            assert np.array_equal(expected, got)
+
 
 class TestStackedSDPOnGameBlocks:
     def test_optima_match_serial_on_fifty_games(self):
@@ -158,7 +255,7 @@ class TestDecisionParity:
             assert report.verdicts[index] == has_quantum_advantage(game)
 
     @pytest.mark.parametrize(
-        ("n", "iterations"), [(5, 3), (6, 0), (7, 0), (8, 0)]
+        ("n", "iterations"), [(5, 0), (6, 0), (7, 0), (8, 0)]
     )
     def test_forced_escalation_keeps_parity(self, n, iterations):
         # Cripple the heuristic so the lower/upper screens barely decide
@@ -171,6 +268,14 @@ class TestDecisionParity:
         assert report.stage_counts()["sdp"] > 0
         for index, game in enumerate(batch.games()):
             assert report.verdicts[index] == has_quantum_advantage(game)
+
+    @pytest.mark.parametrize("margin", [-1e-3, np.nan, np.inf])
+    def test_rejects_a_margin_that_breaks_parity(self, margin):
+        # A negative margin made the lower screen call every tie an
+        # advantage, against the reference verdict.
+        batch = sample_game_batch(5, 0.5, 40, np.random.default_rng(3))
+        with pytest.raises(GameError, match="margin"):
+            screen_game_batch(batch, margin=margin)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(GameError):

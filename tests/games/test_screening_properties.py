@@ -11,7 +11,8 @@ seeds the differential suite happens to draw:
 2. the verdict — whatever path a game takes through the cascade, the
    decision equals ``has_quantum_advantage`` on that game;
 3. batch independence — a game's ascent (bias, U and V) is bit-identical
-   in any batch, alone, and through the serial heuristic.
+   in any batch, alone, and through the serial heuristic, also when it
+   stops at a per-game line.
 """
 
 from __future__ import annotations
@@ -114,24 +115,32 @@ def test_verdicts_invariant_to_heuristic_quality(
     p=probabilities,
     restarts=st.integers(min_value=1, max_value=3),
     iterations=st.integers(min_value=1, max_value=40),
+    lined=st.booleans(),
 )
 def test_ascent_does_not_depend_on_batch_mates(
-    seed, num_types, p, restarts, iterations
+    seed, num_types, p, restarts, iterations, lined
 ):
-    """Each (restart, game) slice stops on its own convergence."""
+    """Each (restart, game) slice stops on its own convergence, and each
+    game's slices at its own line."""
     batch = draw_batch(seed, num_types, p, num_games=6)
     costs = batch.cost_matrices()
     budget = {"restarts": restarts, "iterations": iterations}
-    bias, u, v = alternating_lower_bound_batch(costs, **budget)
+    lines = classical_bias_batch(costs) + 1e-5 if lined else None
+    bias, u, v = alternating_lower_bound_batch(
+        costs, stop_above=lines, **budget
+    )
     for index in range(batch.num_games):
         alone = alternating_lower_bound_batch(
-            costs[index : index + 1], **budget
+            costs[index : index + 1],
+            stop_above=None if lines is None else lines[index : index + 1],
+            **budget,
         )
-        serial = alternating_bias_lower_bound(batch.game(index), **budget)
-        for one_bias, one_u, one_v in (
-            (alone[0][0], alone[1][0], alone[2][0]),
-            serial,
-        ):
+        references = [(alone[0][0], alone[1][0], alone[2][0])]
+        if lines is None:
+            references.append(
+                alternating_bias_lower_bound(batch.game(index), **budget)
+            )
+        for one_bias, one_u, one_v in references:
             assert one_bias == bias[index]
             assert np.array_equal(one_u, u[index])
             assert np.array_equal(one_v, v[index])
