@@ -26,9 +26,14 @@ backends must match them):
 
 ``searchsorted_right``
     ``np.searchsorted(table, values, side="right")`` for a sorted 1-D
-    ``table`` — the Born-table outcome lookup of the paired policies.
-    Exact integer results are required (binary search on the same
-    float comparisons), not approximations.
+    ``table``. Exact integer results are required (binary search on the
+    same float comparisons), not approximations. It was the Born-table
+    outcome lookup of the paired policies; they now descend each draw's
+    own table block with :func:`repro.lb.policies.born_outcomes` and
+    call no backend kernel. The field stays because the benchmark
+    suite's tracer wraps every kernel name it lists by attribute, so
+    removing it would break traced runs; it can go, with both
+    implementations, once the suite stops listing it.
 
 ``project_psd_batch``
     Project every slice of a ``(B, n, n)`` stack onto the PSD cone
@@ -57,7 +62,8 @@ class ArrayBackend:
     Attributes:
         name: registry name (``"numpy"``, ``"numba"``, ...).
         serve_chunk: Fig 4 count-only server kernel (see module doc).
-        searchsorted_right: sorted-table right-bisect lookup.
+        searchsorted_right: sorted-table right-bisect lookup (no
+            caller in the package; see the module doc).
         project_psd_batch: batched PSD cone projection.
         frobenius_batch: batched Frobenius norms.
     """

@@ -432,13 +432,12 @@ def _cmd_fig3(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_fig4(args: argparse.Namespace) -> None:
-    from repro.analysis import FigureData, format_figure, format_table
+def _fig4_runs(args: argparse.Namespace) -> list[tuple[str, object, dict | None]]:
+    """The ``(name, policy factory, policy_kwargs)`` of each fig4 curve."""
     from repro.lb import (
         CHSHPairedAssignment,
         RandomAssignment,
         make_degraded_chsh,
-        sweep_load,
     )
 
     degraded = (
@@ -466,7 +465,32 @@ def _cmd_fig4(args: argparse.Namespace) -> None:
         )
     else:
         runs.append(("quantum CHSH", CHSHPairedAssignment, None))
+    return runs
 
+
+def _check_fig4_args(args: argparse.Namespace) -> None:
+    """Raise :class:`ReproError` for fig4 arguments no sweep point accepts.
+
+    The library checks the arguments itself: every curve's policy is
+    built with the sweep's own factory and ``policy_kwargs`` at each
+    load's server count, and the simulation's own argument check sees
+    ``--steps``. Nothing runs, so telemetry records only the sweep.
+    """
+    from repro.lb.simulation import check_run_arguments
+    from repro.lb.sweep import servers_for_load
+
+    check_run_arguments(timesteps=args.steps)
+    for _, factory, policy_kwargs in _fig4_runs(args):
+        for load in args.loads:
+            num_servers = servers_for_load(args.balancers, load)
+            factory(args.balancers, num_servers, **(policy_kwargs or {}))
+
+
+def _cmd_fig4(args: argparse.Namespace) -> None:
+    from repro.analysis import FigureData, format_figure, format_table
+    from repro.lb import sweep_load
+
+    runs = _fig4_runs(args)
     figure = FigureData(
         title=f"Fig 4: N={args.balancers}, {args.steps} steps",
         x_label="load N/M",
@@ -875,6 +899,12 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error(f"fig3: invalid arguments: {exc}")
         _cmd_fig3(args)
     elif args.command == "fig4":
+        from repro.errors import ReproError
+
+        try:
+            _check_fig4_args(args)
+        except ReproError as exc:
+            parser.error(f"fig4: invalid arguments: {exc}")
         _cmd_fig4(args)
     elif args.command == "ecmp":
         _cmd_ecmp()

@@ -43,7 +43,13 @@ from repro.hardware.scheduler import (
     effective_win_probability,
     simulate_pair_availability,
 )
-from repro.lb.policies import GamePairedAssignment, behavior_sampling_tables
+from repro.lb.policies import (
+    GamePairedAssignment,
+    _input_blocks,
+    _route_members,
+    behavior_sampling_tables,
+    born_outcomes,
+)
 from repro.quantum.entangle import werner_state
 
 __all__ = [
@@ -332,6 +338,7 @@ class DegradedPolicy(GamePairedAssignment):
         )
         self._faults = faults
         self._fallback_random = False
+        self._tables = self._flat_cumulative
         if fallback == "random":
             self._fallback_random = True
             fallback_behavior = None
@@ -344,7 +351,7 @@ class DegradedPolicy(GamePairedAssignment):
                     f"Strategy, got {fallback!r}"
                 )
             fallback_behavior = fallback.behavior()
-            fb_inputs, self._fallback_cumulative, self._fallback_flat = (
+            fb_inputs, self._fallback_cumulative, fallback_flat = (
                 behavior_sampling_tables(fallback_behavior)
             )
             if fb_inputs != self._num_inputs:
@@ -352,6 +359,11 @@ class DegradedPolicy(GamePairedAssignment):
                     f"fallback input alphabet {fb_inputs} != quantum "
                     f"alphabet {self._num_inputs}"
                 )
+            # The batched path samples live pairs from the first half of
+            # these stacked tables and dead pairs from the second.
+            self._tables = np.concatenate(
+                [self._flat_cumulative, fallback_flat]
+            )
         game = chsh_colocation_game()
         self._quantum_win = game.win_probability_of_behavior(quantum_behavior)
         if fallback_behavior is not None:
@@ -500,54 +512,37 @@ class DegradedPolicy(GamePairedAssignment):
         return choices
 
     def assign_batch(self, tasks, rng):
-        tasks = self._check_batch(tasks).astype(np.int64)
+        tasks = self._check_batch(tasks)
         steps, n = tasks.shape
         num_pairs = n // 2
-        choices = np.empty((steps, n), dtype=np.int64)
+        choices = np.empty((steps, n), dtype=np.int32)
         live = self._faults.sample(steps, num_pairs, rng)
         if num_pairs:
-            x = tasks[:, 0 : 2 * num_pairs : 2]
-            y = tasks[:, 1 : 2 * num_pairs : 2]
-            nx, ny = self._num_inputs
-            if ((x < 0) | (x >= nx) | (y < 0) | (y >= ny)).any():
-                raise StrategyError(
-                    "task inputs outside the strategy's alphabet"
-                )
-            from repro.backend import get_backend
-
-            lookup = get_backend().searchsorted_right
+            block = _input_blocks(
+                tasks, self._num_inputs, num_pairs,
+                np.min_scalar_type(self._tables.size),
+            )
             s0, s1 = self._server_pair_batch(steps, num_pairs, rng)
-            block = x * ny + y
             uniform = rng.random((steps, num_pairs))
-            position = lookup(self._flat_cumulative, block + uniform)
-            outcome = np.minimum(position - 4 * block, 3)
             if self._fallback_random:
-                out_a = outcome >> 1
-                out_b = outcome & 1
-                left = np.where(out_a == 0, s0, s1)
-                right = np.where(out_b == 0, s0, s1)
-                fb_left = rng.integers(0, self.num_servers, size=live.shape)
-                fb_right = rng.integers(0, self.num_servers, size=live.shape)
-                choices[:, 0 : 2 * num_pairs : 2] = np.where(
-                    live, left, fb_left
-                )
-                choices[:, 1 : 2 * num_pairs : 2] = np.where(
-                    live, right, fb_right
-                )
+                outcome = born_outcomes(self._tables, 4, block, uniform)
+                _route_members(choices, outcome, 2, s0, s1)
+                for j in range(2):
+                    member = choices[:, j : 2 * num_pairs : 2]
+                    fallback = rng.integers(
+                        0, self.num_servers, size=live.shape, dtype=np.int32
+                    )
+                    member[...] = np.where(live, member, fallback)
             else:
-                fb_position = lookup(self._fallback_flat, block + uniform)
-                fb_outcome = np.minimum(fb_position - 4 * block, 3)
-                outcome = np.where(live, outcome, fb_outcome)
-                out_a = outcome >> 1
-                out_b = outcome & 1
-                choices[:, 0 : 2 * num_pairs : 2] = np.where(
-                    out_a == 0, s0, s1
-                )
-                choices[:, 1 : 2 * num_pairs : 2] = np.where(
-                    out_b == 0, s0, s1
-                )
+                # Dead pairs read the fallback half of the stacked tables.
+                dead_row = block + self._flat_cumulative.size // 4
+                row = np.where(live, block, dead_row)
+                outcome = born_outcomes(self._tables, 4, block, uniform, row)
+                _route_members(choices, outcome, 2, s0, s1)
         if n % 2 == 1:
-            choices[:, -1] = rng.integers(0, self.num_servers, size=steps)
+            choices[:, -1] = rng.integers(
+                0, self.num_servers, size=steps, dtype=np.int32
+            )
         per_step_quantum = live.sum(axis=1)
         self._quantum_per_step.extend(int(q) for q in per_step_quantum)
         self._fallback_per_step.extend(

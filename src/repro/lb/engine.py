@@ -9,9 +9,11 @@ discipline / workload combinations that vectorize:
 1. **Chunked batched workload** — the run is split into chunks of
    ``chunk_steps`` timesteps. Each chunk draws its ``(chunk, N)`` task
    matrix (``draw_batch``), maps it to server choices in one shot
-   (``assign_batch``), and pre-aggregates per-(step, server) arrival
-   counts by type. Feedback policies (e.g. power-of-two choices) cannot
-   batch and fall back to the reference loop under ``engine="auto"``.
+   (``assign_batch``; the built-in policies return int32 choices), and
+   pre-aggregates per-(step, server) arrival counts by type with one
+   ``bincount`` over int64 ``(step, type, server)`` cells. Feedback
+   policies (e.g. power-of-two choices) cannot batch and fall back to
+   the reference loop under ``engine="auto"``.
 2. **Count-only server model** — which server serves how many tasks of
    which type each step depends only on its queued counts:
    ``take_c = min(queued_c, 2)`` (1 under "serial") and
@@ -277,7 +279,7 @@ def run_vectorized(
                 raise ConfigurationError(
                     f"policy batch shape {choices.shape} != {task_bits.shape}"
                 )
-            if ((choices < 0) | (choices >= num_servers)).any():
+            if choices.min() < 0 or choices.max() >= num_servers:
                 bad = choices[(choices < 0) | (choices >= num_servers)]
                 raise ConfigurationError(
                     f"policy chose invalid server {int(bad.ravel()[0])}"
@@ -287,13 +289,15 @@ def run_vectorized(
             window_bytes = window.nbytes
             peak_window_bytes = max(peak_window_bytes, window_bytes)
             # Per-step, per-server arrival counts by type: one bincount
-            # over the chunk's (step, type, server) cells.
-            step_index = np.repeat(np.arange(steps), num_balancers)
-            is_e = task_bits.ravel() == 0
-            cell = (2 * step_index + is_e) * num_servers + choices.ravel()
+            # over the chunk's (step, type, server) cells, cell
+            # (2 * step + is_e) * M + choice. int64, because an explicit
+            # chunk_steps can take steps * 2 * M past 2**31.
+            cell = np.multiply(task_bits == 0, num_servers, dtype=np.int64)
+            cell += choices
+            cell += 2 * num_servers * np.arange(steps, dtype=np.int64)[:, None]
             rows = window[start - base:end - base]
             rows[...] = np.bincount(
-                cell, minlength=steps * 2 * num_servers
+                cell.ravel(), minlength=steps * 2 * num_servers
             ).reshape(rows.shape)
 
             # Split the chunk at the warmup step, so every kernel call is

@@ -141,8 +141,12 @@ class RandomAssignment(AssignmentPolicy):
     def assign_batch(self, tasks, rng):
         tasks = self._check_batch(tasks)
         # One bounded-integer fill consumes the bit stream exactly like
-        # per-step draws, so this is per-seed identical to assign().
-        return rng.integers(0, self.num_servers, size=tasks.shape)
+        # per-step draws, so this is per-seed identical to assign(). An
+        # int32 draw gives the int64 draw's values and leaves the
+        # generator in the same state (below 2**31 servers).
+        return rng.integers(
+            0, self.num_servers, size=tasks.shape, dtype=np.int32
+        )
 
 
 class RoundRobinAssignment(AssignmentPolicy):
@@ -275,10 +279,10 @@ def behavior_sampling_tables(
       cumulative table for fast per-group sampling (output tuples in
       C order, so player 0 owns the most significant outcome bit).
     - ``flat_cumulative`` concatenates every input block's cumulative
-      table, offsetting block ``i``'s entries by ``i``, so one
-      ``searchsorted`` over ``block + u`` resolves all groups at once.
-      Clipping each block at its offset + 1 keeps the flat table sorted
-      even when float error pushes a cumsum above 1.
+      table, offsetting block ``i``'s entries by ``i``, so
+      :func:`born_outcomes` resolves all groups at once from ``block +
+      u``. Clipping each block at its offset + 1 keeps the flat table
+      sorted even when float error pushes a cumsum above 1.
 
     Shared by :class:`GamePairedAssignment`, :class:`GroupAssignment`,
     and the degraded policies in :mod:`repro.lb.degradation`, which
@@ -307,6 +311,106 @@ def behavior_sampling_tables(
     return num_inputs, cumulative, flat_cumulative
 
 
+def born_outcomes(flat_cumulative, width, block, uniform, row=None):
+    """Born-rule outcome indices of a batch of draws, branch-free.
+
+    ``flat_cumulative`` is a table from :func:`behavior_sampling_tables`
+    with ``width`` (``2**k``) entries per input block, ``block`` the
+    flat input index of each draw and ``uniform`` its ``[0, 1)``
+    double. Returns, element for element and in ``block``'s dtype, the
+    serial path's right-bisect outcome::
+
+        min(searchsorted(flat, block + uniform, "right") - width * block,
+            width - 1)
+
+    without the bisect: with ``value = block + uniform``, ``outcome``
+    starts at 0 and each step ``s = width/2, ..., 1`` adds ``s`` when
+    ``value >= flat[width * block + outcome + s - 1]``. For pairs
+    (``width == 4``) the two probes are the two outcome bits:
+    ``a = value >= flat[4b + 1]``, then ``b = value >= flat[4b + 2a]``.
+
+    Why the two agree, for a table of nonnegative behaviors (so each
+    block's entries are sorted):
+
+    - Block ``b``'s entries are ``b + min(c, 1)`` for its cumsums ``c``,
+      so they lie in ``[b, b + 1]``. ``value`` lies in ``[b, b + 1]``
+      too: float addition is monotone and ``b``, ``b + 1`` are exact
+      (the sum may round up to ``b + 1``).
+    - Every entry of an earlier block ``b' < b`` is at most
+      ``b' + 1 <= b <= value``, so earlier blocks add exactly
+      ``width * b`` to the bisect.
+    - Every entry of a later block is at least ``b + 1``, so it counts
+      only when ``value == b + 1``. Block ``b``'s own last entry (at
+      most ``b + 1``) then counts too, the in-block count is already
+      ``width``, and the ``min`` clips to ``width - 1`` either way.
+    - What is left is ``min(n, width - 1)``, with ``n`` the number of
+      block ``b``'s sorted entries ``<= value``. The descent counts
+      exactly the block's first ``width - 1`` entries ``<= value``,
+      which is that minimum.
+
+    Each probe is the bisect's own float test ``entry <= value``, so
+    the result is exact, not approximate.
+
+    ``row`` (default ``block``) names the table block each draw reads
+    and must hold ``flat_cumulative.size`` in its dtype. A caller that
+    picks per draw between tables of one shape passes their
+    concatenation and ``row = block + table * num_blocks``: each draw
+    then reads its own table's block ``block``, and the argument above
+    holds per table.
+    """
+    value = block + uniform
+    base = width * (block if row is None else row)
+    outcome = np.zeros_like(base)
+    step = width // 2
+    while step:
+        entry = flat_cumulative.take(base + outcome + (step - 1))
+        outcome += (value >= entry) * base.dtype.type(step)
+        step //= 2
+    return outcome
+
+
+def _input_blocks(tasks, num_inputs, num_groups, dtype):
+    """The flat input block of every group of every step, in ``dtype``.
+
+    Group ``g`` is balancers ``g*k .. g*k + k - 1`` with ``k =
+    len(num_inputs)``; its block is the C-order index of the members'
+    inputs. Raises :class:`StrategyError` when an input lies outside
+    the strategy's alphabet.
+    """
+    k = len(num_inputs)
+    block = None
+    for j, size in enumerate(num_inputs):
+        inputs = tasks[:, j : k * num_groups : k]
+        if inputs.size and (inputs.min() < 0 or inputs.max() >= size):
+            raise StrategyError("task inputs outside the strategy's alphabet")
+        inputs = inputs.astype(dtype, copy=False)
+        block = inputs if block is None else block * size + inputs
+    return block
+
+
+def _server_pairs(num_servers, shape, rng):
+    """Shared-randomness ``(s0, s1)`` draws of two distinct servers, int32."""
+    s0 = rng.integers(0, num_servers, size=shape, dtype=np.int32)
+    s1 = rng.integers(0, num_servers - 1, size=shape, dtype=np.int32)
+    s1 += s1 >= s0
+    return s0, s1
+
+
+def _route_members(choices, outcome, k, s0, s1):
+    """Write each group's server choices: member ``j`` of every group
+    routes to ``s1`` when outcome bit ``k-1-j`` is set (C-order output
+    tuples, player 0 most significant), else to ``s0``.
+
+    Computed as ``s0 + bit * (s1 - s0)``, which is exact in integers and
+    has no data-dependent branch (``np.where`` on random bits does).
+    """
+    num_groups = outcome.shape[1]
+    spread = s1 - s0
+    for j in range(k):
+        bit = (outcome >> (k - 1 - j)) & 1
+        choices[:, j : k * num_groups : k] = s0 + bit * spread
+
+
 class GamePairedAssignment(AssignmentPolicy):
     """Paired balancers playing a two-player strategy over random server pairs.
 
@@ -322,6 +426,11 @@ class GamePairedAssignment(AssignmentPolicy):
     the explicit :class:`~repro.quantum.measurement.EntangledRegister`
     path). An odd balancer count leaves the last balancer routing
     uniformly at random.
+
+    :meth:`assign_batch` samples every pair of every timestep at once
+    with :func:`born_outcomes` (two branch-free probes into the pair's
+    own block of the flat cumulative table, equal to the sequential
+    path's bisect) and returns int32 server choices.
     """
 
     def __init__(
@@ -396,56 +505,41 @@ class GamePairedAssignment(AssignmentPolicy):
                 k for k in range(num_pairs) if k not in self._sticky_servers
             ]
             if missing:
-                s0_new = rng.integers(0, self.num_servers, size=len(missing))
-                s1_new = rng.integers(0, self.num_servers - 1, size=len(missing))
-                s1_new = s1_new + (s1_new >= s0_new)
+                s0_new, s1_new = _server_pairs(
+                    self.num_servers, len(missing), rng
+                )
                 for k, a, b in zip(missing, s0_new, s1_new):
                     self._sticky_servers[k] = (int(a), int(b))
             fixed = np.array(
                 [self._sticky_servers[k] for k in range(num_pairs)],
-                dtype=np.int64,
+                dtype=np.int32,
             )
             s0 = np.broadcast_to(fixed[:, 0], (steps, num_pairs))
             s1 = np.broadcast_to(fixed[:, 1], (steps, num_pairs))
             return s0, s1
-        s0 = rng.integers(0, self.num_servers, size=(steps, num_pairs))
-        s1 = rng.integers(0, self.num_servers - 1, size=(steps, num_pairs))
-        s1 = s1 + (s1 >= s0)
-        return s0, s1
+        return _server_pairs(self.num_servers, (steps, num_pairs), rng)
 
     def assign_batch(self, tasks, rng):
-        tasks = self._check_batch(tasks).astype(np.int64)
+        tasks = self._check_batch(tasks)
         steps, n = tasks.shape
         num_pairs = n // 2
-        choices = np.empty((steps, n), dtype=np.int64)
+        choices = np.empty((steps, n), dtype=np.int32)
         if num_pairs:
-            x = tasks[:, 0 : 2 * num_pairs : 2]
-            y = tasks[:, 1 : 2 * num_pairs : 2]
-            nx, ny = self._num_inputs
-            if ((x < 0) | (x >= nx) | (y < 0) | (y >= ny)).any():
-                raise StrategyError(
-                    "task inputs outside the strategy's alphabet"
-                )
-            from repro.backend import get_backend
-
-            s0, s1 = self._server_pair_batch(steps, num_pairs, rng)
-            # Born-rule outcomes: one right-bisect over the flat
-            # per-block cumulative table (see __init__), matching the
-            # sequential path's per-pair searchsorted exactly. The
-            # lookup kernel comes from the active array backend; every
-            # backend returns the same integers.
-            block = x * ny + y
-            uniform = rng.random((steps, num_pairs))
-            position = get_backend().searchsorted_right(
-                self._flat_cumulative, block + uniform
+            block = _input_blocks(
+                tasks, self._num_inputs, num_pairs,
+                np.min_scalar_type(self._flat_cumulative.size),
             )
-            outcome = np.minimum(position - 4 * block, 3)
-            out_a = outcome >> 1
-            out_b = outcome & 1
-            choices[:, 0 : 2 * num_pairs : 2] = np.where(out_a == 0, s0, s1)
-            choices[:, 1 : 2 * num_pairs : 2] = np.where(out_b == 0, s0, s1)
+            s0, s1 = self._server_pair_batch(steps, num_pairs, rng)
+            # Born-rule outcomes: each pair descends its own block of
+            # the flat cumulative table, matching the sequential path's
+            # per-pair searchsorted exactly (see born_outcomes).
+            uniform = rng.random((steps, num_pairs))
+            outcome = born_outcomes(self._flat_cumulative, 4, block, uniform)
+            _route_members(choices, outcome, 2, s0, s1)
         if n % 2 == 1:
-            choices[:, -1] = rng.integers(0, self.num_servers, size=steps)
+            choices[:, -1] = rng.integers(
+                0, self.num_servers, size=steps, dtype=np.int32
+            )
         return choices
 
 
@@ -569,10 +663,12 @@ class GroupAssignment(AssignmentPolicy):
     :func:`behavior_sampling_tables`); pass a precomputed tensor or any
     k-party strategy exposing ``behavior()`` (e.g. a
     :class:`~repro.games.multiplayer.MultiplayerQuantumStrategy`).
-    The batched path resolves every group of every timestep with a
-    single backend ``searchsorted`` over the flat cumulative table, so
-    the chunked streaming engine serves k-party correlations at the
-    same cost per task as the paired policies.
+    The batched path resolves every group of every timestep with
+    :func:`born_outcomes` (``k`` branch-free probes into each group's
+    own block of the flat cumulative table) and returns int32 server
+    choices, so the chunked streaming engine serves k-party
+    correlations at about the same cost per task as the paired
+    policies.
     """
 
     def __init__(
@@ -638,45 +734,28 @@ class GroupAssignment(AssignmentPolicy):
         return choices
 
     def assign_batch(self, tasks, rng):
-        tasks = self._check_batch(tasks).astype(np.int64)
+        tasks = self._check_batch(tasks)
         steps, n = tasks.shape
         k = self.group_size
         num_groups = n // k
-        choices = np.empty((steps, n), dtype=np.int64)
+        choices = np.empty((steps, n), dtype=np.int32)
         if num_groups:
-            from repro.backend import get_backend
-
-            member_inputs = [
-                tasks[:, j : k * num_groups : k] for j in range(k)
-            ]
-            block = np.zeros((steps, num_groups), dtype=np.int64)
-            for x, size in zip(member_inputs, self._num_inputs):
-                if ((x < 0) | (x >= size)).any():
-                    raise StrategyError(
-                        "task inputs outside the strategy's alphabet"
-                    )
-                block = block * size + x
-            s0 = rng.integers(0, self.num_servers, size=(steps, num_groups))
-            s1 = rng.integers(
-                0, self.num_servers - 1, size=(steps, num_groups)
+            block = _input_blocks(
+                tasks, self._num_inputs, num_groups,
+                np.min_scalar_type(self._flat_cumulative.size),
             )
-            s1 = s1 + (s1 >= s0)
-            # Born-rule outcomes: one right-bisect over the flat
-            # per-block cumulative table resolves every group of every
-            # timestep; member i's server bit is outcome bit k-1-i
-            # (C-order output tuples, player 0 most significant).
+            s0, s1 = _server_pairs(self.num_servers, (steps, num_groups), rng)
+            # Born-rule outcomes: each group descends its own block of
+            # the flat cumulative table (see born_outcomes).
             uniform = rng.random((steps, num_groups))
-            position = get_backend().searchsorted_right(
-                self._flat_cumulative, block + uniform
+            outcome = born_outcomes(
+                self._flat_cumulative, self._width, block, uniform
             )
-            outcome = np.minimum(position - self._width * block, self._width - 1)
-            for j in range(k):
-                bit = (outcome >> (k - 1 - j)) & 1
-                choices[:, j : k * num_groups : k] = np.where(bit == 0, s0, s1)
+            _route_members(choices, outcome, k, s0, s1)
         leftover = n - num_groups * k
         if leftover:
             choices[:, n - leftover :] = rng.integers(
-                0, self.num_servers, size=(steps, leftover)
+                0, self.num_servers, size=(steps, leftover), dtype=np.int32
             )
         return choices
 

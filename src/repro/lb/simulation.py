@@ -31,6 +31,7 @@ from repro.sim.rng import RandomStreams
 __all__ = [
     "ServiceDiscipline",
     "SimulationResult",
+    "check_run_arguments",
     "run_timestep_simulation",
     "SERVICE_DISCIPLINES",
     "SIMULATION_ENGINES",
@@ -160,6 +161,30 @@ def _pop(queue: deque, index: int) -> int:
     return arrival
 
 
+def check_run_arguments(
+    *,
+    timesteps: int,
+    discipline: str = "paper",
+    warmup_fraction: float = 0.2,
+    engine: str = "auto",
+) -> None:
+    """Raise :class:`ConfigurationError` for run arguments
+    :func:`run_timestep_simulation` rejects, without running anything."""
+    if timesteps < 1:
+        raise ConfigurationError("need at least one timestep")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigurationError(f"bad warmup fraction {warmup_fraction}")
+    if discipline not in SERVICE_DISCIPLINES:
+        raise ConfigurationError(
+            f"unknown discipline {discipline!r}; "
+            f"options: {sorted(SERVICE_DISCIPLINES)}"
+        )
+    if engine not in SIMULATION_ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; options: {SIMULATION_ENGINES}"
+        )
+
+
 def run_timestep_simulation(
     policy: AssignmentPolicy,
     *,
@@ -204,19 +229,12 @@ def run_timestep_simulation(
     """
     from repro.lb import engine as _engine_mod
 
-    if timesteps < 1:
-        raise ConfigurationError("need at least one timestep")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError(f"bad warmup fraction {warmup_fraction}")
-    if discipline not in SERVICE_DISCIPLINES:
-        raise ConfigurationError(
-            f"unknown discipline {discipline!r}; "
-            f"options: {sorted(SERVICE_DISCIPLINES)}"
-        )
-    if engine not in SIMULATION_ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; options: {SIMULATION_ENGINES}"
-        )
+    check_run_arguments(
+        timesteps=timesteps,
+        discipline=discipline,
+        warmup_fraction=warmup_fraction,
+        engine=engine,
+    )
     serve = SERVICE_DISCIPLINES[discipline]
     num_servers = policy.num_servers
     if workload is None:

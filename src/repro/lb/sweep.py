@@ -18,6 +18,7 @@ from repro.lb.simulation import SimulationResult, run_timestep_simulation
 
 __all__ = [
     "LoadSweepPoint",
+    "servers_for_load",
     "sweep_load",
     "sweep_load_detailed",
     "knee_load",
@@ -44,6 +45,14 @@ class LoadSweepPoint:
     num_servers: int
     result: SimulationResult
     requested_load: float | None = None
+
+
+def servers_for_load(num_balancers: int, load: float) -> int:
+    """The integer server count a sweep runs at for the requested load
+    ``N/M``: ``round(N / load)``, at least one."""
+    if load <= 0:
+        raise ConfigurationError(f"load must be positive, got {load}")
+    return max(1, round(num_balancers / load))
 
 
 def _run_load_point(config, seed: int) -> SimulationResult:
@@ -98,9 +107,7 @@ def sweep_load_detailed(
     resolved: list[tuple[float, int]] = []
     seen_servers: dict[int, float] = {}
     for load in loads:
-        if load <= 0:
-            raise ConfigurationError(f"load must be positive, got {load}")
-        num_servers = max(1, round(num_balancers / load))
+        num_servers = servers_for_load(num_balancers, load)
         if num_servers in seen_servers:
             warnings.warn(
                 f"requested loads {seen_servers[num_servers]} and {load} "

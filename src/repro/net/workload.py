@@ -51,7 +51,7 @@ class BernoulliTaskMix:
         if steps < 1:
             raise ConfigurationError("need at least one timestep")
         bits = rng.random((steps, self.num_balancers)) < self.p_colocate
-        return bits.astype(np.uint8)
+        return bits.view(np.uint8)
 
     def draw_requests(
         self, rng: np.random.Generator, time: float = 0.0

@@ -56,6 +56,36 @@ class TestCommands:
         assert "classical random" in out
         assert "quantum CHSH" in out
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--balancers", "1", "--loads", "1.0"],
+            ["--balancers", "3", "--loads", "5"],
+            ["--steps", "0"],
+            ["--loads", "0"],
+            ["--balancers", "0"],
+            ["--fidelity", "1.5"],
+            ["--availability", "2"],
+            ["--measurement-error", "0.7"],
+            ["--outage", "0.5", "--availability", "0.9"],
+        ],
+        ids=["one-balancer", "one-server", "no-steps", "zero-load",
+             "no-balancers", "fidelity-above-one", "availability-above-one",
+             "measurement-error-above-half", "outage-below-one-step"],
+    )
+    def test_fig4_rejects_arguments_no_point_accepts(
+        self, extra, capsys, monkeypatch
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("fig4 swept before checking its arguments")
+
+        monkeypatch.setattr("repro.lb.sweep_load", no_sweep)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig4", "--balancers", "10", "--steps", "20", "--loads",
+                  "1.0", "--jobs", "1", *extra])
+        assert excinfo.value.code == 2
+        assert "fig4: invalid arguments" in capsys.readouterr().err
+
     def test_ecmp(self, capsys):
         assert main(["ecmp"]) == 0
         out = capsys.readouterr().out
