@@ -1,33 +1,21 @@
 """Statistics, series containers, and table formatting for experiments."""
 
-from repro.analysis.series import FigureData, Series
-from repro.analysis.stats import (
-    OnlineStats,
-    bootstrap_mean_ci,
-    jain_fairness,
-    mean_confidence_interval,
-)
-from repro.analysis.sweep import (
-    SeededResult,
-    compare_seeded,
-    compare_seeded_detailed,
-    run_seeded,
-    run_seeded_detailed,
-)
-from repro.analysis.tables import format_figure, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FigureData",
-    "Series",
-    "OnlineStats",
-    "bootstrap_mean_ci",
-    "jain_fairness",
-    "mean_confidence_interval",
-    "format_figure",
-    "format_table",
-    "SeededResult",
-    "compare_seeded",
-    "compare_seeded_detailed",
-    "run_seeded",
-    "run_seeded_detailed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "series": ("FigureData", "Series"),
+    "stats": (
+        "OnlineStats",
+        "bootstrap_mean_ci",
+        "jain_fairness",
+        "mean_confidence_interval",
+    ),
+    "sweep": (
+        "SeededResult",
+        "compare_seeded",
+        "compare_seeded_detailed",
+        "run_seeded",
+        "run_seeded_detailed",
+    ),
+    "tables": ("format_figure", "format_table"),
+})

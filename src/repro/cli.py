@@ -792,21 +792,17 @@ def _cmd_mermin(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_groups(args: argparse.Namespace) -> None:
-    from repro.analysis import FigureData, format_figure, format_table
+def _groups_runs(args: argparse.Namespace) -> list[tuple[str, object, dict | None]]:
+    """The ``(name, policy factory, policy_kwargs)`` of each groups curve."""
     from repro.lb import (
         CHSHPairedAssignment,
         ClassicalGroupAssignment,
         GHZGroupAssignment,
         RandomAssignment,
-        knee_load,
-        sweep_load,
     )
 
     k = args.group_size
-    if k < 2:
-        raise SystemExit("--group-size must be at least 2")
-    runs: list[tuple[str, object, dict | None]] = [
+    return [
         ("classical random", RandomAssignment, None),
         ("quantum CHSH pairs", CHSHPairedAssignment, None),
         (f"GHZ groups (k={k})", GHZGroupAssignment, {"group_size": k}),
@@ -816,6 +812,30 @@ def _cmd_groups(args: argparse.Namespace) -> None:
             {"group_size": k},
         ),
     ]
+
+
+def _check_groups_args(args: argparse.Namespace) -> None:
+    """Raise :class:`ReproError` for groups arguments no sweep point
+    accepts, as :func:`_check_fig4_args` does for fig4."""
+    from repro.errors import ConfigurationError
+    from repro.lb.simulation import check_run_arguments
+    from repro.lb.sweep import servers_for_load
+
+    if args.group_size < 2:
+        raise ConfigurationError("--group-size must be at least 2")
+    check_run_arguments(timesteps=args.steps)
+    for _, factory, policy_kwargs in _groups_runs(args):
+        for load in args.loads:
+            num_servers = servers_for_load(args.balancers, load)
+            factory(args.balancers, num_servers, **(policy_kwargs or {}))
+
+
+def _cmd_groups(args: argparse.Namespace) -> None:
+    from repro.analysis import FigureData, format_figure, format_table
+    from repro.lb import knee_load, sweep_load
+
+    k = args.group_size
+    runs = _groups_runs(args)
     figure = FigureData(
         title=f"Group policies: N={args.balancers}, k={k}, "
         f"{args.steps} steps",
@@ -919,6 +939,12 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     elif args.command == "mermin":
         _cmd_mermin(args)
     elif args.command == "groups":
+        from repro.errors import ReproError
+
+        try:
+            _check_groups_args(args)
+        except ReproError as exc:
+            parser.error(f"groups: invalid arguments: {exc}")
         _cmd_groups(args)
     elif args.command == "calibrate":
         _cmd_calibrate(args)

@@ -1,36 +1,22 @@
 """ECMP routing study: collision games and the §4.2 negative results."""
 
-from repro.ecmp.collision import CollisionGame
-from repro.ecmp.fabric import FabricResult, run_fabric_experiment
-from repro.ecmp.reduction import (
-    ab_statistics_invariant_under_c,
-    all_pair_statistics_invariant,
-    decompose_after_c_measurement,
-    ghz_pairwise_marginal_is_separable,
-    joint_ab_distribution,
-)
-from repro.ecmp.search import (
-    SeesawResult,
-    ghz_strategy_value,
-    random_strategy_search,
-    seesaw_quantum_value,
-)
-from repro.ecmp.switch import CollisionStats, EcmpSwitch, measure_collisions
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CollisionGame",
-    "FabricResult",
-    "run_fabric_experiment",
-    "ab_statistics_invariant_under_c",
-    "all_pair_statistics_invariant",
-    "decompose_after_c_measurement",
-    "ghz_pairwise_marginal_is_separable",
-    "joint_ab_distribution",
-    "SeesawResult",
-    "ghz_strategy_value",
-    "random_strategy_search",
-    "seesaw_quantum_value",
-    "CollisionStats",
-    "EcmpSwitch",
-    "measure_collisions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "collision": ("CollisionGame",),
+    "fabric": ("FabricResult", "run_fabric_experiment"),
+    "reduction": (
+        "ab_statistics_invariant_under_c",
+        "all_pair_statistics_invariant",
+        "decompose_after_c_measurement",
+        "ghz_pairwise_marginal_is_separable",
+        "joint_ab_distribution",
+    ),
+    "search": (
+        "SeesawResult",
+        "ghz_strategy_value",
+        "random_strategy_search",
+        "seesaw_quantum_value",
+    ),
+    "switch": ("CollisionStats", "EcmpSwitch", "measure_collisions"),
+})

@@ -10,40 +10,23 @@ plane (per-point timeout, deterministic bounded retries,
 instead of aborting.
 """
 
-from repro.exec.cache import (
-    CACHE_VERSION,
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    cache_key,
-    stable_fingerprint,
-)
-from repro.exec.journal import (
-    SweepJournal,
-    default_journal_dir,
-    list_journals,
-)
-from repro.exec.runner import (
-    PointFailure,
-    PointResult,
-    PointTimeoutError,
-    RunReport,
-    SweepRunner,
-    resolve_jobs,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_VERSION",
-    "DEFAULT_CACHE_DIR",
-    "PointFailure",
-    "PointResult",
-    "PointTimeoutError",
-    "ResultCache",
-    "RunReport",
-    "SweepJournal",
-    "SweepRunner",
-    "cache_key",
-    "default_journal_dir",
-    "list_journals",
-    "resolve_jobs",
-    "stable_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": (
+        "CACHE_VERSION",
+        "DEFAULT_CACHE_DIR",
+        "ResultCache",
+        "cache_key",
+        "stable_fingerprint",
+    ),
+    "journal": ("SweepJournal", "default_journal_dir", "list_journals"),
+    "runner": (
+        "PointFailure",
+        "PointResult",
+        "PointTimeoutError",
+        "RunReport",
+        "SweepRunner",
+        "resolve_jobs",
+    ),
+})

@@ -49,7 +49,7 @@ import threading
 import time
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -772,23 +772,25 @@ class SweepRunner:
                     executor.submit(_pool_point, item): item
                     for item in queue.values()
                 }
-                remaining = set(futures)
-                while remaining and not broken:
-                    finished, remaining = wait(
-                        remaining, return_when=FIRST_COMPLETED
-                    )
-                    for future in finished:
-                        broken |= not self._consume_future(
-                            future, futures[future], queue, sink
-                        )
+                # One waiter over every future: waiting afresh after each
+                # completion rescans all pending futures, quadratic in
+                # the number of points.
+                for future in as_completed(futures):
+                    if not self._consume_future(
+                        future, futures[future], queue, sink
+                    ):
+                        broken = True
+                        break
                 if broken:
                     # Drain whatever completed before the pool died; the
                     # rest stays queued for the rebuilt executor.
-                    for future in remaining:
-                        if future.done() and not future.cancelled():
-                            self._consume_future(
-                                future, futures[future], queue, sink
-                            )
+                    for future, item in futures.items():
+                        if (
+                            item[0] in queue
+                            and future.done()
+                            and not future.cancelled()
+                        ):
+                            self._consume_future(future, item, queue, sink)
             if not queue:
                 return
             if not broken:  # pragma: no cover - queue empties with pool up

@@ -9,15 +9,23 @@ their server choices respect the label of edge ``{x, y}``.
 Fig 3 draws the edge labels at random — each edge exclusive with
 probability ``p`` — over the complete graph on 5 vertices, and asks how
 often the induced game has a quantum advantage.
+
+:mod:`networkx` is imported only where an :class:`AffinityGraph` is
+built (:meth:`AffinityGraph.complete`, :func:`random_affinity_graph`),
+so the batched Fig 3 cascade, which never builds one, never loads it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import networkx as nx
 
 from repro.errors import GameError
 from repro.games.xor import XORGame
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "AffinityGraph",
@@ -53,6 +61,8 @@ class AffinityGraph:
     def complete(cls, num_types: int, exclusive_edges: set[tuple[int, int]]
                  ) -> "AffinityGraph":
         """Complete graph with the listed (unordered) edges exclusive."""
+        import networkx as nx
+
         graph = nx.complete_graph(num_types)
         normalized = {tuple(sorted(e)) for e in exclusive_edges}
         for u, v in graph.edges:
@@ -112,6 +122,8 @@ def random_affinity_graph(
         raise GameError(f"p_exclusive {p_exclusive} outside [0, 1]")
     if not 0.0 < edge_probability <= 1.0:
         raise GameError(f"edge_probability {edge_probability} outside (0, 1]")
+    import networkx as nx
+
     while True:
         graph = nx.Graph()
         graph.add_nodes_from(range(num_types))

@@ -1,57 +1,37 @@
 """Hardware realism models: SPDC sources, fiber, QNICs, noise budgets."""
 
-from repro.hardware.calibration import (
-    CHSHEstimate,
-    estimate_chsh,
-    estimate_werner_fidelity,
-    pairs_needed_to_certify,
-    s_value_to_win_probability,
-    win_probability_to_s_value,
-)
-from repro.hardware.budget import (
-    AdvantageBudget,
-    evaluate_budget,
-    required_fidelity_for_advantage,
-)
-from repro.hardware.distribution import (
-    FIBER_LIGHT_SPEED,
-    DistributedPair,
-    EntanglementDistributor,
-    FiberChannel,
-)
-from repro.hardware.qnic import (
-    QNIC,
-    apply_measurement_flips,
-    storage_depolarizing_probability,
-)
-from repro.hardware.scheduler import (
-    analytic_pair_availability,
-    effective_win_probability,
-    pair_availability_upper_bound,
-    simulate_pair_availability,
-)
-from repro.hardware.source import SPDCSource
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHSHEstimate",
-    "estimate_chsh",
-    "estimate_werner_fidelity",
-    "pairs_needed_to_certify",
-    "s_value_to_win_probability",
-    "win_probability_to_s_value",
-    "AdvantageBudget",
-    "evaluate_budget",
-    "required_fidelity_for_advantage",
-    "FIBER_LIGHT_SPEED",
-    "DistributedPair",
-    "EntanglementDistributor",
-    "FiberChannel",
-    "QNIC",
-    "apply_measurement_flips",
-    "storage_depolarizing_probability",
-    "analytic_pair_availability",
-    "effective_win_probability",
-    "pair_availability_upper_bound",
-    "simulate_pair_availability",
-    "SPDCSource",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "calibration": (
+        "CHSHEstimate",
+        "estimate_chsh",
+        "estimate_werner_fidelity",
+        "pairs_needed_to_certify",
+        "s_value_to_win_probability",
+        "win_probability_to_s_value",
+    ),
+    "budget": (
+        "AdvantageBudget",
+        "evaluate_budget",
+        "required_fidelity_for_advantage",
+    ),
+    "distribution": (
+        "FIBER_LIGHT_SPEED",
+        "DistributedPair",
+        "EntanglementDistributor",
+        "FiberChannel",
+    ),
+    "qnic": (
+        "QNIC",
+        "apply_measurement_flips",
+        "storage_depolarizing_probability",
+    ),
+    "scheduler": (
+        "analytic_pair_availability",
+        "effective_win_probability",
+        "pair_availability_upper_bound",
+        "simulate_pair_availability",
+    ),
+    "source": ("SPDCSource",),
+})

@@ -5,107 +5,63 @@ Fig 4 timestep harness, load sweeps, and a continuous-time DES adapter
 that measures genuine simulated qubits per decision.
 """
 
-from repro.lb.biased import BiasedCHSHPairedAssignment
-from repro.lb.degradation import (
-    BernoulliPairFaults,
-    DegradationReport,
-    DegradedPolicy,
-    OutagePairFaults,
-    PairFaultModel,
-    make_degraded_chsh,
-)
-from repro.lb.oracle import OmniscientAssignment
-from repro.lb.weighted import WeightedCHSHPairedAssignment
-from repro.lb.des_adapter import (
-    DESResult,
-    QuantumPairDecider,
-    coordinated_submit,
-    run_des_experiment,
-)
-from repro.lb.regime import (
-    VERDICT_COORDINATION,
-    VERDICT_QUANTUM,
-    VERDICT_SHARED,
-    RegimeCell,
-    RegimeMapResult,
-    regime_map,
-    regime_map_detailed,
-)
-from repro.lb.policies import (
-    AssignmentPolicy,
-    CHSHPairedAssignment,
-    ClassicalGroupAssignment,
-    ClassicalPairedAssignment,
-    DedicatedPoolAssignment,
-    GamePairedAssignment,
-    GHZGroupAssignment,
-    GroupAssignment,
-    MultiClassPairedAssignment,
-    PowerOfTwoAssignment,
-    RandomAssignment,
-    RoundRobinAssignment,
-    SameTypePairedAssignment,
-    WGroupAssignment,
-)
-from repro.lb.engine import vectorization_unsupported_reason
-from repro.lb.simulation import (
-    SERVICE_DISCIPLINES,
-    SIMULATION_ENGINES,
-    SimulationResult,
-    run_timestep_simulation,
-)
-from repro.lb.sweep import (
-    LoadSweepPoint,
-    knee_load,
-    sweep_load,
-    sweep_load_detailed,
-)
-from repro.lb.xor_lb import ClassicalGraphPairedAssignment, XORPairedAssignment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BiasedCHSHPairedAssignment",
-    "BernoulliPairFaults",
-    "DegradationReport",
-    "DegradedPolicy",
-    "OutagePairFaults",
-    "PairFaultModel",
-    "make_degraded_chsh",
-    "OmniscientAssignment",
-    "WeightedCHSHPairedAssignment",
-    "DESResult",
-    "QuantumPairDecider",
-    "coordinated_submit",
-    "run_des_experiment",
-    "VERDICT_COORDINATION",
-    "VERDICT_QUANTUM",
-    "VERDICT_SHARED",
-    "RegimeCell",
-    "RegimeMapResult",
-    "regime_map",
-    "regime_map_detailed",
-    "AssignmentPolicy",
-    "CHSHPairedAssignment",
-    "ClassicalGroupAssignment",
-    "ClassicalPairedAssignment",
-    "DedicatedPoolAssignment",
-    "GamePairedAssignment",
-    "GHZGroupAssignment",
-    "GroupAssignment",
-    "MultiClassPairedAssignment",
-    "PowerOfTwoAssignment",
-    "RandomAssignment",
-    "RoundRobinAssignment",
-    "SameTypePairedAssignment",
-    "WGroupAssignment",
-    "SERVICE_DISCIPLINES",
-    "SIMULATION_ENGINES",
-    "SimulationResult",
-    "run_timestep_simulation",
-    "vectorization_unsupported_reason",
-    "LoadSweepPoint",
-    "knee_load",
-    "sweep_load",
-    "sweep_load_detailed",
-    "ClassicalGraphPairedAssignment",
-    "XORPairedAssignment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "biased": ("BiasedCHSHPairedAssignment",),
+    "degradation": (
+        "BernoulliPairFaults",
+        "DegradationReport",
+        "DegradedPolicy",
+        "OutagePairFaults",
+        "PairFaultModel",
+        "make_degraded_chsh",
+    ),
+    "oracle": ("OmniscientAssignment",),
+    "weighted": ("WeightedCHSHPairedAssignment",),
+    "des_adapter": (
+        "DESResult",
+        "QuantumPairDecider",
+        "coordinated_submit",
+        "run_des_experiment",
+    ),
+    "regime": (
+        "VERDICT_COORDINATION",
+        "VERDICT_QUANTUM",
+        "VERDICT_SHARED",
+        "RegimeCell",
+        "RegimeMapResult",
+        "regime_map",
+        "regime_map_detailed",
+    ),
+    "policies": (
+        "AssignmentPolicy",
+        "CHSHPairedAssignment",
+        "ClassicalGroupAssignment",
+        "ClassicalPairedAssignment",
+        "DedicatedPoolAssignment",
+        "GamePairedAssignment",
+        "GHZGroupAssignment",
+        "GroupAssignment",
+        "MultiClassPairedAssignment",
+        "PowerOfTwoAssignment",
+        "RandomAssignment",
+        "RoundRobinAssignment",
+        "SameTypePairedAssignment",
+        "WGroupAssignment",
+    ),
+    "simulation": (
+        "SERVICE_DISCIPLINES",
+        "SIMULATION_ENGINES",
+        "SimulationResult",
+        "run_timestep_simulation",
+    ),
+    "engine": ("vectorization_unsupported_reason",),
+    "sweep": (
+        "LoadSweepPoint",
+        "knee_load",
+        "sweep_load",
+        "sweep_load_detailed",
+    ),
+    "xor_lb": ("ClassicalGraphPairedAssignment", "XORPairedAssignment"),
+})

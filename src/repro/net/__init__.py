@@ -1,31 +1,17 @@
 """Network substrate: requests, links, servers, workloads, metrics."""
 
-from repro.net.latency import (
-    LatencyModel,
-    deadline_limited_availability,
-    effective_win_probability,
-)
-from repro.net.link import Link
-from repro.net.metrics import DelayStats, FleetMetrics
-from repro.net.packet import Packet, Request, TaskType
-from repro.net.server import Server
-from repro.net.trace import Trace, record_bernoulli_trace
-from repro.net.workload import BernoulliTaskMix, PoissonArrivals, SubtypedTaskMix
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LatencyModel",
-    "deadline_limited_availability",
-    "effective_win_probability",
-    "Link",
-    "DelayStats",
-    "FleetMetrics",
-    "Packet",
-    "Request",
-    "TaskType",
-    "Server",
-    "Trace",
-    "record_bernoulli_trace",
-    "BernoulliTaskMix",
-    "PoissonArrivals",
-    "SubtypedTaskMix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "latency": (
+        "LatencyModel",
+        "deadline_limited_availability",
+        "effective_win_probability",
+    ),
+    "link": ("Link",),
+    "metrics": ("DelayStats", "FleetMetrics"),
+    "packet": ("Packet", "Request", "TaskType"),
+    "server": ("Server",),
+    "trace": ("Trace", "record_bernoulli_trace"),
+    "workload": ("BernoulliTaskMix", "PoissonArrivals", "SubtypedTaskMix"),
+})

@@ -9,54 +9,34 @@ The layer every engine reports through (``docs/observability.md``):
   attached to simulation results, sweep reports, and CLI telemetry.
 """
 
-from repro.obs.manifest import (
-    RunManifest,
-    VOLATILE_FIELDS,
-    environment_info,
-    git_revision,
-    mask_volatile,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Timer,
-    capture,
-    disabled,
-    get_registry,
-    time_block,
-    timed,
-    use_registry,
-)
-from repro.obs.spans import (
-    Span,
-    clear_spans,
-    current_span,
-    finished_spans,
-    format_span_tree,
-    span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "RunManifest",
-    "Span",
-    "Timer",
-    "VOLATILE_FIELDS",
-    "capture",
-    "clear_spans",
-    "current_span",
-    "disabled",
-    "environment_info",
-    "finished_spans",
-    "format_span_tree",
-    "get_registry",
-    "git_revision",
-    "mask_volatile",
-    "span",
-    "time_block",
-    "timed",
-    "use_registry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "manifest": (
+        "RunManifest",
+        "VOLATILE_FIELDS",
+        "environment_info",
+        "git_revision",
+        "mask_volatile",
+    ),
+    "metrics": (
+        "Counter",
+        "Gauge",
+        "MetricsRegistry",
+        "Timer",
+        "capture",
+        "disabled",
+        "get_registry",
+        "time_block",
+        "timed",
+        "use_registry",
+    ),
+    "spans": (
+        "Span",
+        "clear_spans",
+        "current_span",
+        "finished_spans",
+        "format_span_tree",
+        "span",
+    ),
+})

@@ -5,32 +5,21 @@ Tsirelson quantum value of XOR games, serially or as a stack, and NPA
 upper bounds.
 """
 
-from repro.sdp.admm import solve_diagonal_sdp, solve_partition_sdp
-from repro.sdp.batch import (
-    dual_upper_bound_batch,
-    repair_feasible_batch,
-    solve_diagonal_sdp_batch,
-)
-from repro.sdp.gram import gram_rank, gram_vectors
-from repro.sdp.projections import (
-    project_psd,
-    project_psd_batch,
-    symmetrize,
-    symmetrize_batch,
-)
-from repro.sdp.result import SDPResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "solve_diagonal_sdp",
-    "solve_diagonal_sdp_batch",
-    "solve_partition_sdp",
-    "dual_upper_bound_batch",
-    "repair_feasible_batch",
-    "gram_rank",
-    "gram_vectors",
-    "project_psd",
-    "project_psd_batch",
-    "symmetrize",
-    "symmetrize_batch",
-    "SDPResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "admm": ("solve_diagonal_sdp", "solve_partition_sdp"),
+    "batch": (
+        "dual_upper_bound_batch",
+        "repair_feasible_batch",
+        "solve_diagonal_sdp_batch",
+    ),
+    "gram": ("gram_rank", "gram_vectors"),
+    "projections": (
+        "project_psd",
+        "project_psd_batch",
+        "symmetrize",
+        "symmetrize_batch",
+    ),
+    "result": ("SDPResult",),
+})

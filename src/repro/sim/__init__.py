@@ -4,24 +4,12 @@ See DESIGN.md §2: the offline environment has no simpy, so this package
 provides the generator-based engine the network substrate runs on.
 """
 
-from repro.sim.core import Environment, Event, Interrupt, Process, Timeout
-from repro.sim.events import AllOf, AnyOf
-from repro.sim.monitor import Counter, SeriesRecorder, TimeWeightedValue
-from repro.sim.resources import Resource, Store
-from repro.sim.rng import RandomStreams
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Environment",
-    "Event",
-    "Interrupt",
-    "Process",
-    "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Counter",
-    "SeriesRecorder",
-    "TimeWeightedValue",
-    "Resource",
-    "Store",
-    "RandomStreams",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core": ("Environment", "Event", "Interrupt", "Process", "Timeout"),
+    "events": ("AllOf", "AnyOf"),
+    "monitor": ("Counter", "SeriesRecorder", "TimeWeightedValue"),
+    "resources": ("Resource", "Store"),
+    "rng": ("RandomStreams",),
+})

@@ -137,6 +137,32 @@ class TestParallelRunner:
         assert parallel.worker_utilization > 0.3
 
 
+class TestCompletionLoop:
+    def test_one_waiter_per_point(self, monkeypatch):
+        """The parent collects finished points through one waiter over
+        all futures. Waiting afresh after each completion installs a
+        waiter on every still-pending future, so the parent's CPU grew
+        quadratically with the number of points. Installs are counted
+        instead of CPU time, which depends on how many futures finish
+        between two waits."""
+        from concurrent.futures import _base
+
+        installs = []
+        install = _base._create_and_install_waiters
+
+        def counting_install(fs, return_when):
+            installs.append(len(fs))
+            return install(fs, return_when)
+
+        monkeypatch.setattr(
+            _base, "_create_and_install_waiters", counting_install
+        )
+        points = [({"tag": "t"}, seed) for seed in range(1000)]
+        report = SweepRunner(_identity_point, jobs=2).run(points)
+        assert report.values() == [("t", seed) for seed in range(1000)]
+        assert sum(installs) == len(points)
+
+
 class TestSeededParity:
     def test_compare_seeded_jobs4_matches_serial(self):
         """The acceptance check: a CHSH-vs-random Fig 4 comparison gives

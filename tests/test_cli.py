@@ -86,6 +86,29 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "fig4: invalid arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--balancers", "1"],
+            ["--steps", "0"],
+            ["--loads", "0"],
+            ["--group-size", "1"],
+        ],
+        ids=["one-balancer", "no-steps", "zero-load", "singleton-groups"],
+    )
+    def test_groups_rejects_arguments_no_point_accepts(
+        self, extra, capsys, monkeypatch
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("groups swept before checking its arguments")
+
+        monkeypatch.setattr("repro.lb.sweep_load", no_sweep)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["groups", "--balancers", "12", "--steps", "20", "--loads",
+                  "1.0", "--jobs", "1", *extra])
+        assert excinfo.value.code == 2
+        assert "groups: invalid arguments" in capsys.readouterr().err
+
     def test_ecmp(self, capsys):
         assert main(["ecmp"]) == 0
         out = capsys.readouterr().out
