@@ -931,7 +931,12 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     elif args.command == "budget":
         _cmd_budget(args)
     elif args.command == "values":
-        _cmd_values(args)
+        from repro.errors import GameError
+
+        try:
+            _cmd_values(args)
+        except GameError as exc:
+            parser.error(f"values: invalid arguments: {exc}")
     elif args.command == "regime":
         _cmd_regime(args)
     elif args.command == "resume":

@@ -39,7 +39,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "GameBatch",
         "alternating_lower_bound_batch",
         "classical_bias_batch",
-        "classical_strategy_batch",
         "sample_game_batch",
         "screen_advantage_batch",
         "screen_game_batch",
@@ -89,8 +88,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "NPA_LEVELS",
         "NPARelaxation",
         "build_npa_relaxation",
-        "npa1_cost",
-        "npa1_upper_bound",
         "npa_upper_bound",
     ),
     "seesaw": (
@@ -122,5 +119,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "Strategy",
         "exact_win_probability",
     ),
-    "xor": ("XORGame",),
+    "xor": ("XORGame", "classical_strategy_batch"),
 })

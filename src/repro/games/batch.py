@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GameError
-from repro.games.xor import XORGame, _sign_chunks
+from repro.games.xor import XORGame, classical_strategy_batch
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.sdp.batch import dual_upper_bound_batch, solve_diagonal_sdp_batch
@@ -62,7 +62,6 @@ __all__ = [
     "GameBatch",
     "CascadeReport",
     "sample_game_batch",
-    "classical_strategy_batch",
     "classical_bias_batch",
     "alternating_lower_bound_batch",
     "bias_cost_batch",
@@ -176,41 +175,6 @@ def sample_game_batch(
         np.fill_diagonal(dist, 1.0)
     dist = dist / dist.sum()
     return GameBatch(distribution=dist, targets=targets)
-
-
-def classical_strategy_batch(
-    costs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact classical biases and optimal ±1 strategies for a stack.
-
-    The same global-flip-reduced brute force as
-    :meth:`XORGame.classical_bias`, with the whole batch riding each
-    sign-chunk matmul: one ``(K, nx) @ (B, nx, ny)`` product per chunk.
-    Alice plays the first best row ``a`` of the chunks; Bob answers
-    ``sign(a^T W)`` with 0 read as +1, which attains the bias exactly.
-
-    Returns ``(bias (B,), signs (B, nx + ny))``, Alice's signs first.
-    """
-    costs = np.asarray(costs, dtype=float)
-    if costs.ndim != 3:
-        raise GameError(f"costs must be a (B, nx, ny) stack, got {costs.shape}")
-    num_games, nx = costs.shape[:2]
-    if nx > 24:
-        raise GameError(
-            f"brute force over 2^{nx} assignments is not tractable"
-        )
-    games = np.arange(num_games)
-    best = np.full(num_games, -np.inf)
-    alice = np.zeros((num_games, nx))
-    for signs in _sign_chunks(nx):
-        values = np.abs(signs @ costs).sum(axis=2)
-        rows = values.argmax(axis=1)
-        top = values[games, rows]
-        better = top > best
-        best[better] = top[better]
-        alice[better] = signs[rows[better]]
-    bob = np.where(np.einsum("bx,bxy->by", alice, costs) >= 0, 1.0, -1.0)
-    return best, np.concatenate([alice, bob], axis=1)
 
 
 def classical_bias_batch(costs: np.ndarray) -> np.ndarray:

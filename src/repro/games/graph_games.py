@@ -116,8 +116,11 @@ def random_affinity_graph(
     Every vertex pair is connected with probability ``edge_probability``
     (1.0 = complete graph, the Fig 3 setting) and each present edge is
     labeled exclusive independently with probability ``p_exclusive``.
-    Regenerates until the graph has at least one edge.
+    Regenerates until the graph has at least one edge, so it needs at
+    least two task types.
     """
+    if num_types < 2:
+        raise GameError("affinity graph needs at least two task types")
     if not 0.0 <= p_exclusive <= 1.0:
         raise GameError(f"p_exclusive {p_exclusive} outside [0, 1]")
     if not 0.0 < edge_probability <= 1.0:

@@ -1,23 +1,16 @@
 """NPA upper bounds on quantum values of two-player nonlocal games.
 
 The Navascues-Pironio-Acin hierarchy relaxes the set of quantum
-correlations. Two forms live here:
-
-* :func:`npa1_cost` / :func:`npa1_upper_bound` — the original
-  binary-output level-1 relaxation in ±1-observable (correlator) form.
-  Its moment matrix has unit diagonal, so it runs on
-  :func:`repro.sdp.solve_diagonal_sdp` and inherits that solver's
-  repaired dual certificate.
-* :func:`build_npa_relaxation` / :func:`npa_upper_bound` — the general
-  projector form over arbitrary finite output alphabets, at level
-  ``"1"`` or level ``"1+ab"`` (the "almost quantum" set: monomial
-  basis ``{1} ∪ {A_x^a} ∪ {B_y^b} ∪ {A_x^a B_y^b}``). Moment-matrix
-  entries that reduce to the same canonical monomial are identified
-  and orthogonal same-input projector products pinned to zero; the
-  resulting partition SDP is solved by
-  :func:`repro.sdp.solve_partition_sdp`, whose repaired dual bound is
-  rigorous because every monomial here is a product of projectors, so
-  feasible moment matrices have diagonal entries at most one.
+correlations. :func:`build_npa_relaxation` / :func:`npa_upper_bound`
+build it in projector form over arbitrary finite output alphabets, at
+level ``"1"`` or level ``"1+ab"`` (the "almost quantum" set: monomial
+basis ``{1} ∪ {A_x^a} ∪ {B_y^b} ∪ {A_x^a B_y^b}``). Moment-matrix
+entries that reduce to the same canonical monomial are identified and
+orthogonal same-input projector products pinned to zero; the resulting
+partition SDP is solved by :func:`repro.sdp.solve_partition_sdp`, whose
+repaired dual bound is rigorous because every monomial here is a
+product of projectors, so feasible moment matrices have diagonal
+entries at most one.
 
 Restricting the moment matrix to be real symmetric keeps the bound
 valid: the entrywise real part of any complex Hermitian quantum moment
@@ -41,87 +34,16 @@ from repro.games.base import TwoPlayerGame
 from repro.games.nonlocal_games import NonlocalGame
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
-from repro.sdp import SDPResult, solve_diagonal_sdp, solve_partition_sdp
+from repro.sdp import SDPResult, solve_partition_sdp
 
 __all__ = [
     "NPA_LEVELS",
     "NPARelaxation",
     "build_npa_relaxation",
-    "npa1_cost",
-    "npa1_upper_bound",
     "npa_upper_bound",
 ]
 
 NPA_LEVELS = ("1", "1+ab")
-
-
-def npa1_cost(game: TwoPlayerGame) -> tuple[np.ndarray, float]:
-    """Cost matrix and constant so the NPA-1 objective is
-    ``<C, Gamma> + const``.
-
-    For binary outputs, ``p(a, b | x, y)`` expands in the moments as
-    ``(1 + (-1)^a <A_x> + (-1)^b <B_y> + (-1)^(a+b) <A_x B_y>) / 4``; the
-    moment matrix row 0 holds the marginals and the A-B block holds the
-    correlators.
-    """
-    if game.num_outputs_a != 2 or game.num_outputs_b != 2:
-        raise GameError("NPA-1 bound implemented for binary outputs only")
-    nx, ny = game.num_inputs_a, game.num_inputs_b
-    size = 1 + nx + ny
-    cost = np.zeros((size, size))
-    constant = 0.0
-    for x in range(nx):
-        for y in range(ny):
-            weight = game.distribution[x, y]
-            if weight == 0.0:
-                continue
-            for a in (0, 1):
-                for b in (0, 1):
-                    if not game.predicate(x, y, a, b):
-                        continue
-                    coeff = weight / 4.0
-                    constant += coeff
-                    sign_a = 1.0 if a == 0 else -1.0
-                    sign_b = 1.0 if b == 0 else -1.0
-                    # Marginal terms live in row/column 0; each symmetric
-                    # pair is visited twice by <C, Gamma>, so halve.
-                    cost[0, 1 + x] += coeff * sign_a / 2.0
-                    cost[1 + x, 0] += coeff * sign_a / 2.0
-                    cost[0, 1 + nx + y] += coeff * sign_b / 2.0
-                    cost[1 + nx + y, 0] += coeff * sign_b / 2.0
-                    cost[1 + x, 1 + nx + y] += coeff * sign_a * sign_b / 2.0
-                    cost[1 + nx + y, 1 + x] += coeff * sign_a * sign_b / 2.0
-    return cost, constant
-
-
-def npa1_upper_bound(
-    game: TwoPlayerGame, *, tolerance: float = 1e-8
-) -> tuple[float, SDPResult]:
-    """Rigorous upper bound on the quantum win probability of ``game``.
-
-    Binary-output games take the original correlator-form level-1 path;
-    larger alphabets route through the general projector relaxation of
-    :func:`npa_upper_bound` at level ``"1"`` (both are level-1 NPA — the
-    two forms are congruent, so binary games get the same bound either
-    way, which the test suite checks differentially).
-
-    Returns ``(bound, sdp_result)``; the bound uses the solver's repaired
-    dual certificate, so it holds even before full convergence.
-    """
-    if game.num_outputs_a == 2 and game.num_outputs_b == 2:
-        cost, constant = npa1_cost(game)
-        result = solve_diagonal_sdp(cost, tolerance=tolerance)
-        return constant + result.upper_bound, result
-    return npa_upper_bound(
-        NonlocalGame.from_two_player_game(game),
-        level="1",
-        tolerance=tolerance,
-    )
-
-
-# ---------------------------------------------------------------------------
-# General projector-form relaxation.
-# ---------------------------------------------------------------------------
 
 # A monomial is (alice_word, bob_word); each word is a tuple of
 # (input, output) projector labels. Level 1 words have length <= 1, so

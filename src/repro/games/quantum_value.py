@@ -28,7 +28,7 @@ from repro.games.strategies import BinaryObservable, QuantumStrategy
 from repro.games.xor import XORGame
 from repro.quantum.gates import pauli
 from repro.quantum.state import StateVector
-from repro.sdp import SDPResult, gram_vectors, solve_diagonal_sdp
+from repro.sdp import SDPResult, gram_vectors, solve_diagonal_sdp_batch
 
 __all__ = [
     "XORValue",
@@ -117,15 +117,16 @@ def xor_quantum_bias(
 ) -> tuple[float, SDPResult]:
     """Quantum bias of an XOR game via the Tsirelson SDP.
 
-    Warm-starts from the alternating heuristic's Gram matrix.
+    Warm-starts from the alternating heuristic's Gram matrix, and solves
+    as a stack of one.
     """
     cost = _bias_cost_matrix(game)
     _, u, v = alternating_bias_lower_bound(game)
     stacked = np.vstack([u, v])
     warm = stacked @ stacked.T
-    result = solve_diagonal_sdp(
-        cost, tolerance=tolerance, warm_start=warm
-    )
+    result = solve_diagonal_sdp_batch(
+        cost[None], tolerance=tolerance, warm_starts=warm[None]
+    )[0]
     return result.objective, result
 
 

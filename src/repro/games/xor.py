@@ -8,9 +8,10 @@ property load balancing needs.
 
 Values are usually expressed through the *bias*
 ``eps = 2 * win_probability - 1``. The classical bias maximizes
-``sum pi c a b`` over signs ``a, b in {-1, +1}`` (exact brute force here);
-the quantum bias is Tsirelson's SDP over unit vectors, computed in
-:mod:`repro.games.quantum_value`.
+``sum pi c a b`` over signs ``a, b in {-1, +1}``; the exact brute force
+here, :func:`classical_strategy_batch`, takes a stack of games, and an
+:class:`XORGame` is a stack of one. The quantum bias is Tsirelson's SDP
+over unit vectors, computed in :mod:`repro.games.quantum_value`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from repro.errors import GameError
 from repro.games.base import TwoPlayerGame
 
-__all__ = ["XORGame"]
+__all__ = ["XORGame", "classical_strategy_batch"]
 
 #: Sign-vector rows materialized per brute-force chunk; bounds peak
 #: memory at ~chunk * nx floats while keeping the matmuls large.
@@ -42,6 +43,43 @@ def _sign_chunks(nx: int):
         stop = min(start + _BRUTE_FORCE_CHUNK, 1 << nx)
         patterns = np.arange(start, stop, dtype=np.int64)
         yield np.where((patterns[:, None] >> bits) & 1, 1.0, -1.0)
+
+
+def classical_strategy_batch(
+    costs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact classical biases and optimal ±1 strategies for a stack.
+
+    For each of Alice's sign assignments, Bob's optimum is the
+    column-wise sign match. The ``2^(nx-1)`` assignments surviving the
+    global-flip symmetry are enumerated as chunked sign matrices, and
+    the whole batch rides each chunk's matmul: one
+    ``(K, nx) @ (B, nx, ny)`` product per chunk. Alice plays the first
+    best row ``a`` of the chunks; Bob answers ``sign(a^T W)`` with 0 read
+    as +1, which attains the bias exactly.
+
+    Returns ``(bias (B,), signs (B, nx + ny))``, Alice's signs first.
+    """
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim != 3:
+        raise GameError(f"costs must be a (B, nx, ny) stack, got {costs.shape}")
+    num_games, nx = costs.shape[:2]
+    if nx > 24:
+        raise GameError(
+            f"brute force over 2^{nx} assignments is not tractable"
+        )
+    games = np.arange(num_games)
+    best = np.full(num_games, -np.inf)
+    alice = np.zeros((num_games, nx))
+    for signs in _sign_chunks(nx):
+        values = np.abs(signs @ costs).sum(axis=2)
+        rows = values.argmax(axis=1)
+        top = values[games, rows]
+        better = top > best
+        best[better] = top[better]
+        alice[better] = signs[rows[better]]
+    bob = np.where(np.einsum("bx,bxy->by", alice, costs) >= 0, 1.0, -1.0)
+    return best, np.concatenate([alice, bob], axis=1)
 
 
 @dataclass(frozen=True)
@@ -99,24 +137,10 @@ class XORGame:
     # -- values -----------------------------------------------------------------
 
     def classical_bias(self) -> float:
-        """Exact classical bias by brute force over Alice's sign vectors.
-
-        For each of Alice's sign assignments, Bob's optimum is the
-        column-wise sign match. The ``2^(nx-1)`` assignments surviving
-        the global-flip symmetry are enumerated as chunked sign
-        matrices, one matmul per chunk, so the cost is a handful of
-        ``O(chunk * nx * ny)`` BLAS calls instead of a Python loop.
-        """
-        w = self.cost_matrix()
-        nx = self.num_inputs_a
-        if nx > 24:
-            raise GameError(
-                f"brute force over 2^{nx} assignments is not tractable"
-            )
-        best = -np.inf
-        for signs in _sign_chunks(nx):
-            best = max(best, float(np.abs(signs @ w).sum(axis=1).max()))
-        return best
+        """Exact classical bias: the one-game call of
+        :func:`classical_strategy_batch`."""
+        bias, _ = classical_strategy_batch(self.cost_matrix()[None])
+        return float(bias[0])
 
     def classical_value(self) -> float:
         """Classical win probability ``(1 + bias) / 2``."""
@@ -125,30 +149,14 @@ class XORGame:
     def best_classical_assignment(self) -> tuple[np.ndarray, np.ndarray]:
         """An optimal deterministic strategy as ±1 sign vectors.
 
-        Enumerates the same ``2^(nx-1)`` global-flip-reduced sign
-        vectors as :meth:`classical_bias` (Alice's leading sign is fixed
-        to +1), so the achieved bias always equals ``classical_bias()``
-        exactly; the dropped half are the jointly-flipped duplicates,
-        which play identically in an XOR game.
+        The one-game call of :func:`classical_strategy_batch`, so the
+        achieved bias always equals ``classical_bias()`` exactly, and
+        Alice's leading sign is the fixed +1 of the global-flip
+        reduction (the dropped half are the jointly-flipped duplicates,
+        which play identically in an XOR game).
         """
-        w = self.cost_matrix()
-        nx = self.num_inputs_a
-        if nx > 24:
-            raise GameError(
-                f"brute force over 2^{nx} assignments is not tractable"
-            )
-        best = -np.inf
-        best_signs: np.ndarray | None = None
-        for signs in _sign_chunks(nx):
-            values = np.abs(signs @ w).sum(axis=1)
-            index = int(values.argmax())
-            if values[index] > best:
-                best = float(values[index])
-                best_signs = signs[index]
-        assert best_signs is not None
-        col = best_signs @ w
-        bob = np.where(col >= 0, 1.0, -1.0)
-        return best_signs, bob
+        signs = classical_strategy_batch(self.cost_matrix()[None])[1][0]
+        return signs[: self.num_inputs_a], signs[self.num_inputs_a :]
 
     def win_probability_of_bias(self, bias: float) -> float:
         """Convert a bias to a win probability."""

@@ -1,19 +1,16 @@
-"""Dense SDP solvers based on ADMM splitting.
+"""The partition SDP solver, the ADMM core for NPA moment matrices.
 
-Two problem forms, each with its own affine step:
-
-* :func:`solve_diagonal_sdp` — ``max <C, X> s.t. diag(X) = d, X PSD``,
-  the Tsirelson SDP that computes the quantum value of an XOR game
-  (DESIGN.md, Fig 3). Its stacked sibling is
-  :func:`repro.sdp.batch.solve_diagonal_sdp_batch`.
-* :func:`solve_partition_sdp` — a moment-matrix SDP whose entries are
-  identified in classes or pinned to zero, the NPA relaxations of
-  :mod:`repro.games.npa` (the ECMP conjecture, §4.2, and the general-game
-  cascade).
+:func:`solve_partition_sdp` solves a moment-matrix SDP whose entries are
+identified in classes or pinned to zero: the NPA relaxations of
+:mod:`repro.games.npa` (the ECMP conjecture, §4.2, and the general-game
+cascade). The other problem form, ``max <C, X> s.t. diag(X) = d, X PSD``
+(the Tsirelson SDP behind Fig 3), has its own core,
+:func:`repro.sdp.batch.solve_diagonal_sdp_batch`, which a single game
+calls with a stack of one.
 
 The method alternates between an affine projection (X-step, absorbing the
 linear objective), a PSD cone projection (Z-step, one eigendecomposition),
-and a scaled dual update. Every solver steps on the cost divided by its
+and a scaled dual update. Both cores step on the cost divided by its
 Frobenius norm, which is the penalty ``rho = ||C||_F`` (Boyd et al.,
 *Distributed Optimization and Statistical Learning via ADMM*, 2011,
 §3.4.1). The iterates then depend only on ``C / ||C||_F``: scaling a cost
@@ -22,10 +19,10 @@ leaves the iteration count unchanged, and the small XOR cost blocks
 The stop test reads both residuals in units of ``X``. For the matrix
 sizes in this repo (n <= ~40) each iteration costs microseconds.
 
-The returned :class:`~repro.sdp.result.SDPResult` carries both a strictly
-feasible primal value (a true lower bound on the optimum) and a repaired
-dual certificate (a true upper bound), so callers can make rigorous
-advantage/no-advantage calls.
+The returned :class:`~repro.sdp.result.SDPResult` carries the last PSD
+iterate with its objective, and a repaired dual certificate that is a
+true upper bound at every iterate, so callers can make rigorous
+no-advantage calls.
 """
 
 from __future__ import annotations
@@ -36,98 +33,11 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.obs import metrics as _metrics
-from repro.sdp.batch import (
-    LINE_CHECK_PERIOD,
-    _check_diagonal,
-    _cost_scales,
-    _require_finite,
-)
+from repro.sdp.batch import LINE_CHECK_PERIOD, _cost_scales, _require_finite
 from repro.sdp.projections import project_psd, symmetrize
 from repro.sdp.result import SDPResult
 
-__all__ = ["solve_diagonal_sdp", "solve_partition_sdp"]
-
-
-def _symmetric_cost(cost) -> np.ndarray:
-    """Symmetric part of a square, finite cost matrix."""
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise SolverError(f"cost must be square, got shape {cost.shape}")
-    return symmetrize(_require_finite(cost, "cost"))
-
-
-def solve_diagonal_sdp(
-    cost: np.ndarray,
-    diagonal: np.ndarray | None = None,
-    *,
-    tolerance: float = 1e-8,
-    max_iterations: int = 50_000,
-    warm_start: np.ndarray | None = None,
-) -> SDPResult:
-    """Solve ``max <C, X> s.t. diag(X) = d, X PSD``.
-
-    Args:
-        cost: symmetric cost matrix ``C`` (symmetrized if not).
-        diagonal: required diagonal ``d`` (all ones by default).
-        tolerance: threshold on both residuals, ``||X - Z||_F`` and
-            ``||Z - Z_prev||_F``.
-        max_iterations: iteration cap. A solve that reaches it returns
-            with ``converged=False``; it never raises. The repaired
-            primal and the dual bound stay valid, only looser.
-        warm_start: optional initial ``Z`` (e.g. a Gram matrix from a
-            heuristic solver) to cut iterations.
-
-    Returns:
-        SDPResult with a feasible primal matrix and a dual upper bound.
-    """
-    c = _symmetric_cost(cost)
-    n = c.shape[0]
-    diagonal = _check_diagonal(diagonal, n)
-    if warm_start is None:
-        z = np.diag(diagonal)
-    else:
-        z = np.asarray(warm_start, dtype=float)
-        if z.shape != (n, n):
-            raise SolverError(
-                f"warm start has shape {z.shape}, expected {(n, n)}"
-            )
-        z = symmetrize(_require_finite(z, "warm start"))
-    # A batch of one, so the trajectory matches the stacked solver's.
-    c_hat = c / _cost_scales(c[None])[0]
-    u = np.zeros((n, n))
-
-    primal_res = dual_res = float("inf")
-    iteration = 0
-    for iteration in range(1, max_iterations + 1):
-        # X-step: unconstrained minimizer of the augmented Lagrangian,
-        # then exact projection onto the diagonal constraint (the
-        # quadratic is isotropic, so overwriting the diagonal is exact).
-        x = z - u + c_hat
-        np.fill_diagonal(x, diagonal)
-        # Z-step: PSD projection.
-        z_prev = z
-        z = project_psd(x + u)
-        # Dual update.
-        u = u + x - z
-        primal_res = float(np.linalg.norm(x - z))
-        dual_res = float(np.linalg.norm(z - z_prev))
-        if primal_res < tolerance and dual_res < tolerance:
-            break
-
-    converged = primal_res < tolerance and dual_res < tolerance
-    _metrics.get_registry().counter("admm.iterations").inc(iteration)
-    feasible = _repair_feasible(z, diagonal)
-    objective = float(np.sum(c * feasible))
-    upper = _dual_upper_bound(c, feasible, diagonal)
-    return SDPResult(
-        matrix=feasible,
-        objective=objective,
-        upper_bound=upper,
-        iterations=iteration,
-        primal_residual=primal_res,
-        dual_residual=dual_res,
-        converged=converged,
-    )
+__all__ = ["solve_partition_sdp"]
 
 
 def solve_partition_sdp(
@@ -184,12 +94,16 @@ def solve_partition_sdp(
             units of ``<C, X>``; a solve that stops there returns with
             ``converged=False`` and counts in ``npa.verdict_stops``.
     """
-    c = _symmetric_cost(cost)
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise SolverError(f"cost must be square, got shape {c.shape}")
+    c = symmetrize(_require_finite(c, "cost"))
     n = c.shape[0]
-    if corner_value <= 0:
-        raise SolverError("corner_value must be positive")
-    if diagonal_cap <= 0:
-        raise SolverError("diagonal_cap must be positive")
+    # A NaN fails every comparison, so test for the valid range.
+    if not (np.isfinite(corner_value) and corner_value > 0):
+        raise SolverError("corner_value must be positive and finite")
+    if not (np.isfinite(diagonal_cap) and diagonal_cap > 0):
+        raise SolverError("diagonal_cap must be positive and finite")
 
     cls_rows, cls_cols, cls_ids, cls_w = [], [], [], []
     for cid, group in enumerate(classes):
@@ -343,36 +257,3 @@ def _partition_dual_bound(
     min_eig = float(np.linalg.eigvalsh(symmetrize(repaired)).min())
     shift = max(0.0, -min_eig)
     return float(corner_value * m[0, 0] + shift * n * diagonal_cap)
-
-
-def _repair_feasible(z: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """Return a PSD matrix with the exact required diagonal.
-
-    Rescales the PSD iterate by ``D^-1/2 Z D^-1/2`` (congruence preserves
-    PSD-ness) so the primal objective is a genuine lower bound.
-    """
-    psd = project_psd(z)
-    current = np.diag(psd).clip(min=1e-12)
-    scale = np.sqrt(diagonal / current)
-    out = psd * np.outer(scale, scale)
-    np.fill_diagonal(out, diagonal)
-    return out
-
-
-def _dual_upper_bound(
-    cost: np.ndarray, primal: np.ndarray, diagonal: np.ndarray
-) -> float:
-    """Rigorous upper bound from a repaired dual certificate.
-
-    The dual of the diagonal SDP is ``min d.y s.t. Diag(y) - C PSD``. Start
-    from the complementarity guess ``y_i = (C X)_ii / X_ii`` and shift all
-    entries up by the most negative eigenvalue of the slack, which restores
-    dual feasibility; ``d.y`` is then a true bound.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.diag(cost @ primal) / np.diag(primal)
-    y = np.nan_to_num(y, nan=0.0, posinf=0.0, neginf=0.0)
-    slack = np.diag(y) - cost
-    min_eig = float(np.linalg.eigvalsh(symmetrize(slack)).min())
-    shift = max(0.0, -min_eig)
-    return float(diagonal @ (y + shift))

@@ -1,24 +1,27 @@
-"""Stacked ADMM: solve many identically-shaped diagonal SDPs at once.
+"""The diagonal SDP solver: ``max <C, X> s.t. diag(X) = d, X PSD``.
 
-The Fig 3 sweep solves thousands of Tsirelson SDPs that all share the
-same ``(n, n)`` structure (every 5-vertex XOR game yields a 10x10 Gram
-problem), so :func:`solve_diagonal_sdp_batch` iterates the whole batch
-as one ``(B, n, n)`` ndarray: each ADMM step is one batched
-eigendecomposition plus a few elementwise updates, instead of ``B``
-Python-level solver loops.
+This is the Tsirelson SDP that gives the quantum bias of an XOR game
+(DESIGN.md, Fig 3), and :func:`solve_diagonal_sdp_batch` is its one
+solver. The Fig 3 sweep solves thousands of these problems that all
+share the same ``(n, n)`` structure (every 5-vertex XOR game yields a
+10x10 Gram problem), so the solver iterates the whole batch as one
+``(B, n, n)`` ndarray: each ADMM step is one batched eigendecomposition
+plus a few elementwise updates, instead of ``B`` Python-level solver
+loops. A single game, such as
+:func:`~repro.games.quantum_value.xor_quantum_bias`, is a stack of one.
 
 Per-game convergence is preserved by *freezing*: a game whose residuals
 pass the tolerance is removed from the active stack and keeps the
-iterate it converged to, so every game sees exactly the update sequence
-the serial :func:`~repro.sdp.admm.solve_diagonal_sdp` would have applied
-(same warm start in, same per-slice LAPACK calls) rather than being
-dragged along until the slowest batch member finishes.
+iterate it converged to, so every game takes the steps it would take in
+a stack of its own (same warm start in, same per-slice LAPACK calls,
+same iteration count) rather than being dragged along until the slowest
+batch member finishes.
 
-The batched feasibility repair and dual-certificate bounds mirror the
-serial solver's, so every returned :class:`~repro.sdp.result.SDPResult`
-carries a true primal lower bound and a true dual upper bound —
-:func:`dual_upper_bound_batch` is also used standalone by the Fig 3
-screening cascade to refute advantage without any solve.
+Every returned :class:`~repro.sdp.result.SDPResult` carries a true
+primal lower bound (:func:`repair_feasible_batch`) and a true dual upper
+bound (:func:`dual_upper_bound_batch`). The Fig 3 screening cascade also
+calls the dual certificate standalone, to refute advantage without any
+solve.
 
 A caller that needs only to know on which side of a band each optimum
 lies passes per-slice decision lines. Every :data:`LINE_CHECK_PERIOD`
@@ -57,10 +60,9 @@ def _frobenius_batch(matrices: np.ndarray, backend=None) -> np.ndarray:
 def _cost_scales(costs: np.ndarray) -> np.ndarray:
     """ADMM step scale of every cost in a ``(B, n, n)`` stack.
 
-    Each solver iterates on ``C / ||C||_F``, which is the penalty
-    ``rho = ||C||_F``; a zero cost keeps scale 1. The serial solvers call
-    this on a batch of one, so their trajectories match the stacked
-    solver's slice for slice.
+    Both ADMM cores iterate on ``C / ||C||_F``, which is the penalty
+    ``rho = ||C||_F``; a zero cost keeps scale 1. The partition solver
+    calls this on a batch of one.
     """
     norms = _frobenius_batch(costs)
     return np.where(norms > 0.0, norms, 1.0)
@@ -105,9 +107,9 @@ def repair_feasible_batch(
 ) -> np.ndarray:
     """Batched feasibility repair: PSD with the exact required diagonal.
 
-    The stacked sibling of the serial solver's repair: PSD-project, then
-    rescale every slice by ``D^-1/2 Z D^-1/2`` (congruence preserves
-    PSD-ness) so each slice's objective is a genuine lower bound.
+    PSD-project, then rescale every slice by ``D^-1/2 Z D^-1/2``
+    (congruence preserves PSD-ness) so each slice's objective is a
+    genuine lower bound.
     """
     psd = project_psd_batch(z, backend=backend)
     n = psd.shape[-1]
@@ -150,6 +152,7 @@ def dual_upper_bound_batch(
             f"costs {costs.shape} and primals {primals.shape} must be "
             "matching (B, n, n) stacks"
         )
+    _require_finite(costs, "costs")
     n = costs.shape[-1]
     diagonal = _check_diagonal(diagonal, n)
     rows = np.arange(n)
@@ -206,8 +209,8 @@ def solve_diagonal_sdp_batch(
         One :class:`SDPResult` per slice, in input order, each with a
         feasible primal matrix and a rigorous dual upper bound. Slices
         converge (and freeze) independently, so a slice's result matches
-        a serial :func:`~repro.sdp.admm.solve_diagonal_sdp` call with
-        the same warm start up to floating-point reduction order.
+        a stack of one with the same warm start: the same iteration
+        count, and values equal up to floating-point reduction order.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 3 or costs.shape[1] != costs.shape[2]:
@@ -258,8 +261,9 @@ def solve_diagonal_sdp_batch(
     while active.size and iteration < max_iterations:
         iteration += 1
         total_iterations += active.size
-        # X-step: unconstrained minimizer, then exact diagonal overwrite
-        # (isotropic quadratic), exactly as in the serial solver.
+        # X-step: unconstrained minimizer of the augmented Lagrangian,
+        # then exact projection onto the diagonal constraint (the
+        # quadratic is isotropic, so overwriting the diagonal is exact).
         x = z - u + c_active
         x[:, rows, rows] = diagonal
         z_prev = z

@@ -13,7 +13,7 @@ import numpy as np
 from repro.errors import SolverError
 from repro.sdp.projections import symmetrize
 
-__all__ = ["gram_vectors", "gram_rank"]
+__all__ = ["gram_vectors"]
 
 
 def gram_vectors(
@@ -43,8 +43,3 @@ def gram_vectors(
         vectors = vectors / norms
     return vectors
 
-
-def gram_rank(matrix: np.ndarray, tolerance: float = 1e-9) -> int:
-    """Numerical rank of a PSD matrix under the same cutoff."""
-    eigs = np.linalg.eigvalsh(symmetrize(np.asarray(matrix, dtype=float)))
-    return int((eigs > tolerance).sum())

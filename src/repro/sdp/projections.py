@@ -1,9 +1,10 @@
 """Cone and subspace projections used by the ADMM SDP solvers.
 
 Every projection comes in two flavors: a single-matrix form used by the
-serial solver and a ``*_batch`` form operating on a ``(B, n, n)`` stack,
-used by :mod:`repro.sdp.batch`. The batched PSD projection runs one
-stacked ``eigh`` call, which is where the stacked ADMM solver gets its
+partition solver (:mod:`repro.sdp.admm`) and a ``*_batch`` form operating
+on a ``(B, n, n)`` stack, used by the diagonal solver
+(:mod:`repro.sdp.batch`). The batched PSD projection runs one stacked
+``eigh`` call, which is where the stacked ADMM solver gets its
 throughput: LAPACK decomposes each slice independently, so per-slice
 results match the single-matrix projection.
 """
@@ -19,7 +20,6 @@ __all__ = [
     "project_psd_batch",
     "symmetrize",
     "symmetrize_batch",
-    "project_affine_diag",
 ]
 
 
@@ -65,9 +65,3 @@ def project_psd(matrix: np.ndarray) -> np.ndarray:
     clipped = eigs.clip(min=0.0)
     return (vecs * clipped) @ vecs.T
 
-
-def project_affine_diag(matrix: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """Project onto the affine set ``{X : diag(X) = diagonal}``."""
-    out = symmetrize(matrix).copy()
-    np.fill_diagonal(out, diagonal)
-    return out

@@ -116,13 +116,19 @@ def main_subprocess() -> None:
     """Entry point for the SIGKILL test's sacrificial sweep process.
 
     Reads a JSON config from ``argv[1]``: ``points`` (count), ``sleep``
-    (per-point seconds), ``seed``, and ``jobs``. Runs a journaled sweep
-    of :func:`sleepy_point`, printing ``POINT <n>`` to stdout as each
-    point completes so the parent test knows when to pull the trigger.
+    (per-point seconds), ``seed``, ``jobs`` and ``source_digest``, the
+    parent's :func:`repro.exec.cache.source_digest`, which this process
+    uses in place of its own so both sides agree on the run key. Runs a
+    journaled sweep of :func:`sleepy_point`, printing ``POINT <n>`` to
+    stdout as each point completes so the parent test knows when to pull
+    the trigger.
     """
+    import repro.exec.cache
     from repro.exec import SweepRunner
 
     spec = json.loads(sys.argv[1])
+    digest = spec["source_digest"]
+    repro.exec.cache.source_digest = lambda: digest
 
     def progress(message: str) -> None:
         if "resumed" in message or "cached" in message or "point" in message:

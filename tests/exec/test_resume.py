@@ -29,6 +29,7 @@ from repro.exec import (
     default_journal_dir,
     list_journals,
 )
+from repro.exec.cache import source_digest
 from repro.exec.journal import SweepJournal
 from repro.obs import capture
 from tests.exec._faultlib import deterministic_value, sleepy_point
@@ -166,7 +167,15 @@ class TestSigkillResume:
         """SIGKILL a journaled subprocess sweep mid-run, resume it
         in-process, and compare against a clean serial run."""
         n_points, seed, sleep = 6, 7000, 0.25
-        spec = {"points": n_points, "seed": seed, "sleep": sleep, "jobs": 1}
+        # Both sides key the journal by this process's source digest, so
+        # a package file edited while the test runs cannot split them.
+        spec = {
+            "points": n_points,
+            "seed": seed,
+            "sleep": sleep,
+            "jobs": 1,
+            "source_digest": source_digest(),
+        }
         env = dict(os.environ)
         env["PYTHONPATH"] = f"{REPO_ROOT / 'src'}{os.pathsep}{REPO_ROOT}"
         proc = subprocess.Popen(

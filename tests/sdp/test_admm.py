@@ -1,4 +1,8 @@
-"""Tests for the ADMM SDP solver."""
+"""Tests for the ADMM SDP solvers, projections and Gram vectors.
+
+The diagonal SDP cases call the one diagonal solver with a stack of one,
+which is how a single game is solved.
+"""
 
 from __future__ import annotations
 
@@ -10,10 +14,9 @@ import pytest
 from repro.errors import SolverError
 from repro.sdp import (
     SDPResult,
-    gram_rank,
     gram_vectors,
     project_psd,
-    solve_diagonal_sdp,
+    solve_diagonal_sdp_batch,
     solve_partition_sdp,
     symmetrize,
 )
@@ -26,6 +29,14 @@ def chsh_cost() -> np.ndarray:
     c[:2, 2:] = w / 2
     c[2:, :2] = w.T / 2
     return c
+
+
+def solve_one(cost, *, warm_start=None, **options):
+    """The diagonal SDP of one cost matrix, as a stack of one."""
+    warm = None if warm_start is None else np.asarray(warm_start)[None]
+    return solve_diagonal_sdp_batch(
+        np.asarray(cost)[None], warm_starts=warm, **options
+    )[0]
 
 
 class TestProjections:
@@ -57,7 +68,7 @@ class TestProjections:
 
 class TestDiagonalSDP:
     def test_chsh_tsirelson_bias(self):
-        res = solve_diagonal_sdp(chsh_cost(), tolerance=1e-9)
+        res = solve_one(chsh_cost(), tolerance=1e-9)
         assert res.converged
         assert res.objective == pytest.approx(math.sqrt(2) / 2, abs=1e-7)
         assert res.upper_bound == pytest.approx(math.sqrt(2) / 2, abs=1e-6)
@@ -66,26 +77,26 @@ class TestDiagonalSDP:
         rng = np.random.default_rng(7)
         for _ in range(5):
             c = rng.normal(size=(6, 6))
-            res = solve_diagonal_sdp(c, tolerance=1e-8)
+            res = solve_one(c, tolerance=1e-8)
             assert res.objective <= res.upper_bound + 1e-7
 
     def test_solution_feasible(self):
         rng = np.random.default_rng(3)
         c = rng.normal(size=(8, 8))
-        res = solve_diagonal_sdp(c)
+        res = solve_one(c)
         assert np.allclose(np.diag(res.matrix), 1.0, atol=1e-12)
         eigs = np.linalg.eigvalsh(res.matrix)
         assert eigs.min() >= -1e-8
 
     def test_identity_cost(self):
         # max Tr(X) with unit diagonal is exactly n.
-        res = solve_diagonal_sdp(np.eye(5))
+        res = solve_one(np.eye(5))
         assert res.objective == pytest.approx(5.0, abs=1e-6)
 
     def test_all_ones_cost(self):
         # max sum(X) with unit diagonal PSD is n^2 (X = ones).
         n = 4
-        res = solve_diagonal_sdp(np.ones((n, n)))
+        res = solve_one(np.ones((n, n)))
         assert res.objective == pytest.approx(n * n, abs=1e-5)
 
     def test_negative_identity_off_diagonal(self):
@@ -93,62 +104,62 @@ class TestDiagonalSDP:
         # to satisfy the bound; just check feasibility and bound coherence.
         n = 5
         c = -np.ones((n, n)) + np.eye(n)
-        res = solve_diagonal_sdp(c)
+        res = solve_one(c)
         assert res.objective <= res.upper_bound + 1e-7
 
     def test_custom_diagonal(self):
         c = np.eye(3)
-        res = solve_diagonal_sdp(c, diagonal=np.array([2.0, 3.0, 4.0]))
+        res = solve_one(c, diagonal=np.array([2.0, 3.0, 4.0]))
         assert res.objective == pytest.approx(9.0, abs=1e-6)
         assert np.allclose(np.diag(res.matrix), [2.0, 3.0, 4.0])
 
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(SolverError):
-            solve_diagonal_sdp(np.eye(2), diagonal=np.array([1.0, 0.0]))
+            solve_one(np.eye(2), diagonal=np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_nonfinite_diagonal(self, value):
         with pytest.raises(SolverError):
-            solve_diagonal_sdp(np.eye(2), diagonal=np.array([1.0, value]))
+            solve_one(np.eye(2), diagonal=np.array([1.0, value]))
 
     def test_rejects_nonsquare_cost(self):
         with pytest.raises(SolverError):
-            solve_diagonal_sdp(np.ones((2, 3)))
+            solve_one(np.ones((2, 3)))
 
     def test_rejects_bad_diagonal_shape(self):
         with pytest.raises(SolverError):
-            solve_diagonal_sdp(np.eye(3), diagonal=np.ones(2))
+            solve_one(np.eye(3), diagonal=np.ones(2))
 
     def test_warm_start_cuts_iterations(self):
         c = chsh_cost()
-        cold = solve_diagonal_sdp(c, tolerance=1e-9)
-        warm = solve_diagonal_sdp(c, tolerance=1e-9, warm_start=cold.matrix)
+        cold = solve_one(c, tolerance=1e-9)
+        warm = solve_one(c, tolerance=1e-9, warm_start=cold.matrix)
         assert warm.iterations <= cold.iterations
         assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
 
     def test_warm_start_shape_checked(self):
         with pytest.raises(SolverError):
-            solve_diagonal_sdp(np.eye(3), warm_start=np.eye(2))
+            solve_one(np.eye(3), warm_start=np.eye(2))
 
     def test_rejects_nonsquare_warm_start(self):
         # The shape check runs before the warm start is symmetrized, so
         # a non-square one is a SolverError, not a NumPy broadcast error.
         with pytest.raises(SolverError):
-            solve_diagonal_sdp(np.eye(4), warm_start=np.ones((4, 3)))
+            solve_one(np.eye(4), warm_start=np.ones((4, 3)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_nonfinite_cost(self, value):
         with pytest.raises(SolverError, match="non-finite"):
-            solve_diagonal_sdp(np.full((3, 3), value))
+            solve_one(np.full((3, 3), value))
 
     def test_rejects_nonfinite_warm_start(self):
         warm = np.eye(3)
         warm[0, 1] = np.nan
         with pytest.raises(SolverError, match="non-finite"):
-            solve_diagonal_sdp(np.eye(3), warm_start=warm)
+            solve_one(np.eye(3), warm_start=warm)
 
     def test_result_repr_and_gap(self):
-        res = solve_diagonal_sdp(np.eye(2))
+        res = solve_one(np.eye(2))
         assert isinstance(res, SDPResult)
         assert "converged" in repr(res)
         assert res.gap == pytest.approx(res.upper_bound - res.objective)
@@ -166,6 +177,16 @@ class TestPartitionSDP:
         with pytest.raises(SolverError, match="non-finite"):
             solve_partition_sdp(cost, [((1, 1), (1, 2))])
 
+    @pytest.mark.parametrize("name", ["corner_value", "diagonal_cap"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_scalar_outside_positive_reals(self, name, value):
+        # NaN fails every comparison, so a bare "<= 0" test lets it
+        # through: a NaN cap then gives a NaN bound marked converged, an
+        # infinite cap an infinite bound, and a non-finite corner breaks
+        # the eigensolver.
+        with pytest.raises(SolverError, match=name):
+            solve_partition_sdp(np.eye(3), [((1, 1), (1, 2))], **{name: value})
+
 
 class TestGramVectors:
     def test_reconstruction(self):
@@ -178,7 +199,6 @@ class TestGramVectors:
     def test_rank_detection(self):
         v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         gram = v @ v.T
-        assert gram_rank(gram) == 2
         assert gram_vectors(gram).shape[1] == 2
 
     def test_normalize_option(self):
@@ -195,7 +215,7 @@ class TestGramVectors:
             gram_vectors(np.zeros((3, 3)))
 
     def test_sdp_solution_has_low_rank_vectors(self):
-        res = solve_diagonal_sdp(chsh_cost(), tolerance=1e-10)
+        res = solve_one(chsh_cost(), tolerance=1e-10)
         vecs = gram_vectors(res.matrix, tolerance=1e-6)
         # CHSH optimum is achievable with 2-dimensional real vectors.
         assert vecs.shape[1] <= 3

@@ -13,7 +13,6 @@ from repro.sdp import (
     dual_upper_bound_batch,
     project_psd_batch,
     repair_feasible_batch,
-    solve_diagonal_sdp,
     solve_diagonal_sdp_batch,
     symmetrize_batch,
 )
@@ -83,15 +82,24 @@ class TestRepairAndDualBound:
             random_cost_stack(4, 5, 99), np.ones(5)
         )
         bounds = dual_upper_bound_batch(costs, sloppy)
-        for cost, bound in zip(costs, bounds):
-            truth = solve_diagonal_sdp(cost, tolerance=1e-9).objective
-            assert truth <= bound + 1e-7
+        truths = solve_diagonal_sdp_batch(costs, tolerance=1e-9)
+        for truth, bound in zip(truths, bounds):
+            assert truth.objective <= bound + 1e-7
 
     def test_dual_bound_rejects_mismatched_stacks(self):
         with pytest.raises(SolverError):
             dual_upper_bound_batch(np.ones((2, 3, 3)), np.ones((3, 3, 3)))
         with pytest.raises(SolverError):
             dual_upper_bound_batch(np.ones((3, 3)), np.ones((3, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_dual_bound_rejects_nonfinite_costs(self, value):
+        # Unchecked, the eigensolver raises LinAlgError instead.
+        costs = random_cost_stack(3, 4, 16)
+        costs[1, 2, 3] = value
+        primals = np.broadcast_to(np.eye(4), costs.shape)
+        with pytest.raises(SolverError, match="non-finite"):
+            dual_upper_bound_batch(costs, primals)
 
 
 class TestStackedSolver:
@@ -106,10 +114,11 @@ class TestStackedSolver:
         )
 
     def test_matches_serial_solver_per_slice(self):
+        # A single game is solved as a stack of one.
         costs = random_cost_stack(10, 6, 5)
         batched = solve_diagonal_sdp_batch(costs, tolerance=1e-8)
         for cost, res in zip(costs, batched):
-            serial = solve_diagonal_sdp(cost, tolerance=1e-8)
+            serial = solve_diagonal_sdp_batch(cost[None], tolerance=1e-8)[0]
             assert res.converged == serial.converged
             assert res.iterations == serial.iterations
             assert res.objective == pytest.approx(
@@ -129,7 +138,7 @@ class TestStackedSolver:
         batched = solve_diagonal_sdp_batch(
             np.concatenate([easy, hard]), tolerance=1e-9
         )
-        serial_easy = solve_diagonal_sdp(np.eye(4), tolerance=1e-9)
+        serial_easy = solve_diagonal_sdp_batch(easy, tolerance=1e-9)[0]
         assert batched[0].iterations == serial_easy.iterations
         assert batched[0].iterations < batched[1].iterations
         assert batched[0].objective == pytest.approx(4.0, abs=1e-6)

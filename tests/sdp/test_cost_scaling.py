@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from repro.games import build_npa_relaxation, chsh_nonlocal_game, ffl_game
-from repro.sdp import (
-    solve_diagonal_sdp,
-    solve_diagonal_sdp_batch,
-    solve_partition_sdp,
-)
+from repro.sdp import solve_diagonal_sdp_batch, solve_partition_sdp
 
 from tests.sdp.test_batch import random_cost_stack
 
@@ -37,10 +33,11 @@ def assert_scaled(scaled, base, s):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_serial_diagonal_solver(n):
-    for cost in random_cost_stack(2, n, 100 + n):
-        base = solve_diagonal_sdp(cost)
+    # A single game is solved as a stack of one.
+    for cost in random_cost_stack(2, n, 100 + n)[:, None]:
+        base = solve_diagonal_sdp_batch(cost)[0]
         for s in SCALES:
-            assert_scaled(solve_diagonal_sdp(s * cost), base, s)
+            assert_scaled(solve_diagonal_sdp_batch(s * cost)[0], base, s)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -152,6 +159,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "classical value" in out
         assert "quantum value" in out
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--vertices", "1"],
+            ["--vertices", "0"],
+            ["--p-exclusive", "1.5"],
+            ["--vertices", "30"],
+        ],
+        ids=["one-vertex", "no-vertices", "p-above-one", "intractable"],
+    )
+    def test_values_rejects_arguments_it_cannot_use(self, extra):
+        # In a subprocess with a timeout, so a sampler that redraws
+        # forever (a graph of fewer than two vertices has no edge to
+        # draw) fails the test instead of hanging it.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "values", *extra],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert "values: invalid arguments" in result.stderr
 
     def test_mermin(self, capsys):
         assert main(["mermin", "--max-players", "4"]) == 0

@@ -3,11 +3,14 @@
 Each ``repro`` package ``__init__`` is a table of the names it re-exports;
 a name's submodule is imported on its first read. These tests pin that
 every listed name still resolves to the object its submodule defines,
-and that a command importing only what it uses loads none of the rest.
+that a command importing only what it uses loads none of the rest, and
+that the solver and game packages export no new name only tests use.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import importlib
 import json
 import os
@@ -23,6 +26,7 @@ import pytest
 import repro
 
 SRC_ROOT = Path(repro.__file__).resolve().parents[1]
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 PACKAGES = ["repro"] + sorted(
     f"repro.{info.name}"
@@ -158,3 +162,54 @@ def test_networkx_loads_only_when_an_affinity_graph_is_built():
     drawn = random_affinity_graph(5, 0.5, np.random.default_rng(3))
     assert drawn.num_types == 5 and drawn.num_edges == 10
     assert type(drawn.graph).__module__.startswith("networkx")
+
+
+#: Exports that no code outside ``tests/`` references yet. The lists may
+#: only shrink: a name that gains a caller, or leaves ``__all__``, must
+#: leave its list too.
+TEST_ONLY_EXPORTS = {
+    "repro.games": frozenset({
+        "SharedRandomnessStrategy",
+        "behavior_win_probability",
+        "biased_chsh_game",
+        "classical_mixture_behavior",
+        "ghz_game",
+        "ghz_optimal_strategy",
+        "is_no_signaling",
+        "magic_square_optimal_strategy",
+        "pr_box",
+        "tilted_chsh_classical_value",
+        "tilted_chsh_game",
+        "tilted_chsh_quantum_value",
+        "xor_power",
+    }),
+    "repro.sdp": frozenset(),
+}
+
+
+@functools.cache
+def _names_read_outside_tests() -> frozenset[str]:
+    """Every name the code under src/, benchmarks/ and examples/ reads.
+
+    A read is an ``ast.Name`` or an ``ast.Attribute``. Strings do not
+    count, so neither do docstrings, ``__all__`` lists nor the package
+    ``__init__`` tables, and neither do import statements.
+    """
+    names = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ONLY_EXPORTS))
+def test_exports_have_a_caller_outside_tests(name):
+    package = importlib.import_module(name)
+    unread = set(package.__all__) - _names_read_outside_tests()
+    allowed = TEST_ONLY_EXPORTS[name]
+    assert unread <= allowed, f"only tests use {sorted(unread - allowed)}"
+    assert allowed <= unread, f"drop {sorted(allowed - unread)} from the list"

@@ -10,7 +10,7 @@ from repro.games import (
     GameRecord,
     chsh_colocation_game,
     chsh_game,
-    npa1_upper_bound,
+    npa_upper_bound,
     optimal_quantum_strategy,
     play_rounds,
     random_affinity_graph,
@@ -154,7 +154,7 @@ class TestRefereeAgainstBounds:
 
     def test_empirical_rate_below_npa_bound(self):
         game = chsh_game()
-        bound, _ = npa1_upper_bound(game)
+        bound, _ = npa_upper_bound(game, level="1")
         rng = np.random.default_rng(3)
         record = play_rounds(game, optimal_quantum_strategy(), 3000, rng)
         assert isinstance(record, GameRecord)
@@ -167,22 +167,3 @@ class TestRefereeAgainstBounds:
         record = play_rounds(game, optimal_quantum_strategy(), 4000, rng)
         assert record.win_rate > game.classical_value()
 
-
-class TestSerializationPipeline:
-    def test_serialized_game_keeps_quantum_value(self, tmp_path):
-        from repro.games.serialization import load_json, save_json
-
-        rng = np.random.default_rng(8)
-        graph = random_affinity_graph(4, 0.5, rng)
-        game = xor_game_from_graph(graph)
-        path = tmp_path / "game.json"
-        save_json(game, path)
-        loaded = load_json(path)
-        original = xor_quantum_value(game)
-        reloaded = xor_quantum_value(loaded)
-        assert reloaded.quantum_value == pytest.approx(
-            original.quantum_value, abs=1e-7
-        )
-        assert reloaded.classical_value == pytest.approx(
-            original.classical_value
-        )
