@@ -1,37 +1,36 @@
 """§4.2 conjecture evidence: no quantum advantage for ECMP collision games.
 
 The paper conjectures pairwise entanglement offers no advantage for
-collision avoidance. Evidence: see-saw ascent over arbitrary shared
-states and measurements (a quantum *lower* bound) never exceeds the
-classical value, across party counts and local dimensions.
+collision avoidance. Evidence: the k-party see-saw over arbitrary shared
+states and measurements (a certified quantum *lower* bound) never
+exceeds the classical value, across party counts, path counts and local
+dimensions.
 """
 
 from __future__ import annotations
 
 from benchmarks._common import print_block, scaled
 from repro.analysis import format_table
-from repro.ecmp import (
-    CollisionGame,
-    random_strategy_search,
-    seesaw_quantum_value,
-)
+from repro.ecmp import collision_game, independent_random_value
+from repro.games import seesaw_lower_bound
 
 
 def bench_conjecture_seesaw(benchmark):
     iterations = scaled(40)
     restarts = scaled(4)
     configs = [
-        (CollisionGame(3, 2, 2), 2),
-        (CollisionGame(3, 2, 2), 4),
-        (CollisionGame(4, 2, 2), 2),
-        (CollisionGame(5, 2, 2), 2),
+        ((3, 2, 2), 2),
+        ((3, 2, 2), 4),
+        ((4, 2, 2), 2),
+        ((5, 2, 2), 2),
     ]
     rows = []
-    for game, local_dim in configs:
+    for (parties, active, paths), local_dim in configs:
+        game = collision_game(parties, active, paths)
         classical = game.classical_value()
-        result = seesaw_quantum_value(
+        result = seesaw_lower_bound(
             game,
-            local_dim=local_dim,
+            dim=local_dim,
             restarts=restarts,
             iterations=iterations,
             seed=0,
@@ -39,7 +38,7 @@ def bench_conjecture_seesaw(benchmark):
         gap = result.value - classical
         rows.append(
             [
-                f"({game.num_parties} parties, {game.num_active} active)",
+                f"({parties} parties, {active} active)",
                 local_dim,
                 classical,
                 result.value,
@@ -63,52 +62,53 @@ def bench_conjecture_seesaw(benchmark):
     )
     print_block("§4.2 — conjecture evidence", body)
 
-    small = CollisionGame(3, 2, 2)
+    small = collision_game(3, 2, 2)
     benchmark.pedantic(
-        lambda: seesaw_quantum_value(small, restarts=1, iterations=10, seed=3),
+        lambda: seesaw_lower_bound(small, restarts=1, iterations=10, seed=3),
         rounds=3,
         iterations=1,
     )
 
 
-def bench_conjecture_multipath_random_search(benchmark):
-    """Outcome-count-agnostic evidence: random projective strategies on
-    three-path games never beat the classical value either."""
-    samples = scaled(150)
-    configs = [
-        CollisionGame(3, 2, 3),
-        CollisionGame(4, 2, 3),
-        CollisionGame(4, 3, 3),
-    ]
+def bench_conjecture_multipath_seesaw(benchmark):
+    """The same see-saw on three-path games, one qutrit per switch so
+    every path can get its own projector."""
+    iterations = scaled(40)
+    restarts = scaled(4)
+    configs = [(3, 2, 3), (4, 2, 3), (4, 3, 3)]
     rows = []
-    for game in configs:
+    for parties, active, paths in configs:
+        game = collision_game(parties, active, paths)
         classical = game.classical_value()
-        best = random_strategy_search(game, samples=samples, seed=0)
+        result = seesaw_lower_bound(
+            game,
+            dim=paths,
+            restarts=restarts,
+            iterations=iterations,
+            seed=0,
+        )
         rows.append(
             [
-                f"({game.num_parties} parties, {game.num_active} active, "
-                f"{game.num_paths} paths)",
+                f"({parties} parties, {active} active, {paths} paths)",
                 classical,
-                best,
+                result.value,
             ]
         )
-        assert best <= classical + 1e-9
+        assert result.value <= classical + 1e-9
 
     body = format_table(
-        ["game", "classical", f"best of {samples} random quantum strategies"],
+        ["game", "classical", "see-saw quantum (local dim 3)"],
         rows,
-        title="Multi-path collision games: random-strategy search",
+        title=f"Multi-path collision games: see-saw ({restarts} restarts, "
+        f"{iterations} iterations)",
         float_format="{:.6f}",
     )
-    body += (
-        "\nweaker than see-saw (random, not optimized) but covers >2 paths;"
-        "\nno sampled strategy approaches the classical value"
-    )
+    body += "\nthe optimized quantum strategies reach, but never beat, classical"
     print_block("§4.2 — conjecture evidence, 3 paths", body)
 
     benchmark.pedantic(
-        lambda: random_strategy_search(
-            CollisionGame(3, 2, 3), samples=10, seed=1
+        lambda: seesaw_lower_bound(
+            collision_game(3, 2, 3), dim=3, restarts=1, iterations=10, seed=1
         ),
         rounds=3,
         iterations=1,
@@ -120,21 +120,22 @@ def bench_classical_collision_table(benchmark):
     describes: with at most M active switches and M paths, fixed distinct
     assignments are perfect only when parties are few enough."""
     configs = [
-        CollisionGame(3, 2, 2),
-        CollisionGame(4, 2, 2),
-        CollisionGame(5, 2, 2),
-        CollisionGame(4, 2, 3),
-        CollisionGame(4, 3, 3),
-        CollisionGame(5, 3, 3),
+        (3, 2, 2),
+        (4, 2, 2),
+        (5, 2, 2),
+        (4, 2, 3),
+        (4, 3, 3),
+        (5, 3, 3),
     ]
     rows = []
-    for game in configs:
+    for parties, active, paths in configs:
+        game = collision_game(parties, active, paths)
         rows.append(
             [
-                game.num_parties,
-                game.num_active,
-                game.num_paths,
-                game.random_strategy_value(),
+                parties,
+                active,
+                paths,
+                independent_random_value(game),
                 game.classical_value(),
             ]
         )
@@ -146,4 +147,4 @@ def bench_classical_collision_table(benchmark):
     )
     print_block("§4.2 — classical collision landscape", body)
 
-    benchmark(lambda: CollisionGame(5, 3, 3).classical_value())
+    benchmark(lambda: collision_game(5, 3, 3).classical_value())

@@ -14,13 +14,14 @@ import numpy as np
 from benchmarks._common import print_block, scaled
 from repro.analysis import format_table
 from repro.ecmp import (
-    CollisionGame,
     all_pair_statistics_invariant,
+    collision_game,
     decompose_after_c_measurement,
     ghz_pairwise_marginal_is_separable,
-    ghz_strategy_value,
+    independent_random_value,
     joint_ab_distribution,
 )
+from repro.games import MultiplayerQuantumStrategy
 from repro.quantum import ghz_state, w_state
 from repro.quantum.bases import computational_basis, hadamard_basis, rotation_basis
 
@@ -68,16 +69,23 @@ def bench_reduction_invariance(benchmark):
 def bench_nway_vs_mway_collision(benchmark):
     """Collision probabilities: 3-way GHZ strategies are no better than
     classical shared randomness (and typically worse)."""
-    game = CollisionGame(3, 2, 2)
+    game = collision_game(3, 2, 2)
     classical = game.classical_value()
-    random_value = game.random_strategy_value()
+    random_value = independent_random_value(game)
+
+    def ghz_value(bases):
+        # Each switch measures its GHZ share in one fixed basis.
+        strategy = MultiplayerQuantumStrategy(
+            ghz_state(3), [{0: b, 1: b} for b in bases]
+        )
+        return game.value_of_strategy(strategy)
 
     rng = np.random.default_rng(1)
     trials = scaled(200)
     best_ghz = -np.inf
     for _ in range(trials):
         bases = [rotation_basis(rng.uniform(0, np.pi)) for _ in range(3)]
-        best_ghz = max(best_ghz, ghz_strategy_value(game, bases))
+        best_ghz = max(best_ghz, ghz_value(bases))
 
     rows = [
         ["independent random paths", random_value],
@@ -97,7 +105,7 @@ def bench_nway_vs_mway_collision(benchmark):
     assert best_ghz <= classical + 1e-9
 
     benchmark(
-        lambda: ghz_strategy_value(
-            game, [rotation_basis(0.1), rotation_basis(0.9), rotation_basis(2.0)]
+        lambda: ghz_value(
+            [rotation_basis(0.1), rotation_basis(0.9), rotation_basis(2.0)]
         )
     )

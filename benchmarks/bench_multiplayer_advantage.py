@@ -27,7 +27,7 @@ def bench_mermin_advantage_growth(benchmark):
         game = mermin_game(n)
         classical_bf = game.classical_value()
         classical_formula = mermin_classical_value(n)
-        quantum = game.quantum_value_of_strategy(mermin_optimal_strategy(n))
+        quantum = game.value_of_strategy(mermin_optimal_strategy(n))
         gap = quantum - classical_bf
         gaps.append(gap)
         rows.append([n, classical_bf, classical_formula, quantum, gap])

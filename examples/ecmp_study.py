@@ -18,14 +18,14 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.ecmp import (
-    CollisionGame,
     EcmpSwitch,
     all_pair_statistics_invariant,
+    collision_game,
     decompose_after_c_measurement,
-    ghz_strategy_value,
+    independent_random_value,
     measure_collisions,
-    seesaw_quantum_value,
 )
+from repro.games import MultiplayerQuantumStrategy, seesaw_lower_bound
 from repro.quantum import ghz_state
 from repro.quantum.bases import computational_basis, hadamard_basis, rotation_basis
 
@@ -43,12 +43,12 @@ def main() -> None:
     )
 
     # 2. The collision game.
-    game = CollisionGame(3, 2, 2)
+    game = collision_game(3, 2, 2)
     print(
         format_table(
             ["strategy", "win probability"],
             [
-                ["independent random", game.random_strategy_value()],
+                ["independent random", independent_random_value(game)],
                 ["best classical", game.classical_value()],
             ],
             title="Collision game values",
@@ -69,13 +69,21 @@ def main() -> None:
     )
 
     # 4. Conjecture evidence.
+    def ghz_strategy(bases):
+        # Each switch measures its GHZ share in one fixed basis.
+        return MultiplayerQuantumStrategy(
+            ghz_state(3), [{0: basis, 1: basis} for basis in bases]
+        )
+
     ghz_value = max(
-        ghz_strategy_value(
-            game, [rotation_basis(rng.uniform(0, np.pi)) for _ in range(3)]
+        game.value_of_strategy(
+            ghz_strategy(
+                [rotation_basis(rng.uniform(0, np.pi)) for _ in range(3)]
+            )
         )
         for _ in range(100)
     )
-    seesaw = seesaw_quantum_value(game, restarts=4, iterations=40, seed=1)
+    seesaw = seesaw_lower_bound(game, restarts=4, iterations=40, seed=1)
     print(
         format_table(
             ["approach", "win probability"],

@@ -553,15 +553,16 @@ def _cmd_fig4(args: argparse.Namespace) -> None:
 
 def _cmd_ecmp() -> None:
     from repro.analysis import format_table
-    from repro.ecmp import CollisionGame, seesaw_quantum_value
+    from repro.ecmp import collision_game, independent_random_value
+    from repro.games import seesaw_lower_bound
 
-    game = CollisionGame(3, 2, 2)
-    seesaw = seesaw_quantum_value(game, restarts=3, iterations=30, seed=0)
+    game = collision_game(3, 2, 2)
+    seesaw = seesaw_lower_bound(game, restarts=3, iterations=30, seed=0)
     print(
         format_table(
             ["strategy", "win probability"],
             [
-                ["independent random", game.random_strategy_value()],
+                ["independent random", independent_random_value(game)],
                 ["best classical", game.classical_value()],
                 ["see-saw quantum search", seesaw.value],
             ],
@@ -643,18 +644,25 @@ def _cmd_values(args: argparse.Namespace) -> None:
     )
 
 
+def _regime_grid(args: argparse.Namespace) -> dict:
+    """The regime map's grid and fleet arguments, in SI units."""
+    return {
+        "deadlines": [d * 1e-3 for d in args.deadlines_ms],
+        "distances_m": [km * 1000.0 for km in args.distances_km],
+        "loads": args.loads,
+        "fidelities": args.fidelities,
+        "num_balancers": args.balancers,
+        "service_time": args.service_time_ms * 1e-3,
+        "horizon_services": args.horizon_services,
+    }
+
+
 def _cmd_regime(args: argparse.Namespace) -> None:
     from repro.analysis import format_table
     from repro.lb.regime import VERDICT_LETTERS, regime_map
 
     result = regime_map(
-        deadlines=[d * 1e-3 for d in args.deadlines_ms],
-        distances_m=[km * 1000.0 for km in args.distances_km],
-        loads=args.loads,
-        fidelities=args.fidelities,
-        num_balancers=args.balancers,
-        service_time=args.service_time_ms * 1e-3,
-        horizon_services=args.horizon_services,
+        **_regime_grid(args),
         pair_rate=args.pair_rate,
         storage_limit=args.storage_us * 1e-6,
         seed=args.seed,
@@ -775,12 +783,10 @@ def _cmd_mermin(args: argparse.Namespace) -> None:
         mermin_optimal_strategy,
     )
 
-    if args.max_players < 3:
-        raise SystemExit("--max-players must be at least 3")
     rows = []
     for n in range(3, args.max_players + 1):
         game = mermin_game(n)
-        quantum = game.quantum_value_of_strategy(mermin_optimal_strategy(n))
+        quantum = game.value_of_strategy(mermin_optimal_strategy(n))
         rows.append([n, mermin_classical_value(n), quantum])
     print(
         format_table(
@@ -929,7 +935,12 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     elif args.command == "ecmp":
         _cmd_ecmp()
     elif args.command == "budget":
-        _cmd_budget(args)
+        from repro.errors import ReproError
+
+        try:
+            _cmd_budget(args)
+        except ReproError as exc:
+            parser.error(f"budget: invalid arguments: {exc}")
     elif args.command == "values":
         from repro.errors import GameError
 
@@ -938,10 +949,26 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         except GameError as exc:
             parser.error(f"values: invalid arguments: {exc}")
     elif args.command == "regime":
+        from repro.errors import ReproError
+        from repro.lb.regime import check_regime_arguments
+
+        try:
+            check_regime_arguments(**_regime_grid(args))
+        except ReproError as exc:
+            parser.error(f"regime: invalid arguments: {exc}")
         _cmd_regime(args)
     elif args.command == "resume":
         _cmd_resume(parser, args)
     elif args.command == "mermin":
+        from repro.errors import GameError
+        from repro.games import mermin_game
+
+        if args.max_players < 3:
+            parser.error("mermin: --max-players must be at least 3")
+        try:
+            mermin_game(args.max_players)
+        except GameError as exc:
+            parser.error(f"mermin: invalid arguments: {exc}")
         _cmd_mermin(args)
     elif args.command == "groups":
         from repro.errors import ReproError
@@ -952,7 +979,12 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error(f"groups: invalid arguments: {exc}")
         _cmd_groups(args)
     elif args.command == "calibrate":
-        _cmd_calibrate(args)
+        from repro.errors import ReproError
+
+        try:
+            _cmd_calibrate(args)
+        except ReproError as exc:
+            parser.error(f"calibrate: invalid arguments: {exc}")
     else:  # pragma: no cover - argparse enforces the choices
         parser.error(f"unknown command {args.command!r}")
 

@@ -3,7 +3,7 @@
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "collision": ("CollisionGame",),
+    "collision": ("collision_game", "independent_random_value"),
     "fabric": ("FabricResult", "run_fabric_experiment"),
     "reduction": (
         "ab_statistics_invariant_under_c",
@@ -11,12 +11,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "decompose_after_c_measurement",
         "ghz_pairwise_marginal_is_separable",
         "joint_ab_distribution",
-    ),
-    "search": (
-        "SeesawResult",
-        "ghz_strategy_value",
-        "random_strategy_search",
-        "seesaw_quantum_value",
     ),
     "switch": ("CollisionStats", "EcmpSwitch", "measure_collisions"),
 })

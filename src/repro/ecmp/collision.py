@@ -1,13 +1,17 @@
-"""The ECMP collision game family (§4.2).
+"""The ECMP collision game family (§4.2) as dense k-party games.
 
-``num_parties`` switches each learn only whether they are *active*; the
-active ones (a uniformly random subset of fixed size ``num_active``)
-each output a path index, and the team wins when no two active switches
-chose the same path. Inactive parties' outputs are ignored — precisely
-the structural property the paper's impossibility argument exploits
-("the quality of the outcome depends only on a subset of the parties").
+``num_parties`` switches each learn only whether they are *active*
+(input 1) or not (input 0). The active ones — a uniformly random subset
+of fixed size ``num_active`` — each output a path index, and the team
+wins when no two active switches chose the same path. Inactive parties'
+outputs are ignored — precisely the structural property the paper's
+impossibility argument exploits ("the quality of the outcome depends
+only on a subset of the parties").
 
-For binary paths the canonical instance is ``CollisionGame(3, 2, 2)``:
+A collision game is a :class:`~repro.games.nonlocal_games.MultipartyNonlocalGame`,
+so its classical value comes from the one k-party brute force and its
+quantum lower bound from :func:`~repro.games.seesaw.seesaw_lower_bound`.
+For binary paths the canonical instance is ``collision_game(3, 2, 2)``:
 three switches, two active, two paths. Its classical value is 2/3 (a
 triangle cannot be 2-colored), and the repo's evidence for the paper's
 conjecture is that neither GHZ states nor see-saw-optimized quantum
@@ -18,116 +22,58 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import GameError
+from repro.games.nonlocal_games import MultipartyNonlocalGame
 
-__all__ = ["CollisionGame"]
+__all__ = ["collision_game", "independent_random_value"]
 
 
-@dataclass(frozen=True)
-class CollisionGame:
-    """The (num_parties, num_active, num_paths) collision-avoidance game."""
+def collision_game(
+    num_parties: int, num_active: int, num_paths: int
+) -> MultipartyNonlocalGame:
+    """The (num_parties, num_active, num_paths) collision-avoidance game.
 
-    num_parties: int
-    num_active: int
-    num_paths: int
-
-    def __post_init__(self) -> None:
-        if self.num_parties < 2:
-            raise GameError("need at least two parties")
-        if not 1 <= self.num_active <= self.num_parties:
-            raise GameError(
-                f"num_active {self.num_active} outside [1, {self.num_parties}]"
-            )
-        if self.num_paths < 2:
-            raise GameError("need at least two paths")
-
-    def active_subsets(self) -> list[tuple[int, ...]]:
-        """All equally likely active subsets."""
-        return list(
-            itertools.combinations(range(self.num_parties), self.num_active)
+    Party ``p``'s input is 1 when it is active; ``prob_tensor`` is
+    uniform over the input strings of weight ``num_active``, and
+    ``pred_tensor`` is 1 when the active parties' paths are pairwise
+    distinct.
+    """
+    if num_parties < 2:
+        raise GameError("need at least two parties")
+    if not 1 <= num_active <= num_parties:
+        raise GameError(
+            f"num_active {num_active} outside [1, {num_parties}]"
         )
+    if num_paths < 2:
+        raise GameError("need at least two paths")
+    inputs = (2,) * num_parties
+    outputs = (num_paths,) * num_parties
+    MultipartyNonlocalGame.check_size(inputs, outputs)
+    active = np.indices(inputs).astype(bool)
+    paths = np.indices(outputs)
+    pred = np.ones(outputs + inputs, dtype=bool)
+    for p, q in itertools.combinations(range(num_parties), 2):
+        same_path = (paths[p] == paths[q]).reshape(outputs + (1,) * num_parties)
+        pred &= ~(same_path & active[p] & active[q])
+    prob = (active.sum(axis=0) == num_active) / math.comb(
+        num_parties, num_active
+    )
+    return MultipartyNonlocalGame(
+        name=f"collision-{num_parties}-{num_active}-{num_paths}",
+        prob_tensor=prob,
+        pred_tensor=pred,
+    )
 
-    def win(self, subset: tuple[int, ...], outputs: dict[int, int]) -> bool:
-        """Did the active parties avoid collisions?"""
-        chosen = [outputs[i] for i in subset]
-        return len(set(chosen)) == len(chosen)
 
-    def classical_value(self) -> float:
-        """Exact classical value by brute force over deterministic strategies.
+def independent_random_value(game: MultipartyNonlocalGame) -> float:
+    """Win probability when every party answers uniformly at random.
 
-        A deterministic strategy fixes each party's path (inactive inputs
-        are irrelevant because those outputs are ignored, and knowing
-        "I am active" reveals nothing about *which others* are active,
-        so conditioning on activity cannot change the chosen path).
-        """
-        subsets = self.active_subsets()
-        if self.num_paths ** self.num_parties > 4_000_000:
-            raise GameError("strategy space too large for brute force")
-        best = 0.0
-        for assignment in itertools.product(
-            range(self.num_paths), repeat=self.num_parties
-        ):
-            wins = sum(
-                1
-                for subset in subsets
-                if len({assignment[i] for i in subset}) == len(subset)
-            )
-            best = max(best, wins / len(subsets))
-            if best == 1.0:
-                break
-        return best
-
-    def random_strategy_value(self) -> float:
-        """Win probability when every active party picks uniformly at random.
-
-        Closed form: ``M! / ((M-k)! * M^k)`` for ``k`` active of ``M``
-        paths (the birthday-problem complement).
-        """
-        m, k = self.num_paths, self.num_active
-        if k > m:
-            return 0.0
-        return math.perm(m, k) / (m ** k)
-
-    def shared_permutation_value(self) -> float:
-        """Win probability when parties pre-share a random assignment.
-
-        With shared randomness the parties can correlate their fixed paths
-        (e.g. draw a uniformly random function party->path each round);
-        by convexity this cannot beat the best deterministic assignment,
-        and this helper returns the value of the *uniform random
-        assignment* mixture for comparison (equal to
-        :meth:`random_strategy_value` when assignments are independent).
-        """
-        return self.random_strategy_value()
-
-    def monte_carlo_value(
-        self,
-        choose,
-        trials: int,
-        rng: np.random.Generator,
-    ) -> float:
-        """Estimate the value of an arbitrary strategy callback.
-
-        ``choose(party_index, round_index, rng) -> path`` is invoked for
-        each active party; the callback may implement any no-communication
-        strategy (e.g. quantum measurements via an EntangledRegister).
-        """
-        if trials < 1:
-            raise GameError("need at least one trial")
-        subsets = self.active_subsets()
-        wins = 0
-        for round_index in range(trials):
-            subset = subsets[int(rng.integers(0, len(subsets)))]
-            outputs = {
-                i: int(choose(i, round_index, rng)) for i in subset
-            }
-            if any(
-                not 0 <= p < self.num_paths for p in outputs.values()
-            ):
-                raise GameError(f"strategy chose an invalid path: {outputs}")
-            wins += self.win(subset, outputs)
-        return wins / trials
+    For a collision game with ``k`` active parties on ``M`` paths this
+    is the birthday-problem complement ``M! / ((M-k)! * M^k)``.
+    """
+    shape = game.num_inputs + game.num_outputs
+    uniform = np.full(shape, 1.0 / math.prod(game.num_outputs))
+    return game.value_of_behavior(uniform)

@@ -62,9 +62,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "multiplayer": (
         "MultiplayerQuantumStrategy",
-        "MultiplayerXORGame",
-        "ghz_game",
-        "ghz_optimal_strategy",
         "mermin_classical_value",
         "mermin_game",
         "mermin_optimal_strategy",

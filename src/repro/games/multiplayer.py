@@ -1,132 +1,38 @@
-"""Multiplayer XOR games (paper §4.1: "extended to more than two players").
+"""Mermin games and k-party qubit strategies (paper §4.1: "extended to
+more than two players").
 
-A ``k``-player XOR game draws an input tuple ``x = (x_1..x_k)`` from a
-joint distribution; each player answers a bit and the team wins when the
-XOR of all answers equals the target bit ``s(x)``. The canonical example
-with a *perfect* quantum strategy is the GHZ (Mermin) game, included here
-with its optimal GHZ-state strategy — the multiparty analogue the paper
-cites for larger-than-CHSH advantages [12, 31].
+The ``n``-player Mermin parity game draws an even-weight input string;
+each player answers a bit and the team wins when the XOR of all answers
+equals ``(weight / 2) mod 2``. It is a dense
+:class:`~repro.games.nonlocal_games.MultipartyNonlocalGame`, so its
+classical value comes from the one k-party brute force and its
+see-saw from :func:`~repro.games.seesaw.seesaw_lower_bound`. A GHZ
+state wins it with certainty — the multiparty analogue the paper cites
+for larger-than-CHSH advantages [12, 31].
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import GameError, StrategyError
+from repro.games.nonlocal_games import (
+    MultipartyNonlocalGame,
+    multiplayer_behavior,
+)
 from repro.quantum.bases import MeasurementBasis
 from repro.quantum.entangle import ghz_state
-from repro.quantum.linalg import expand_operator
 from repro.quantum.state import DensityMatrix, StateVector
 
 __all__ = [
-    "MultiplayerXORGame",
     "MultiplayerQuantumStrategy",
-    "ghz_game",
-    "ghz_optimal_strategy",
     "mermin_game",
     "mermin_optimal_strategy",
     "mermin_classical_value",
 ]
-
-
-@dataclass(frozen=True)
-class MultiplayerXORGame:
-    """A ``k``-player XOR game.
-
-    Attributes:
-        name: label for reports.
-        num_players: number of parties.
-        inputs: tuple of input tuples with positive probability.
-        probabilities: probability of each input tuple.
-        targets: target XOR bit per input tuple.
-    """
-
-    name: str
-    num_players: int
-    inputs: tuple[tuple[int, ...], ...]
-    probabilities: tuple[float, ...]
-    targets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.num_players < 2:
-            raise GameError("need at least two players")
-        if not self.inputs:
-            raise GameError("need at least one input tuple")
-        if len({len(t) for t in self.inputs}) != 1 or len(
-            self.inputs[0]
-        ) != self.num_players:
-            raise GameError("every input tuple must have one entry per player")
-        if len(self.probabilities) != len(self.inputs):
-            raise GameError("probabilities/inputs length mismatch")
-        if len(self.targets) != len(self.inputs):
-            raise GameError("targets/inputs length mismatch")
-        if any(p < 0 for p in self.probabilities) or abs(
-            sum(self.probabilities) - 1.0
-        ) > 1e-9:
-            raise GameError("probabilities must form a distribution")
-        if any(t not in (0, 1) for t in self.targets):
-            raise GameError("targets must be bits")
-
-    def input_alphabet(self, player: int) -> list[int]:
-        """Distinct inputs the given player can receive."""
-        return sorted({t[player] for t in self.inputs})
-
-    def classical_value(self) -> float:
-        """Exact classical value by brute force over deterministic tables.
-
-        Each player's strategy maps its input alphabet to a bit. The
-        search is exponential in the total alphabet size — fine for the
-        small promise games studied here.
-        """
-        alphabets = [self.input_alphabet(p) for p in range(self.num_players)]
-        table_spaces = [
-            list(itertools.product((0, 1), repeat=len(alpha)))
-            for alpha in alphabets
-        ]
-        index = [
-            {symbol: i for i, symbol in enumerate(alpha)} for alpha in alphabets
-        ]
-        best = 0.0
-        for tables in itertools.product(*table_spaces):
-            value = 0.0
-            for prob, inp, target in zip(
-                self.probabilities, self.inputs, self.targets
-            ):
-                parity = 0
-                for player in range(self.num_players):
-                    parity ^= tables[player][index[player][inp[player]]]
-                if parity == target:
-                    value += prob
-            best = max(best, value)
-        return best
-
-    def to_nonlocal_game(self):
-        """View as a dense
-        :class:`~repro.games.nonlocal_games.MultipartyNonlocalGame`.
-
-        The dense form's brute-force ``classical_value`` agrees with
-        :meth:`classical_value` exactly — the differential check the
-        test suite runs for the Mermin family.
-        """
-        from repro.games.nonlocal_games import MultipartyNonlocalGame
-
-        return MultipartyNonlocalGame.from_xor_game(self)
-
-    def quantum_value_of_strategy(
-        self, strategy: "MultiplayerQuantumStrategy"
-    ) -> float:
-        """Exact win probability of a given quantum strategy."""
-        total = 0.0
-        for prob, inp, target in zip(
-            self.probabilities, self.inputs, self.targets
-        ):
-            total += prob * strategy.parity_probability(inp, target)
-        return total
 
 
 class MultiplayerQuantumStrategy:
@@ -137,8 +43,6 @@ class MultiplayerQuantumStrategy:
         state: StateVector | DensityMatrix,
         bases: Sequence[dict[int, MeasurementBasis]],
     ) -> None:
-        if isinstance(state, StateVector):
-            state = state.to_density_matrix()
         if state.num_qubits != len(bases):
             raise StrategyError(
                 f"state has {state.num_qubits} qubits for {len(bases)} players"
@@ -149,6 +53,15 @@ class MultiplayerQuantumStrategy:
                     raise StrategyError("per-player bases must be single-qubit")
         self._state = state
         self._bases = [dict(table) for table in bases]
+        # Row o of a readout is <v_o|: it maps one qubit's amplitudes to
+        # its outcome amplitudes in that basis.
+        self._readouts = [
+            {
+                symbol: np.conj(np.stack(basis.vectors))
+                for symbol, basis in table.items()
+            }
+            for table in self._bases
+        ]
 
     @property
     def num_players(self) -> int:
@@ -157,31 +70,36 @@ class MultiplayerQuantumStrategy:
 
     def joint_distribution(self, inputs: Sequence[int]) -> np.ndarray:
         """Exact distribution over output tuples for the given inputs,
-        shape ``(2,) * num_players``."""
+        shape ``(2,) * num_players``.
+
+        Each player's basis acts on its own axis of the state: a pure
+        state stays an amplitude tensor, a density matrix is read out on
+        both sides, so no ``2^n x 2^n`` projector is ever formed.
+        """
         n = self.num_players
         if len(inputs) != n:
             raise StrategyError("one input per player required")
-        projector_sets = []
+        readouts = []
         for player, symbol in enumerate(inputs):
             try:
-                basis = self._bases[player][symbol]
+                readouts.append(self._readouts[player][symbol])
             except KeyError as exc:
                 raise StrategyError(
                     f"player {player} has no basis for input {symbol!r}"
                 ) from exc
-            projector_sets.append(
-                [
-                    expand_operator(p, [player], n)
-                    for p in basis.projectors()
-                ]
+        if isinstance(self._state, StateVector):
+            amplitudes = self._state.vector.reshape((2,) * n)
+            for player, readout in enumerate(readouts):
+                amplitudes = _read_axis(readout, amplitudes, player)
+            out = np.abs(amplitudes) ** 2
+        else:
+            rho = self._state.matrix.reshape((2,) * (2 * n))
+            for player, readout in enumerate(readouts):
+                rho = _read_axis(readout, rho, player)
+                rho = _read_axis(readout.conj(), rho, n + player)
+            out = np.real(rho.reshape(2**n, 2**n).diagonal()).reshape(
+                (2,) * n
             )
-        mat = self._state.matrix
-        out = np.zeros((2,) * n)
-        for outcome in itertools.product((0, 1), repeat=n):
-            op = np.eye(mat.shape[0], dtype=np.complex128)
-            for player, bit in enumerate(outcome):
-                op = op @ projector_sets[player][bit]
-            out[outcome] = float(np.real(np.trace(mat @ op)))
         out = out.clip(min=0.0)
         total = float(out.sum())
         if abs(total - 1.0) > 1e-8:
@@ -201,23 +119,9 @@ class MultiplayerQuantumStrategy:
         first, then one binary output axis per player — the layout
         :func:`repro.lb.policies.behavior_sampling_tables` consumes.
         """
-        from repro.games.nonlocal_games import multiplayer_behavior
-
         if alphabets is None:
             alphabets = [max(table) + 1 for table in self._bases]
         return multiplayer_behavior(self, alphabets)
-
-    def parity_probability(self, inputs: Sequence[int], target: int) -> float:
-        """Probability that the players' output XOR equals ``target``."""
-        dist = self.joint_distribution(inputs)
-        total = 0.0
-        for outcome in itertools.product((0, 1), repeat=self.num_players):
-            parity = 0
-            for bit in outcome:
-                parity ^= bit
-            if parity == target:
-                total += dist[outcome]
-        return float(total)
 
     def play(
         self, inputs: Sequence[int], rng: np.random.Generator
@@ -232,50 +136,36 @@ class MultiplayerQuantumStrategy:
         )
 
 
-def ghz_game() -> MultiplayerXORGame:
-    """The 3-player GHZ (Mermin) game.
-
-    Inputs drawn uniformly from ``{000, 011, 101, 110}``; the team must
-    produce ``a XOR b XOR c = OR(inputs)``. Classical value 3/4; a GHZ
-    state wins with certainty.
-    """
-    inputs = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
-    targets = tuple(1 if any(t) else 0 for t in inputs)
-    return MultiplayerXORGame(
-        name="ghz",
-        num_players=3,
-        inputs=inputs,
-        probabilities=(0.25,) * 4,
-        targets=targets,
-    )
+def _read_axis(readout: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a single-qubit ``readout`` matrix to one axis of ``tensor``."""
+    return np.moveaxis(np.tensordot(readout, tensor, axes=(1, axis)), 0, axis)
 
 
-def mermin_game(num_players: int) -> MultiplayerXORGame:
+def mermin_game(num_players: int) -> MultipartyNonlocalGame:
     """The ``n``-player Mermin parity game.
 
     Inputs are drawn uniformly from bit strings of even Hamming weight;
     the team wins when the XOR of all answers equals
-    ``(weight / 2) mod 2``. For ``n = 3`` this is exactly
-    :func:`ghz_game`. A GHZ state wins with certainty for every ``n``,
-    while the classical value is ``1/2 + 2^(-ceil(n/2))`` — the
-    multipartite advantage the paper cites grows with the player count.
+    ``(weight / 2) mod 2``. For ``n = 3`` this is the GHZ game: inputs
+    ``{000, 011, 101, 110}``, target ``OR(inputs)``. A GHZ state wins
+    with certainty for every ``n``, while the classical value is
+    ``1/2 + 2^(-ceil(n/2))`` — the multipartite advantage the paper
+    cites grows with the player count. Odd-weight input strings carry
+    zero probability and never win.
     """
     if num_players < 2:
         raise GameError("Mermin game needs at least two players")
-    inputs = []
-    targets = []
-    for bits in itertools.product((0, 1), repeat=num_players):
-        weight = sum(bits)
-        if weight % 2 == 0:
-            inputs.append(bits)
-            targets.append((weight // 2) % 2)
-    probability = 1.0 / len(inputs)
-    return MultiplayerXORGame(
-        name=f"mermin-{num_players}",
-        num_players=num_players,
-        inputs=tuple(inputs),
-        probabilities=(probability,) * len(inputs),
-        targets=tuple(targets),
+    bits = (2,) * num_players
+    MultipartyNonlocalGame.check_size(bits, bits)
+    weight = np.indices(bits).sum(axis=0)
+    support = weight % 2 == 0
+    # Parity of the outputs (leading axes) against the target bit of
+    # the inputs (trailing axes).
+    parity = (weight % 2).reshape(bits + (1,) * num_players)
+    pred = support & (parity == (weight // 2) % 2)
+    prob = np.where(support, 1.0 / 2 ** (num_players - 1), 0.0)
+    return MultipartyNonlocalGame(
+        name=f"mermin-{num_players}", prob_tensor=prob, pred_tensor=pred
     )
 
 
@@ -287,28 +177,7 @@ def mermin_classical_value(num_players: int) -> float:
 
 
 def mermin_optimal_strategy(num_players: int) -> MultiplayerQuantumStrategy:
-    """Perfect GHZ strategy for :func:`mermin_game`: X on input 0, Y on 1."""
-    sqrt2 = math.sqrt(2.0)
-    x_basis = MeasurementBasis(
-        (
-            np.array([1, 1], dtype=np.complex128) / sqrt2,
-            np.array([1, -1], dtype=np.complex128) / sqrt2,
-        ),
-        label="X",
-    )
-    y_basis = MeasurementBasis(
-        (
-            np.array([1, 1j], dtype=np.complex128) / sqrt2,
-            np.array([1, -1j], dtype=np.complex128) / sqrt2,
-        ),
-        label="Y",
-    )
-    tables = [{0: x_basis, 1: y_basis} for _ in range(num_players)]
-    return MultiplayerQuantumStrategy(ghz_state(num_players), tables)
-
-
-def ghz_optimal_strategy() -> MultiplayerQuantumStrategy:
-    """The perfect GHZ-game strategy: X basis on input 0, Y basis on 1.
+    """Perfect GHZ strategy for :func:`mermin_game`: X on input 0, Y on 1.
 
     Measuring ``X`` is the rotated computational basis at ``pi/4``;
     measuring ``Y`` uses the circular basis ``(|0> ± i|1>)/sqrt2``.
@@ -328,5 +197,5 @@ def ghz_optimal_strategy() -> MultiplayerQuantumStrategy:
         ),
         label="Y",
     )
-    tables = [{0: x_basis, 1: y_basis} for _ in range(3)]
-    return MultiplayerQuantumStrategy(ghz_state(3), tables)
+    tables = [{0: x_basis, 1: y_basis} for _ in range(num_players)]
+    return MultiplayerQuantumStrategy(ghz_state(num_players), tables)

@@ -65,6 +65,9 @@ _TABLE_CHUNK = 1 << 12
 #: Refuse deterministic-table searches beyond this many assignments.
 _TABLE_SEARCH_LIMIT = 1 << 24
 
+#: Refuse dense k-party games with more predicate entries than this.
+_DENSE_ENTRY_LIMIT = 1 << 22
+
 
 @dataclass(frozen=True)
 class NonlocalGame:
@@ -596,6 +599,7 @@ class MultipartyNonlocalGame:
                 f"pred_tensor input block {pred.shape[k:]} != prob_tensor "
                 f"shape {prob.shape}"
             )
+        self.check_size(prob.shape, pred.shape[:k])
         if (prob < -1e-12).any() or abs(prob.sum() - 1.0) > 1e-9:
             raise GameError("prob_tensor must be a probability distribution")
         if (pred < -1e-12).any() or (pred > 1.0 + 1e-12).any():
@@ -620,38 +624,24 @@ class MultipartyNonlocalGame:
         """Per-player output alphabet sizes."""
         return self.pred_tensor.shape[: self.num_players]
 
-    @classmethod
-    def from_xor_game(cls, game) -> "MultipartyNonlocalGame":
-        """View a :class:`~repro.games.multiplayer.MultiplayerXORGame`.
+    @staticmethod
+    def check_size(
+        num_inputs: Sequence[int], num_outputs: Sequence[int]
+    ) -> None:
+        """Raise :class:`GameError` when a game over these alphabets
+        would hold more than ``2**22`` predicate entries.
 
-        Input symbols are mapped to dense indices per player (sorted
-        symbol order); input tuples outside the game's support get zero
-        probability and a never-winning predicate row.
+        Constructors call it before they allocate, so an oversized
+        request (a Mermin game of ``n`` players has ``4**n`` entries)
+        fails at once instead of exhausting memory.
         """
-        k = game.num_players
-        alphabets = [game.input_alphabet(p) for p in range(k)]
-        index = [
-            {symbol: i for i, symbol in enumerate(alpha)}
-            for alpha in alphabets
-        ]
-        in_shape = tuple(len(alpha) for alpha in alphabets)
-        prob = np.zeros(in_shape)
-        targets = np.zeros(in_shape, dtype=int)
-        support = np.zeros(in_shape, dtype=bool)
-        for p, inp, target in zip(
-            game.probabilities, game.inputs, game.targets
-        ):
-            cell = tuple(index[player][inp[player]] for player in range(k))
-            prob[cell] += p
-            targets[cell] = target
-            support[cell] = True
-        pred = np.zeros((2,) * k + in_shape)
-        for outputs in itertools.product((0, 1), repeat=k):
-            parity = 0
-            for bit in outputs:
-                parity ^= bit
-            pred[outputs] = support & (targets == parity)
-        return cls(name=game.name, prob_tensor=prob, pred_tensor=pred)
+        entries = math.prod(num_inputs) * math.prod(num_outputs)
+        if entries > _DENSE_ENTRY_LIMIT:
+            raise GameError(
+                f"a dense {len(num_inputs)}-party game would hold {entries} "
+                f"predicate entries; at most {_DENSE_ENTRY_LIMIT} are "
+                "supported"
+            )
 
     # -- values ---------------------------------------------------------------
 
@@ -690,28 +680,9 @@ class MultipartyNonlocalGame:
                 )
         return score
 
-    def classical_value(self) -> float:
-        """Exact classical value by deterministic-table search.
-
-        Enumerates joint tables for the first ``k - 1`` players; the
-        last player's best response decomposes per input symbol.
-        Exponential in the leading players' alphabet sizes — fine for
-        the promise games studied here (Mermin up to ``n = 5`` is
-        instant).
-        """
-        best = 0.0
-        for tables in self._iter_fixed_tables():
-            value = float(self._last_player_scores(tables).max(axis=1).sum())
-            best = max(best, value)
-        return best
-
-    def best_classical_strategy(self) -> tuple[tuple[int, ...], ...]:
-        """An optimal deterministic table per player.
-
-        The returned tuple has one output table per player (entry ``i``
-        is the output on input symbol ``i``); the achieved value equals
-        :meth:`classical_value` exactly.
-        """
+    def _best_tables(self) -> tuple[float, tuple[tuple[int, ...], ...]]:
+        """The deterministic-table search: the best value, and the first
+        joint table in enumeration order that achieves it."""
         best = -1.0
         best_tables: tuple[tuple[int, ...], ...] | None = None
         for tables in self._iter_fixed_tables():
@@ -722,7 +693,27 @@ class MultipartyNonlocalGame:
                 last = tuple(int(o) for o in score.argmax(axis=1))
                 best_tables = tuple(tables) + (last,)
         assert best_tables is not None  # alphabets are non-empty
-        return best_tables
+        return best, best_tables
+
+    def classical_value(self) -> float:
+        """Exact classical value by deterministic-table search.
+
+        Enumerates joint tables for the first ``k - 1`` players; the
+        last player's best response decomposes per input symbol.
+        Exponential in the leading players' alphabet sizes — fine for
+        the games studied here (Mermin up to ``n = 6`` takes ~0.2 s, a
+        five-switch three-path collision game ~0.5 s).
+        """
+        return self._best_tables()[0]
+
+    def best_classical_strategy(self) -> tuple[tuple[int, ...], ...]:
+        """An optimal deterministic table per player.
+
+        The returned tuple has one output table per player (entry ``i``
+        is the output on input symbol ``i``); the achieved value equals
+        :meth:`classical_value` exactly.
+        """
+        return self._best_tables()[1]
 
     def deterministic_value(
         self, tables: Sequence[Sequence[int]]

@@ -17,10 +17,9 @@ valid: the entrywise real part of any complex Hermitian quantum moment
 matrix is PSD, satisfies the same identifications, and leaves the
 (real) objective unchanged.
 
-The paper's §4.2 conjectures that ECMP-style collision games admit *no*
-quantum advantage; :mod:`repro.ecmp.search` uses these bounds from
-above and a see-saw optimizer from below to squeeze the quantum value
-against the classical one.
+The relaxation covers two-player games. The paper's §4.2 conjecture
+that ECMP-style collision games admit *no* quantum advantage is probed
+from below by the k-party see-saw (:mod:`repro.games.seesaw`).
 """
 
 from __future__ import annotations

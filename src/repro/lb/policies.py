@@ -842,7 +842,7 @@ class ClassicalGroupAssignment(GroupAssignment):
 
         if group_size < 2:
             raise ConfigurationError("groups need at least two balancers")
-        game = mermin_game(group_size).to_nonlocal_game()
+        game = mermin_game(group_size)
         tables = game.best_classical_strategy()
         behavior = np.zeros((2,) * (2 * group_size))
         for inputs in np.ndindex(*game.num_inputs):

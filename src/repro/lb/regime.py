@@ -52,6 +52,7 @@ __all__ = [
     "VERDICT_LETTERS",
     "RegimeCell",
     "RegimeMapResult",
+    "check_regime_arguments",
     "regime_map",
     "regime_map_detailed",
     "DEFAULT_DEADLINES",
@@ -379,6 +380,51 @@ def _validate_axis(name: str, values: Sequence[float]) -> tuple[float, ...]:
     return out
 
 
+def check_regime_arguments(
+    *,
+    deadlines: Sequence[float],
+    distances_m: Sequence[float],
+    loads: Sequence[float],
+    fidelities: Sequence[float],
+    num_balancers: int,
+    num_servers: int | None = None,
+    service_time: float,
+    horizon_services: float,
+) -> tuple[
+    tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...], int
+]:
+    """Validate a regime map's grid and fleet before anything runs.
+
+    Raises :class:`ConfigurationError` for arguments no cell accepts and
+    returns the axes as float tuples ``(deadlines, distances, loads,
+    fidelities)`` plus the resolved server count. The arguments mean
+    what they mean for :func:`regime_map_detailed`, which calls this
+    first; the CLI calls it to report bad arguments as usage errors.
+    """
+    deadlines = _validate_axis("deadline", deadlines)
+    distances = _validate_axis("distance", distances_m)
+    loads_axis = _validate_axis("load", loads)
+    fidelities_axis = _validate_axis("fidelity", fidelities)
+    if any(f > 1.0 for f in fidelities_axis):
+        raise ConfigurationError(f"fidelities must be <= 1: {fidelities_axis}")
+    if any(load <= 0 for load in loads_axis):
+        raise ConfigurationError(f"loads must be positive: {loads_axis}")
+    if num_balancers < 2 or num_balancers % 2 == 1:
+        raise ConfigurationError(
+            f"num_balancers must be even and >= 2, got {num_balancers}"
+        )
+    if service_time <= 0 or horizon_services <= 0:
+        raise ConfigurationError(
+            "service_time and horizon_services must be positive"
+        )
+    resolved_servers = num_balancers if num_servers is None else int(num_servers)
+    if resolved_servers < 2:
+        raise ConfigurationError(
+            f"need at least two servers, got {resolved_servers}"
+        )
+    return deadlines, distances, loads_axis, fidelities_axis, resolved_servers
+
+
 def regime_map_detailed(
     *,
     deadlines: Sequence[float] = DEFAULT_DEADLINES,
@@ -416,28 +462,18 @@ def regime_map_detailed(
         jobs / cache / cache_dir / progress: forwarded to
             :class:`~repro.exec.SweepRunner`.
     """
-    deadlines = _validate_axis("deadline", deadlines)
-    distances = _validate_axis("distance", distances_m)
-    loads_axis = _validate_axis("load", loads)
-    fidelities_axis = _validate_axis("fidelity", fidelities)
-    if any(f > 1.0 for f in fidelities_axis):
-        raise ConfigurationError(f"fidelities must be <= 1: {fidelities_axis}")
-    if any(load <= 0 for load in loads_axis):
-        raise ConfigurationError(f"loads must be positive: {loads_axis}")
-    if num_balancers < 2 or num_balancers % 2 == 1:
-        raise ConfigurationError(
-            f"num_balancers must be even and >= 2, got {num_balancers}"
+    deadlines, distances, loads_axis, fidelities_axis, resolved_servers = (
+        check_regime_arguments(
+            deadlines=deadlines,
+            distances_m=distances_m,
+            loads=loads,
+            fidelities=fidelities,
+            num_balancers=num_balancers,
+            num_servers=num_servers,
+            service_time=service_time,
+            horizon_services=horizon_services,
         )
-    if service_time <= 0 or horizon_services <= 0:
-        raise ConfigurationError(
-            "service_time and horizon_services must be positive"
-        )
-    resolved_servers = num_balancers if num_servers is None else int(num_servers)
-    if resolved_servers < 2:
-        raise ConfigurationError(
-            f"need at least two servers, got {resolved_servers}"
-        )
-
+    )
     base_config = {
         "num_balancers": num_balancers,
         "num_servers": resolved_servers,

@@ -1,8 +1,7 @@
-"""Haar-random states and unitaries for property-based tests and search.
+"""Haar-random states and unitaries for property-based tests.
 
-The see-saw optimizer in :mod:`repro.ecmp.search` seeds from random
-unitaries, and the hypothesis test suites use random states to check
-invariants (normalization preservation, no-signaling, channel positivity).
+The hypothesis test suites use random states to check invariants
+(normalization preservation, no-signaling, channel positivity).
 """
 
 from __future__ import annotations

@@ -8,18 +8,23 @@ import numpy as np
 import pytest
 
 from repro.ecmp import (
-    CollisionGame,
     EcmpSwitch,
     ab_statistics_invariant_under_c,
     all_pair_statistics_invariant,
+    collision_game,
     decompose_after_c_measurement,
     ghz_pairwise_marginal_is_separable,
-    ghz_strategy_value,
+    independent_random_value,
     joint_ab_distribution,
     measure_collisions,
-    seesaw_quantum_value,
 )
-from repro.errors import ConfigurationError, GameError, NetworkError
+from repro.errors import (
+    ConfigurationError,
+    GameError,
+    NetworkError,
+    StrategyError,
+)
+from repro.games import MultiplayerQuantumStrategy, seesaw_lower_bound
 from repro.net.packet import Packet
 from repro.quantum import ghz_state, w_state
 from repro.quantum.bases import (
@@ -91,54 +96,66 @@ class TestMeasureCollisions:
 class TestCollisionGame:
     def test_validation(self):
         with pytest.raises(GameError):
-            CollisionGame(1, 1, 2)
+            collision_game(1, 1, 2)
         with pytest.raises(GameError):
-            CollisionGame(3, 4, 2)
+            collision_game(3, 4, 2)
         with pytest.raises(GameError):
-            CollisionGame(3, 2, 1)
+            collision_game(3, 2, 1)
 
     def test_canonical_classical_value(self):
         """Three switches, two active, two paths: the triangle cannot be
         2-colored, so one of three pairs must collide."""
-        assert CollisionGame(3, 2, 2).classical_value() == pytest.approx(2 / 3)
+        assert collision_game(3, 2, 2).classical_value() == pytest.approx(2 / 3)
 
     def test_enough_paths_is_perfect(self):
         # With as many paths as parties, fixed distinct paths always win.
-        assert CollisionGame(3, 2, 3).classical_value() == pytest.approx(1.0)
+        assert collision_game(3, 2, 3).classical_value() == pytest.approx(1.0)
 
     def test_random_strategy_value(self):
-        assert CollisionGame(3, 2, 2).random_strategy_value() == (
-            pytest.approx(0.5)
-        )
-        assert CollisionGame(4, 3, 3).random_strategy_value() == (
+        # The birthday-problem complement M! / ((M-k)! M^k).
+        for parties, active, paths in [(3, 2, 2), (4, 3, 3), (4, 2, 3)]:
+            game = collision_game(parties, active, paths)
+            closed_form = math.perm(paths, active) / paths**active
+            assert independent_random_value(game) == pytest.approx(
+                closed_form, abs=1e-12
+            )
+        assert independent_random_value(collision_game(4, 3, 3)) == (
             pytest.approx(6 / 27)
         )
 
     def test_classical_beats_random(self):
-        game = CollisionGame(3, 2, 2)
-        assert game.classical_value() > game.random_strategy_value()
+        game = collision_game(3, 2, 2)
+        assert game.classical_value() > independent_random_value(game)
 
     def test_win_predicate(self):
-        game = CollisionGame(3, 2, 2)
-        assert game.win((0, 1), {0: 0, 1: 1})
-        assert not game.win((0, 1), {0: 1, 1: 1})
+        # Inputs (1, 1, 0): switches 0 and 1 active, switch 2 ignored.
+        pred = collision_game(3, 2, 2).pred_tensor
+        assert pred[0, 1, 0, 1, 1, 0] == 1.0
+        assert pred[0, 1, 1, 1, 1, 0] == 1.0
+        assert pred[1, 1, 0, 1, 1, 0] == 0.0
 
     def test_active_subsets(self):
-        assert len(CollisionGame(4, 2, 2).active_subsets()) == 6
+        # Six equally likely active pairs among four switches, and no
+        # other activity pattern.
+        prob = collision_game(4, 2, 2).prob_tensor
+        assert np.count_nonzero(prob) == 6
+        assert prob[1, 1, 0, 0] == pytest.approx(1 / 6)
+        assert prob[1, 1, 1, 0] == 0.0
 
     def test_monte_carlo_fixed_assignment(self):
-        game = CollisionGame(3, 2, 2)
+        # Sampled rounds of a fixed assignment win 2/3 of the time.
+        game = collision_game(3, 2, 2)
         rng = np.random.default_rng(3)
-        assignment = [0, 1, 0]
-        value = game.monte_carlo_value(
-            lambda i, r, g: assignment[i], 4000, rng
-        )
-        assert value == pytest.approx(2 / 3, abs=0.03)
-
-    def test_monte_carlo_validates_path(self, rng):
-        game = CollisionGame(3, 2, 2)
-        with pytest.raises(GameError):
-            game.monte_carlo_value(lambda i, r, g: 7, 10, rng)
+        flat = game.prob_tensor.reshape(-1)
+        assignment = (0, 1, 0)
+        wins = 0
+        trials = 4000
+        for cell in rng.choice(flat.size, size=trials, p=flat):
+            inputs = np.unravel_index(cell, game.num_inputs)
+            wins += game.pred_tensor[assignment + tuple(inputs)]
+        assert wins / trials == pytest.approx(2 / 3, abs=0.03)
+        tables = [(p, p) for p in assignment]
+        assert game.deterministic_value(tables) == pytest.approx(2 / 3)
 
 
 class TestReduction:
@@ -212,60 +229,80 @@ class TestReduction:
 class TestSeesaw:
     def test_never_beats_classical_on_canonical_game(self):
         """The §4.2 conjecture's numerical evidence."""
-        game = CollisionGame(3, 2, 2)
-        result = seesaw_quantum_value(game, restarts=4, iterations=40, seed=0)
-        assert result.value <= game.classical_value() + 1e-6
+        game = collision_game(3, 2, 2)
+        result = seesaw_lower_bound(game, restarts=4, iterations=40, seed=0)
+        assert result.value <= game.classical_value() + 1e-9
 
     def test_reaches_classical_value(self):
-        game = CollisionGame(3, 2, 2)
-        result = seesaw_quantum_value(game, restarts=4, iterations=40, seed=0)
+        game = collision_game(3, 2, 2)
+        result = seesaw_lower_bound(game, restarts=4, iterations=40, seed=0)
         assert result.value == pytest.approx(game.classical_value(), abs=1e-6)
 
     def test_higher_local_dimension_no_help(self):
-        game = CollisionGame(3, 2, 2)
-        result = seesaw_quantum_value(
-            game, local_dim=4, restarts=2, iterations=25, seed=1
+        game = collision_game(3, 2, 2)
+        result = seesaw_lower_bound(
+            game, dim=4, restarts=2, iterations=25, seed=1
         )
-        assert result.value <= game.classical_value() + 1e-6
+        assert result.value <= game.classical_value() + 1e-9
 
     def test_four_party_game_no_advantage(self):
-        game = CollisionGame(4, 2, 2)
-        result = seesaw_quantum_value(game, restarts=3, iterations=30, seed=2)
-        assert result.value <= game.classical_value() + 1e-6
+        game = collision_game(4, 2, 2)
+        result = seesaw_lower_bound(game, restarts=3, iterations=30, seed=2)
+        assert result.value <= game.classical_value() + 1e-9
 
-    def test_rejects_many_paths(self):
-        with pytest.raises(GameError):
-            seesaw_quantum_value(CollisionGame(4, 3, 3))
+    def test_three_path_game_reaches_classical(self):
+        # One qutrit per switch hosts all three paths; the optimized
+        # strategy reaches the classical value and never beats it.
+        game = collision_game(4, 3, 3)
+        result = seesaw_lower_bound(game, dim=3, restarts=2, iterations=40)
+        assert result.value == pytest.approx(game.classical_value(), abs=1e-6)
+        assert result.value <= game.classical_value() + 1e-9
+        assert len(result.effects) == 4
+        assert result.behavior.shape == (2,) * 4 + (3,) * 4
 
     def test_rejects_tiny_local_dim(self):
         with pytest.raises(GameError):
-            seesaw_quantum_value(CollisionGame(3, 2, 2), local_dim=1)
+            seesaw_lower_bound(collision_game(3, 2, 2), dim=1)
+
+
+def ghz_strategy(bases):
+    """Each party measures its GHZ share in one fixed basis."""
+    return MultiplayerQuantumStrategy(
+        ghz_state(len(bases)), [{0: basis, 1: basis} for basis in bases]
+    )
 
 
 class TestGHZStrategies:
     def test_never_beats_classical(self):
-        game = CollisionGame(3, 2, 2)
+        game = collision_game(3, 2, 2)
         rng = np.random.default_rng(4)
         for _ in range(10):
             bases = [rotation_basis(rng.uniform(0, math.pi)) for _ in range(3)]
-            value = ghz_strategy_value(game, bases)
+            value = game.value_of_strategy(ghz_strategy(bases))
             assert value <= game.classical_value() + 1e-9
 
     def test_collision_half_with_equal_bases(self):
         """Identical bases on the GHZ marginal (|00><00|+|11><11|)/2 give
         perfectly correlated outputs — guaranteed collision."""
-        game = CollisionGame(3, 2, 2)
-        value = ghz_strategy_value(game, [computational_basis(1)] * 3)
+        game = collision_game(3, 2, 2)
+        value = game.value_of_strategy(
+            ghz_strategy([computational_basis(1)] * 3)
+        )
         assert value == pytest.approx(0.0, abs=1e-10)
 
     def test_hadamard_bases_are_coin_flips(self):
-        game = CollisionGame(3, 2, 2)
-        value = ghz_strategy_value(game, [hadamard_basis()] * 3)
+        game = collision_game(3, 2, 2)
+        value = game.value_of_strategy(ghz_strategy([hadamard_basis()] * 3))
         assert value == pytest.approx(0.5, abs=1e-10)
 
     def test_validation(self):
-        game = CollisionGame(3, 2, 2)
+        # Two bases for a three-qubit GHZ state.
+        with pytest.raises(StrategyError):
+            MultiplayerQuantumStrategy(
+                ghz_state(3), [{0: hadamard_basis(), 1: hadamard_basis()}] * 2
+            )
+        # Qubit measurements give two outcomes, not three paths.
         with pytest.raises(GameError):
-            ghz_strategy_value(game, [hadamard_basis()] * 2)
-        with pytest.raises(GameError):
-            ghz_strategy_value(CollisionGame(4, 3, 3), [hadamard_basis()] * 4)
+            collision_game(4, 3, 3).value_of_strategy(
+                ghz_strategy([hadamard_basis()] * 4)
+            )

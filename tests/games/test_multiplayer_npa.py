@@ -1,4 +1,5 @@
-"""Tests for multiplayer XOR games and the NPA-1 bound."""
+"""Tests for multiplayer games, k-party qubit strategies and the NPA-1
+bound."""
 
 from __future__ import annotations
 
@@ -9,96 +10,113 @@ import pytest
 
 from repro.errors import GameError, StrategyError
 from repro.games import (
+    MultipartyNonlocalGame,
     MultiplayerQuantumStrategy,
-    MultiplayerXORGame,
     TwoPlayerGame,
     chsh_game,
-    ghz_game,
-    ghz_optimal_strategy,
+    mermin_game,
+    mermin_optimal_strategy,
     npa_upper_bound,
     uniform_distribution,
 )
 from repro.quantum import ghz_state
-from repro.quantum.bases import computational_basis, hadamard_basis
+from repro.quantum.bases import (
+    MeasurementBasis,
+    computational_basis,
+    hadamard_basis,
+    rotation_basis,
+)
+from repro.quantum.linalg import expand_operator
+from repro.quantum.random_states import (
+    random_density_matrix,
+    random_state_vector,
+)
 
 
 class TestGHZGame:
     def test_classical_value(self):
-        assert ghz_game().classical_value() == pytest.approx(0.75)
+        assert mermin_game(3).classical_value() == pytest.approx(0.75)
 
     def test_quantum_strategy_perfect(self):
-        game = ghz_game()
-        strategy = ghz_optimal_strategy()
-        assert game.quantum_value_of_strategy(strategy) == pytest.approx(
+        game = mermin_game(3)
+        strategy = mermin_optimal_strategy(3)
+        assert game.value_of_strategy(strategy) == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_quantum_beats_classical_strictly(self):
-        game = ghz_game()
-        assert game.quantum_value_of_strategy(
-            ghz_optimal_strategy()
+        game = mermin_game(3)
+        assert game.value_of_strategy(
+            mermin_optimal_strategy(3)
         ) > game.classical_value() + 0.2
 
     def test_input_alphabets(self):
-        game = ghz_game()
+        game = mermin_game(3)
+        assert game.num_inputs == (2, 2, 2)
         for player in range(3):
-            assert game.input_alphabet(player) == [0, 1]
+            # Each player sees both symbols with positive probability.
+            marginal = game.prob_tensor.sum(
+                axis=tuple(p for p in range(3) if p != player)
+            )
+            assert (marginal > 0).all()
 
     def test_monte_carlo_play(self):
-        strategy = ghz_optimal_strategy()
-        game = ghz_game()
+        strategy = mermin_optimal_strategy(3)
+        game = mermin_game(3)
+        flat = game.prob_tensor.reshape(-1)
         wins = 0
         n = 400
         for seed in range(n):
             rng = np.random.default_rng(seed)
-            idx = int(rng.choice(4, p=list(game.probabilities)))
-            inputs = game.inputs[idx]
+            cell = int(rng.choice(flat.size, p=flat))
+            inputs = tuple(int(i) for i in np.unravel_index(cell, (2, 2, 2)))
             outputs = strategy.play(inputs, rng)
-            parity = outputs[0] ^ outputs[1] ^ outputs[2]
-            wins += parity == game.targets[idx]
+            wins += game.pred_tensor[outputs + inputs] == 1.0
         assert wins == n  # perfect strategy never loses
 
 
 class TestMultiplayerValidation:
     def test_rejects_single_player(self):
         with pytest.raises(GameError):
-            MultiplayerXORGame(
+            MultipartyNonlocalGame(
                 name="bad",
-                num_players=1,
-                inputs=((0,),),
-                probabilities=(1.0,),
-                targets=(0,),
+                prob_tensor=np.ones(1),
+                pred_tensor=np.ones((2, 1)),
             )
 
     def test_rejects_tuple_length_mismatch(self):
         with pytest.raises(GameError):
-            MultiplayerXORGame(
+            MultipartyNonlocalGame(
                 name="bad",
-                num_players=3,
-                inputs=((0, 0),),
-                probabilities=(1.0,),
-                targets=(0,),
+                prob_tensor=np.full((1, 1, 1), 1.0),
+                pred_tensor=np.ones((2, 2, 1, 1)),
             )
 
     def test_rejects_bad_probabilities(self):
+        prob = np.zeros((2, 2))
+        prob[0, 0] = prob[1, 1] = 0.7
         with pytest.raises(GameError):
-            MultiplayerXORGame(
-                name="bad",
-                num_players=2,
-                inputs=((0, 0), (1, 1)),
-                probabilities=(0.7, 0.7),
-                targets=(0, 0),
+            MultipartyNonlocalGame(
+                name="bad", prob_tensor=prob, pred_tensor=np.ones((2, 2, 2, 2))
             )
 
     def test_rejects_non_bit_targets(self):
+        pred = np.zeros((2, 2, 1, 1))
+        pred[0, 0] = 2.0
         with pytest.raises(GameError):
-            MultiplayerXORGame(
-                name="bad",
-                num_players=2,
-                inputs=((0, 0),),
-                probabilities=(1.0,),
-                targets=(2,),
+            MultipartyNonlocalGame(
+                name="bad", prob_tensor=np.ones((1, 1)), pred_tensor=pred
             )
+
+
+def parity_probability(strategy, inputs, target):
+    """Probability that the players' output XOR equals ``target``."""
+    dist = strategy.joint_distribution(inputs)
+    return sum(
+        dist[outcome]
+        for outcome in np.ndindex(dist.shape)
+        if sum(outcome) % 2 == target
+    )
 
 
 class TestMultiplayerStrategy:
@@ -116,7 +134,7 @@ class TestMultiplayerStrategy:
             strategy.joint_distribution((0, 0, 1))
 
     def test_joint_distribution_normalized(self):
-        strategy = ghz_optimal_strategy()
+        strategy = mermin_optimal_strategy(3)
         dist = strategy.joint_distribution((0, 1, 1))
         assert dist.sum() == pytest.approx(1.0)
 
@@ -133,7 +151,37 @@ class TestMultiplayerStrategy:
             ghz_state(3), [{0: computational_basis(1)}] * 3
         )
         # Outcomes 000 and 111: parity 0 w.p. 1/2 (000), 1 (111) parity 1.
-        assert strategy.parity_probability((0, 0, 0), 0) == pytest.approx(0.5)
+        assert parity_probability(strategy, (0, 0, 0), 0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    def test_joint_distribution_matches_projector_products(self, mixed):
+        # Oracle: Tr(rho P_1 ... P_n) with every projector expanded to
+        # the full space.
+        rng = np.random.default_rng(7)
+        n = 3
+        if mixed:
+            state = random_density_matrix(n, rng)
+            rho = state.matrix
+        else:
+            state = random_state_vector(n, rng)
+            rho = state.to_density_matrix().matrix
+        circular = MeasurementBasis(
+            (np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2))
+        )
+        bases = [
+            {0: rotation_basis(rng.uniform(0, np.pi)), 1: circular}
+            for _ in range(n)
+        ]
+        strategy = MultiplayerQuantumStrategy(state, bases)
+        for inputs in np.ndindex(2, 2, 2):
+            dist = strategy.joint_distribution(inputs)
+            for outcome in np.ndindex(2, 2, 2):
+                op = np.eye(2**n, dtype=np.complex128)
+                for p in range(n):
+                    projector = bases[p][inputs[p]].projectors()[outcome[p]]
+                    op = op @ expand_operator(projector, [p], n)
+                expected = float(np.real(np.trace(rho @ op)))
+                assert dist[outcome] == pytest.approx(expected, abs=1e-12)
 
     def test_x_measurements_have_even_parity(self):
         """GHZ measured in XXX always has even parity — the algebraic
@@ -141,7 +189,7 @@ class TestMultiplayerStrategy:
         strategy = MultiplayerQuantumStrategy(
             ghz_state(3), [{0: hadamard_basis()}] * 3
         )
-        assert strategy.parity_probability((0, 0, 0), 0) == pytest.approx(
+        assert parity_probability(strategy, (0, 0, 0), 0) == pytest.approx(
             1.0, abs=1e-10
         )
 

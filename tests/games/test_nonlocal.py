@@ -8,6 +8,8 @@ path and the closed forms to 1e-9.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from repro.games import (
     chsh_colocation_game,
     chsh_nonlocal_game,
     ffl_game,
-    ghz_game,
     magic_square_game,
     magic_square_optimal_strategy,
     mermin_classical_value,
@@ -188,26 +189,40 @@ class TestValidation:
 class TestMultiparty:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_mermin_brute_force_matches_closed_form(self, n):
-        game = mermin_game(n).to_nonlocal_game()
+        game = mermin_game(n)
         assert game.classical_value() == pytest.approx(
             mermin_classical_value(n), abs=TOL
         )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_mermin_dense_matches_sparse_brute_force(self, n):
-        sparse = mermin_game(n)
-        dense = MultipartyNonlocalGame.from_xor_game(sparse)
-        assert dense.classical_value() == pytest.approx(
-            sparse.classical_value(), abs=TOL
+        # Oracle: every player's deterministic bit table, scored on the
+        # even-weight input list with the parity rule written out.
+        inputs = [
+            bits for bits in itertools.product((0, 1), repeat=n)
+            if sum(bits) % 2 == 0
+        ]
+        best = 0.0
+        for tables in itertools.product(
+            itertools.product((0, 1), repeat=2), repeat=n
+        ):
+            wins = sum(
+                sum(tables[p][bits[p]] for p in range(n)) % 2
+                == (sum(bits) // 2) % 2
+                for bits in inputs
+            )
+            best = max(best, wins / len(inputs))
+        assert mermin_game(n).classical_value() == pytest.approx(
+            best, abs=TOL
         )
 
     def test_ghz_value_via_behavior(self):
-        game = ghz_game().to_nonlocal_game()
+        game = mermin_game(3)
         strategy = mermin_optimal_strategy(3)
         assert game.value_of_strategy(strategy) == pytest.approx(1.0, abs=TOL)
 
     def test_best_strategy_achieves_value(self):
-        game = mermin_game(3).to_nonlocal_game()
+        game = mermin_game(3)
         tables = game.best_classical_strategy()
         assert game.deterministic_value(tables) == pytest.approx(
             game.classical_value(), abs=TOL
@@ -215,8 +230,8 @@ class TestMultiparty:
 
     def test_zero_probability_inputs_never_win(self):
         # The GHZ game's support is the four even-parity input triples;
-        # off-support cells carry zero probability in the dense view.
-        game = ghz_game().to_nonlocal_game()
+        # off-support cells carry zero probability in the dense form.
+        game = mermin_game(3)
         assert game.prob_tensor[0, 0, 1] == 0.0
         assert (game.pred_tensor[..., 0, 0, 1] == 0.0).all()
 

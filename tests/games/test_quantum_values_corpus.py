@@ -10,7 +10,6 @@ FFL (no quantum advantage), the 3-class colocation game, Mermin
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.games import (
@@ -106,14 +105,9 @@ def test_colocation3_advantage_bracket():
 
 def test_mermin_two_party_via_xor_path():
     game = mermin_game(2)
-    nx = 2
-    dist = np.zeros((nx, nx))
-    targets = np.zeros((nx, nx), dtype=int)
-    for (x, y), prob, target in zip(
-        game.inputs, game.probabilities, game.targets
-    ):
-        dist[x, y] = prob
-        targets[x, y] = target
+    dist = game.prob_tensor
+    # Target 1 where odd-parity outputs win; off-support cells stay 0.
+    targets = (game.pred_tensor[0, 1] == 1.0).astype(int)
     xor = XORGame(name="mermin-2", distribution=dist, targets=targets)
     bounds = quantum_value_bounds(NonlocalGame.from_xor_game(xor))
     assert bounds.method == "xor"

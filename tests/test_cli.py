@@ -14,6 +14,22 @@ from repro.cli import build_parser, main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m repro`` in a subprocess with a timeout, so a
+    command that hangs fails its test instead of hanging it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -171,20 +187,9 @@ class TestCommands:
         ids=["one-vertex", "no-vertices", "p-above-one", "intractable"],
     )
     def test_values_rejects_arguments_it_cannot_use(self, extra):
-        # In a subprocess with a timeout, so a sampler that redraws
-        # forever (a graph of fewer than two vertices has no edge to
-        # draw) fails the test instead of hanging it.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")])
-        )
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "values", *extra],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        # A sampler that redraws forever (a graph of fewer than two
+        # vertices has no edge to draw) fails by the timeout.
+        result = run_cli("values", *extra)
         assert result.returncode == 2
         assert "values: invalid arguments" in result.stderr
 
@@ -194,9 +199,54 @@ class TestCommands:
         assert "0.750000" in out
         assert "1.000000" in out
 
-    def test_mermin_validates_players(self):
-        with pytest.raises(SystemExit):
+    def test_mermin_validates_players(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["mermin", "--max-players", "2"])
+        assert excinfo.value.code == 2
+        assert "mermin: --max-players" in capsys.readouterr().err
+
+    def test_mermin_ten_players(self):
+        # Every GHZ row is perfect; the table must not take minutes.
+        result = run_cli("mermin", "--max-players", "10")
+        assert result.returncode == 0
+        rows = [
+            line.split("|")
+            for line in result.stdout.splitlines()
+            if line.split("|")[0].strip().isdigit()
+        ]
+        assert [int(row[0]) for row in rows] == list(range(3, 11))
+        assert all(row[2].strip() == "1.000000" for row in rows)
+
+    def test_mermin_rejects_games_too_large_to_hold(self):
+        # 4^12 predicate entries: refused before anything is computed.
+        result = run_cli("mermin", "--max-players", "12")
+        assert result.returncode == 2
+        assert "mermin: invalid arguments" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["regime", "--balancers", "3"],
+            ["regime", "--loads", "0"],
+            ["regime", "--fidelities", "1.5"],
+            ["budget", "--source-fidelity", "1.5"],
+            ["budget", "--fiber-km", "-1"],
+            ["calibrate", "--fidelity", "2"],
+            ["calibrate", "--samples", "0"],
+        ],
+        ids=["regime-odd-fleet", "regime-zero-load", "regime-fidelity-above-one",
+             "budget-fidelity-above-one", "budget-negative-fiber",
+             "calibrate-fidelity-above-one", "calibrate-no-samples"],
+    )
+    def test_rejects_arguments_it_cannot_use(self, argv, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("regime swept before checking its arguments")
+
+        monkeypatch.setattr("repro.lb.regime.SweepRunner", no_sweep)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"{argv[0]}: invalid arguments" in capsys.readouterr().err
 
     def test_regime_smoke(self, tmp_path, capsys):
         import json
