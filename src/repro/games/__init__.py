@@ -86,6 +86,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "NPARelaxation",
         "build_npa_relaxation",
         "npa_upper_bound",
+        "npa_upper_bounds",
     ),
     "seesaw": (
         "SeesawResult",

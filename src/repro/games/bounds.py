@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import GameError
 from repro.games.nonlocal_games import NonlocalGame, multi_class_colocation_game
-from repro.games.npa import npa_upper_bound
+from repro.games.npa import npa_upper_bound, npa_upper_bounds
 from repro.games.quantum_value import XORValue, xor_quantum_value
 from repro.games.seesaw import SeesawResult, seesaw_lower_bound
 from repro.obs import metrics as _metrics
@@ -234,22 +234,35 @@ def screen_nonlocal_games(
     as the bound reaches ``classical + threshold``; (4) **undecided** —
     the bounds straddle the threshold; scored as no-advantage but
     counted separately so sweeps can report their resolution rate.
+
+    The cascade runs in two passes: the first takes every game through
+    the perfect and lower stages, the second solves the NPA bounds of
+    all games left, one stacked solve per alphabet
+    (:func:`~repro.games.npa.npa_upper_bounds`). Each game's bound is
+    the one a stack of its own would give.
+
+    A negative ``threshold`` would let the see-saw "prove" advantage
+    for games without one, and a non-finite one would settle every
+    game at the first stage, so both raise :class:`GameError`.
     """
+    if not (np.isfinite(threshold) and threshold >= 0.0):
+        raise GameError(f"threshold must be finite and >= 0, got {threshold}")
     games = list(games)
     num_games = len(games)
     verdicts = np.zeros(num_games, dtype=bool)
-    stages: list[str] = []
+    stages: list[str | None] = [None] * num_games
     classical_values = np.full(num_games, np.nan)
     lower_bounds = np.full(num_games, np.nan)
     upper_bounds = np.full(num_games, np.nan)
     registry = _metrics.get_registry()
     registry.counter("bounds.cascade.games").inc(num_games)
     with span("bounds.cascade", games=num_games, threshold=threshold):
+        residue: list[int] = []
         for index, game in enumerate(games):
             classical = float(game.classical_value())
             classical_values[index] = classical
             if classical + threshold >= 1.0:
-                stages.append("perfect")
+                stages[index] = "perfect"
                 continue
             seesaw = seesaw_lower_bound(
                 game,
@@ -265,19 +278,19 @@ def screen_nonlocal_games(
             lower_bounds[index] = lower
             if lower > classical + threshold:
                 verdicts[index] = True
-                stages.append("lower")
+                stages[index] = "lower"
                 continue
-            upper, _ = npa_upper_bound(
-                game,
-                level=npa_level,
-                tolerance=tolerance,
-                decide_below=classical + threshold,
-            )
+            residue.append(index)
+        lines = classical_values[residue] + threshold
+        bounds = npa_upper_bounds(
+            [games[index] for index in residue],
+            level=npa_level,
+            tolerance=tolerance,
+            decide_below=lines,
+        )
+        for index, line, (upper, _) in zip(residue, lines, bounds):
             upper_bounds[index] = upper
-            if upper <= classical + threshold:
-                stages.append("upper")
-            else:
-                stages.append("undecided")
+            stages[index] = "upper" if upper <= line else "undecided"
         for stage in NONLOCAL_STAGES:
             registry.counter(f"bounds.cascade.{stage}").inc(
                 sum(1 for s in stages if s == stage)

@@ -10,7 +10,9 @@ orthogonal same-input projector products pinned to zero; the resulting
 partition SDP is solved by :func:`repro.sdp.solve_partition_sdp`, whose
 repaired dual bound is rigorous because every monomial here is a
 product of projectors, so feasible moment matrices have diagonal
-entries at most one.
+entries at most one. The partition depends only on the alphabets and
+the level, so :func:`npa_upper_bounds` solves many games' relaxations
+as one stack per alphabet.
 
 Restricting the moment matrix to be real symmetric keeps the bound
 valid: the entrywise real part of any complex Hermitian quantum moment
@@ -40,6 +42,7 @@ __all__ = [
     "NPARelaxation",
     "build_npa_relaxation",
     "npa_upper_bound",
+    "npa_upper_bounds",
 ]
 
 NPA_LEVELS = ("1", "1+ab")
@@ -252,28 +255,94 @@ def npa_upper_bound(
     partition solver's ``stop_below``). A bound that never reaches the
     line is the converged bound.
 
-    Returns ``(bound, sdp_result)``.
+    This is :func:`npa_upper_bounds` on a list of one game. Returns
+    ``(bound, sdp_result)``.
     """
-    if not isinstance(game, NonlocalGame):
-        game = NonlocalGame.from_two_player_game(game)
-    relaxation = build_npa_relaxation(game, level=level)
-    registry = _metrics.get_registry()
-    registry.counter("npa.solves").inc()
-    registry.counter("npa.moment_entries").inc(relaxation.size**2)
-    with span(
-        "npa.solve",
-        game=game.name,
+    return npa_upper_bounds(
+        [game],
         level=level,
-        size=relaxation.size,
-    ):
-        result = solve_partition_sdp(
-            relaxation.cost,
-            relaxation.classes,
-            relaxation.zero_entries,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            stop_below=None
-            if decide_below is None
-            else decide_below - relaxation.constant,
+        tolerance=tolerance,
+        max_iterations=max_iterations,
+        decide_below=None if decide_below is None else [decide_below],
+    )[0]
+
+
+def npa_upper_bounds(
+    games,
+    *,
+    level: str = "1+ab",
+    tolerance: float = 1e-8,
+    max_iterations: int = 20_000,
+    decide_below=None,
+) -> list[tuple[float, SDPResult]]:
+    """:func:`npa_upper_bound` for many games, one stacked solve per
+    partition.
+
+    A relaxation's partition (its identification classes and zero
+    entries) depends only on the alphabets and the level, so the games
+    are grouped by ``(num_inputs, num_outputs)`` and each group is one
+    stacked :func:`~repro.sdp.solve_partition_sdp`. Each game's slice
+    runs as in a stack of its own, so its ``(bound, sdp_result)`` equals
+    ``npa_upper_bound(game)`` bit for bit.
+
+    Args:
+        games: two-player games (:class:`NonlocalGame` or
+            :class:`TwoPlayerGame`).
+        level / tolerance / max_iterations: as in
+            :func:`npa_upper_bound`, shared by every game.
+        decide_below: optional decision line on the win probability per
+            game, in input order.
+
+    Returns:
+        ``(bound, sdp_result)`` per game, in input order.
+    """
+    games = [
+        game
+        if isinstance(game, NonlocalGame)
+        else NonlocalGame.from_two_player_game(game)
+        for game in games
+    ]
+    if decide_below is not None:
+        decide_below = np.asarray(decide_below, dtype=float)
+        if decide_below.shape != (len(games),):
+            raise GameError(
+                f"decide_below has shape {decide_below.shape}, "
+                f"expected ({len(games)},)"
+            )
+    groups: dict[tuple, list[int]] = {}
+    for index, game in enumerate(games):
+        groups.setdefault((game.num_inputs, game.num_outputs), []).append(
+            index
         )
-    return relaxation.constant + result.upper_bound, result
+    registry = _metrics.get_registry()
+    bounds: list[tuple[float, SDPResult] | None] = [None] * len(games)
+    for members in groups.values():
+        relaxations = [
+            build_npa_relaxation(games[index], level=level)
+            for index in members
+        ]
+        partition = relaxations[0]
+        constants = np.array([r.constant for r in relaxations])
+        registry.counter("npa.solves").inc(len(members))
+        registry.counter("npa.moment_entries").inc(
+            len(members) * partition.size**2
+        )
+        with span(
+            "npa.solve",
+            games=len(members),
+            level=level,
+            size=partition.size,
+        ):
+            results = solve_partition_sdp(
+                np.stack([r.cost for r in relaxations]),
+                partition.classes,
+                partition.zero_entries,
+                tolerance=tolerance,
+                max_iterations=max_iterations,
+                stop_below=None
+                if decide_below is None
+                else decide_below[members] - constants,
+            )
+        for index, relaxation, result in zip(members, relaxations, results):
+            bounds[index] = (relaxation.constant + result.upper_bound, result)
+    return bounds

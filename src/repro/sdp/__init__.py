@@ -17,7 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "gram": ("gram_vectors",),
     "projections": (
-        "project_psd",
         "project_psd_batch",
         "symmetrize",
         "symmetrize_batch",

@@ -1,12 +1,12 @@
 """Cone and subspace projections used by the ADMM SDP solvers.
 
-Every projection comes in two flavors: a single-matrix form used by the
-partition solver (:mod:`repro.sdp.admm`) and a ``*_batch`` form operating
-on a ``(B, n, n)`` stack, used by the diagonal solver
-(:mod:`repro.sdp.batch`). The batched PSD projection runs one stacked
-``eigh`` call, which is where the stacked ADMM solver gets its
-throughput: LAPACK decomposes each slice independently, so per-slice
-results match the single-matrix projection.
+Both solvers iterate on ``(B, n, n)`` stacks. :func:`project_psd_batch`
+PSD-projects a stack through the active array backend, for the diagonal
+solver (:mod:`repro.sdp.batch`) and the see-saw; the NumPy kernel runs
+one stacked ``eigh`` call, and LAPACK decomposes each slice
+independently. The partition solver (:mod:`repro.sdp.admm`) runs the
+same NumPy formula inline, so NPA bounds do not depend on the backend.
+:func:`symmetrize` is the single-matrix form the Gram extractor uses.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from repro.errors import SolverError
 
 __all__ = [
-    "project_psd",
     "project_psd_batch",
     "symmetrize",
     "symmetrize_batch",
@@ -30,7 +29,7 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
 
 def symmetrize_batch(matrices: np.ndarray) -> np.ndarray:
     """Symmetric part of every matrix in a ``(..., n, n)`` stack."""
-    return (matrices + np.swapaxes(matrices, -1, -2)) / 2.0
+    return (matrices + matrices.swapaxes(-1, -2)) / 2.0
 
 
 def project_psd_batch(matrices: np.ndarray, *, backend=None) -> np.ndarray:
@@ -39,8 +38,8 @@ def project_psd_batch(matrices: np.ndarray, *, backend=None) -> np.ndarray:
     Dispatched through the active array backend (see
     :mod:`repro.backend`): the NumPy kernel runs one stacked
     :func:`numpy.linalg.eigh` call, the numba kernel a compiled
-    per-slice loop. Each slice's projection equals :func:`project_psd`
-    of that slice to LAPACK tolerance.
+    per-slice loop. Each slice's projection is that slice's nearest PSD
+    matrix in Frobenius norm, to LAPACK tolerance.
 
     Args:
         backend: an :class:`~repro.backend.ArrayBackend`, a registry
@@ -54,14 +53,4 @@ def project_psd_batch(matrices: np.ndarray, *, backend=None) -> np.ndarray:
         )
     kernels = backend if isinstance(backend, ArrayBackend) else get_backend(backend)
     return kernels.project_psd_batch(matrices)
-
-
-def project_psd(matrix: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone (Frobenius-nearest)."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise SolverError(f"cannot PSD-project shape {matrix.shape}")
-    sym = symmetrize(matrix)
-    eigs, vecs = np.linalg.eigh(sym)
-    clipped = eigs.clip(min=0.0)
-    return (vecs * clipped) @ vecs.T
 

@@ -15,7 +15,7 @@ from repro.errors import SolverError
 from repro.sdp import (
     SDPResult,
     gram_vectors,
-    project_psd,
+    project_psd_batch,
     solve_diagonal_sdp_batch,
     solve_partition_sdp,
     symmetrize,
@@ -43,23 +43,23 @@ class TestProjections:
     def test_project_psd_idempotent(self):
         rng = np.random.default_rng(0)
         mat = rng.normal(size=(6, 6))
-        once = project_psd(mat)
-        twice = project_psd(once)
+        once = project_psd_batch(mat[None])[0]
+        twice = project_psd_batch(once[None])[0]
         assert np.allclose(once, twice, atol=1e-12)
 
     def test_project_psd_clips_negative(self):
         mat = np.diag([1.0, -2.0])
-        assert np.allclose(project_psd(mat), np.diag([1.0, 0.0]))
+        assert np.allclose(project_psd_batch(mat[None])[0], np.diag([1.0, 0.0]))
 
     def test_project_psd_fixed_point_on_psd(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(5, 5))
         psd = a @ a.T
-        assert np.allclose(project_psd(psd), psd, atol=1e-10)
+        assert np.allclose(project_psd_batch(psd[None])[0], psd, atol=1e-10)
 
     def test_project_psd_rejects_nonsquare(self):
         with pytest.raises(SolverError):
-            project_psd(np.ones((2, 3)))
+            project_psd_batch(np.ones((2, 3))[None])
 
     def test_symmetrize(self):
         mat = np.array([[0.0, 2.0], [0.0, 0.0]])
@@ -168,14 +168,14 @@ class TestDiagonalSDP:
 class TestPartitionSDP:
     def test_rejects_nonsquare_cost(self):
         with pytest.raises(SolverError):
-            solve_partition_sdp(np.ones((2, 3)), [])
+            solve_partition_sdp(np.ones((2, 3))[None], [])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_nonfinite_cost(self, value):
         cost = np.eye(3)
         cost[1, 2] = cost[2, 1] = value
         with pytest.raises(SolverError, match="non-finite"):
-            solve_partition_sdp(cost, [((1, 1), (1, 2))])
+            solve_partition_sdp(cost[None], [((1, 1), (1, 2))])
 
     @pytest.mark.parametrize("name", ["corner_value", "diagonal_cap"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
@@ -185,7 +185,9 @@ class TestPartitionSDP:
         # infinite cap an infinite bound, and a non-finite corner breaks
         # the eigensolver.
         with pytest.raises(SolverError, match=name):
-            solve_partition_sdp(np.eye(3), [((1, 1), (1, 2))], **{name: value})
+            solve_partition_sdp(
+                np.eye(3)[None], [((1, 1), (1, 2))], **{name: value}
+            )
 
 
 class TestGramVectors:

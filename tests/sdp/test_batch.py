@@ -18,6 +18,7 @@ from repro.sdp import (
 )
 from repro.sdp.batch import LINE_CHECK_PERIOD
 
+from tests.sdp._oracles import project_psd
 from tests.sdp.test_admm import chsh_cost
 
 
@@ -40,8 +41,6 @@ class TestBatchedProjections:
             assert np.allclose(mat, mat.T)
 
     def test_project_psd_batch_matches_serial(self):
-        from repro.sdp import project_psd
-
         stack = symmetrize_batch(random_cost_stack(6, 7, 1, symmetric=False))
         batched = project_psd_batch(stack)
         for index in range(stack.shape[0]):

@@ -53,7 +53,7 @@ def test_stacked_diagonal_solver(n):
 def test_partition_solver_on_npa_relaxations(make_game):
     relaxation = build_npa_relaxation(make_game(), level="1+ab")
     structure = (relaxation.classes, relaxation.zero_entries)
-    base = solve_partition_sdp(relaxation.cost, *structure)
+    base = solve_partition_sdp(relaxation.cost[None], *structure)[0]
     for s in SCALES:
-        scaled = solve_partition_sdp(s * relaxation.cost, *structure)
+        scaled = solve_partition_sdp(s * relaxation.cost[None], *structure)[0]
         assert_scaled(scaled, base, s)
