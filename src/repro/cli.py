@@ -722,18 +722,32 @@ def _cmd_resume(
             )
             meta = header.get("meta") or {}
             command = " ".join(meta.get("argv", [])) or "-"
+            mean = state.mean_compute_seconds
+            remaining = state.remaining_compute_seconds
             rows.append(
                 [
                     header.get("run_key", "?"),
                     header.get("label", "?"),
                     f"{done}/{total if total is not None else '?'}",
+                    state.failed,
+                    "-" if mean is None else f"{mean:.3f}",
+                    "?" if remaining is None else f"{remaining:.1f}",
                     status,
                     command,
                 ]
             )
         print(
             format_table(
-                ["run key", "label", "points", "status", "command"],
+                [
+                    "run key",
+                    "label",
+                    "points",
+                    "failed",
+                    "s/point",
+                    "left (worker-s)",
+                    "status",
+                    "command",
+                ],
                 rows,
                 title="Journaled sweeps (python -m repro resume <run key>)",
             )

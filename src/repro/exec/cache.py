@@ -249,12 +249,16 @@ def _unframe_entry(raw: bytes) -> bytes:
 class ResultCache:
     """Pickle-backed, content-addressed result store.
 
-    Crash-safe by construction: entries are framed with a CRC32 that is
-    verified on every read, written to a temp file, flushed to disk
-    (``fsync``), and published atomically via :func:`os.replace` — so
-    neither a SIGKILLed writer, a torn disk, nor a concurrent sweep on
-    a shared cache directory can ever surface a partial pickle to a
-    reader. Unreadable entries of any kind are treated as misses.
+    Crash-consistent, not durable: entries are framed with a CRC32 that
+    is verified on every read, written to a temp file without ``fsync``,
+    and published whole (:func:`os.link` or :func:`os.replace`), so
+    neither a SIGKILLed writer nor a concurrent sweep on a shared cache
+    directory can surface a partial pickle to a reader. A power cut can
+    leave a published entry torn or zeroed; it reads as a miss, and
+    :meth:`put_if_absent` republishes over it. The durable record of a
+    sweep is its journal (:mod:`repro.exec.journal`), which refills
+    such entries on resume. Unreadable entries of any kind are treated
+    as misses.
     """
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
@@ -306,14 +310,13 @@ class ResultCache:
         return True, value
 
     def _write_tmp(self, path: Path, value) -> str:
-        """Frame and durably write ``value`` to a temp file; return it."""
+        """Frame and write ``value`` to a temp file next to ``path``;
+        return its name."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(_frame_entry(value))
-                fh.flush()
-                os.fsync(fh.fileno())
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -337,27 +340,28 @@ class ResultCache:
             raise
 
     def put_if_absent(self, key: str, value) -> bool:
-        """Compare-and-swap store: publish ``value`` only if ``key`` is
-        still absent. Returns ``True`` when this call won the race.
+        """Compare-and-swap store: publish ``value`` only if ``key`` has
+        no complete entry. Returns ``True`` when this call published.
 
         The swap uses :func:`os.link`, which fails atomically when the
         destination exists — so concurrent sweeps sharing a cache
         directory each keep exactly one complete entry per key and
-        never interleave partial writes.
+        never interleave partial writes. An existing entry that fails
+        its frame check (torn by a power cut) is replaced, as is a
+        missing one on a file system without hard links (exFAT, some
+        FUSE and network mounts). Those two cases check, then replace,
+        so racers over them may each publish a complete value; a
+        complete entry is never overwritten.
         """
         path = self._path(key)
         tmp = self._write_tmp(path, value)
         try:
-            os.link(tmp, path)
-        except FileExistsError:
-            return False
-        except OSError:
-            # Filesystems without hard links (rare): fall back to the
-            # atomic-replace path; both racers wrote complete frames.
-            won = not path.exists()
-            os.replace(tmp, path)
-            get_registry().counter("cache.put").inc()
-            return won
+            try:
+                os.link(tmp, path)
+            except OSError:
+                if self._is_complete(path):
+                    return False
+                os.replace(tmp, path)
         finally:
             try:
                 os.unlink(tmp)
@@ -366,13 +370,26 @@ class ResultCache:
         get_registry().counter("cache.put").inc()
         return True
 
+    def _is_complete(self, path: Path) -> bool:
+        """Whether ``path`` holds an entry that passes its frame check."""
+        try:
+            _unframe_entry(path.read_bytes())
+        except (OSError, CorruptEntryError):
+            return False
+        return True
+
     def __len__(self) -> int:
         if not self.root.is_dir():
             return 0
         return sum(1 for _ in self.root.glob("*/*.pkl"))
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry, and the temp files that killed writers
+        left behind; returns the number of entries removed.
+
+        Do not clear a cache that a sweep is writing to: its in-flight
+        temp files go too.
+        """
         removed = 0
         if not self.root.is_dir():
             return removed
@@ -380,6 +397,11 @@ class ResultCache:
             try:
                 entry.unlink()
                 removed += 1
+            except OSError:
+                pass
+        for orphan in self.root.glob("*/*.tmp"):
+            try:
+                orphan.unlink()
             except OSError:
                 pass
         get_registry().counter("cache.evicted").inc(removed)

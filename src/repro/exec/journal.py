@@ -5,12 +5,23 @@ A :class:`SweepJournal` records one line per finished sweep point in
 
     <crc32 of payload, 8 hex digits> <payload JSON>\\n
 
-appended with ``fsync`` so a SIGKILL (or power cut) can lose at most
-the line being written — and a torn tail line fails its CRC and is
-simply ignored on replay. The journal is therefore *prefix-valid*: any
-byte-truncation of the file replays to a correct prefix of the sweep,
-which is exactly the property resume needs (and which
-``tests/exec/test_resume.py`` property-tests with hypothesis).
+:meth:`SweepJournal.append` writes and flushes each frame, and
+:meth:`SweepJournal.commit` fsyncs every frame written since the last
+commit, so the sweep runner pays one fsync per group of finished
+points. The durability contract:
+
+- a SIGKILL loses no recorded point (flushed frames live in the OS
+  page cache, which outlives the process);
+- a power cut loses at most the frames written since the last commit,
+  and resume recomputes those points bit for bit;
+- :meth:`SweepJournal.close` commits, so when a sweep returns every
+  record is on disk.
+
+A torn tail line fails its CRC and is simply ignored on replay. The
+journal is therefore *prefix-valid*: any byte-truncation of the file
+replays to a correct prefix of the sweep, which is exactly the property
+resume needs (and which ``tests/exec/test_resume.py`` property-tests
+with hypothesis).
 
 Records are content-addressed: each ``point`` record carries the
 point's result-cache key (:func:`repro.exec.cache.cache_key`), so a
@@ -122,6 +133,38 @@ class JournalState:
         return sum(1 for r in self.points.values() if r.get("status") == "done")
 
     @property
+    def failed(self) -> int:
+        """Journaled points whose final status is ``"failed"``."""
+        return sum(
+            1 for r in self.points.values() if r.get("status") == "failed"
+        )
+
+    @property
+    def mean_compute_seconds(self) -> float | None:
+        """Mean ``wall_seconds`` of the computed points, or ``None``
+        before the first; cache-served records carry 0.0 and are
+        skipped."""
+        walls = [
+            r["wall_seconds"]
+            for r in self.points.values()
+            if r.get("wall_seconds", 0.0) > 0.0
+        ]
+        return sum(walls) / len(walls) if walls else None
+
+    @property
+    def remaining_compute_seconds(self) -> float | None:
+        """Worker-seconds the points not yet done (failed ones included)
+        would take at :attr:`mean_compute_seconds`; ``None`` when the
+        size or the mean is unknown."""
+        if self.total is None:
+            return None
+        left = max(self.total - self.completed, 0)
+        if left == 0:
+            return 0.0
+        mean = self.mean_compute_seconds
+        return None if mean is None else left * mean
+
+    @property
     def total(self) -> int | None:
         """Declared sweep size, when the header survived."""
         if self.header is None:
@@ -130,7 +173,7 @@ class JournalState:
 
 
 class SweepJournal:
-    """Append-only, CRC-framed, fsync'd checkpoint file for one sweep.
+    """Append-only, CRC-framed, group-committed checkpoint file for one sweep.
 
     Args:
         run_key: content-addressed identity of the sweep (see
@@ -148,6 +191,7 @@ class SweepJournal:
         )
         self.path = self.directory / f"{run_key}.jsonl"
         self._fh = None
+        self._uncommitted = False
 
     # -- writing ----------------------------------------------------------
 
@@ -158,12 +202,22 @@ class SweepJournal:
         return self._fh
 
     def append(self, payload: dict) -> None:
-        """Frame, append, flush, and fsync one record."""
+        """Frame, append and flush one record; :meth:`commit` makes it
+        durable."""
         fh = self._handle()
         fh.write(_frame(payload))
         fh.flush()
-        os.fsync(fh.fileno())
+        self._uncommitted = True
         get_registry().counter("journal.appends").inc()
+
+    def commit(self) -> None:
+        """Fsync every record appended since the last commit (a no-op
+        when there is none)."""
+        if not self._uncommitted:
+            return
+        os.fsync(self._fh.fileno())
+        self._uncommitted = False
+        get_registry().counter("journal.syncs").inc()
 
     def write_header(
         self, *, label: str, total: int, meta: dict | None = None
@@ -215,10 +269,13 @@ class SweepJournal:
         self.append(record)
 
     def close(self) -> None:
-        """Close the append handle (replay works regardless)."""
+        """Commit and close the append handle (replay works regardless)."""
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            try:
+                self.commit()
+            finally:
+                self._fh.close()
+                self._fh = None
 
     # -- replay -----------------------------------------------------------
 

@@ -17,12 +17,18 @@ order.
 Long sweeps survive faults on three planes:
 
 - **Checkpoint/resume** — with ``journal=True`` every finished point is
-  appended (fsync'd, CRC-framed) to
-  ``<cache dir>/journal/<run_key>.jsonl`` the moment it completes; a
-  re-invocation of the same points replays journaled values instead of
-  recomputing, so a SIGKILL at 50%% completion costs at most the point
-  in flight. ``python -m repro resume`` lists and restarts interrupted
-  CLI sweeps.
+  appended (CRC-framed, flushed) to
+  ``<cache dir>/journal/<run_key>.jsonl`` the moment it is recorded,
+  and a re-invocation of the same points replays journaled values
+  instead of recomputing. The journal is the sweep's durable store:
+  the runner fsyncs it once it has recorded every point that has
+  already finished, before it waits for the next one. A SIGKILL loses
+  no recorded point; a power cut loses at most the group recorded
+  since the last fsync, which resume recomputes bit for bit; and when
+  :meth:`SweepRunner.run` returns, every record is on disk. Serial
+  runs, and runs whose points take longer than an fsync, commit after
+  every point. ``python -m repro resume`` lists and restarts
+  interrupted CLI sweeps.
 - **Worker fault plane** — a per-point ``timeout`` (SIGALRM-enforced
   inside the worker), bounded ``retries`` with exponential backoff
   whose jitter comes from the point's own
@@ -32,9 +38,11 @@ Long sweeps survive faults on three planes:
   ``failures="record"``, exhausted points degrade to structured
   :class:`PointFailure` entries on the report instead of aborting the
   sweep.
-- **Crash-safe cache** — results are published per point through the
-  CRC-verified, atomic :meth:`ResultCache.put_if_absent`, so concurrent
-  sweeps on a shared cache directory never interleave partial writes.
+- **Crash-consistent cache** — results are published per point, without
+  fsync, through the CRC-verified, atomic
+  :meth:`ResultCache.put_if_absent`, so concurrent sweeps on a shared
+  cache directory never interleave partial writes. An entry torn by a
+  power cut reads as a miss, and resume refills it from the journal.
 """
 
 from __future__ import annotations
@@ -452,9 +460,10 @@ class SweepRunner:
             exhausts its budget — the historical behavior — while
             ``"record"`` degrades it to a :class:`PointFailure` on the
             report and keeps sweeping.
-        journal: ``True`` to checkpoint every finished point to an
-            fsync'd CRC-framed journal keyed by :meth:`run_key`; a
-            re-run of the same points resumes instead of recomputing.
+        journal: ``True`` to checkpoint every finished point to a
+            group-committed, CRC-framed journal keyed by
+            :meth:`run_key`; a re-run of the same points resumes instead
+            of recomputing.
         journal_dir: journal directory override (default
             ``<cache root>/journal``, where the cache root is the
             cache's directory, else ``cache_dir``, else
@@ -571,7 +580,8 @@ class SweepRunner:
         ``resume=True`` (the default) replays any journaled completions
         for this exact point set before computing the remainder. The
         report's manifest carries the run's merged metrics: serial and
-        parallel runs of the same points produce identical counters.
+        parallel runs of the same points produce identical counters,
+        except ``journal.syncs``, which counts group commits.
         """
         submitted: Sequence[tuple[object, int]] = [
             (config, int(seed)) for config, seed in points
@@ -660,6 +670,8 @@ class SweepRunner:
                             )
                             continue
                     pending.append((index, config, seed, 0))
+                if journal is not None:
+                    journal.commit()  # the header and cache-served points
 
                 if pending:
                     compute_start = time.perf_counter()
@@ -676,11 +688,12 @@ class SweepRunner:
                         self._run_serial(pending, sink)
                     else:
                         self._run_parallel(pending, sink, jobs)
+                    sink.commit()
                     compute_wall = time.perf_counter() - compute_start
                 metrics_snapshot = run_registry.snapshot()
         finally:
             if journal is not None:
-                journal.close()
+                journal.close()  # commits what an exception left behind
 
         from repro.backend import resolve_backend_name
 
@@ -729,6 +742,7 @@ class SweepRunner:
     def _run_serial(self, pending, sink: "_RecordSink") -> None:
         for item in pending:
             sink.record(item, _execute_point(self._fn, self._fault, item))
+            sink.commit()
 
     def _make_executor(self, jobs: int) -> ProcessPoolExecutor:
         methods = multiprocessing.get_all_start_methods()
@@ -772,6 +786,14 @@ class SweepRunner:
                     executor.submit(_pool_point, item): item
                     for item in queue.values()
                 }
+                # Group commit: fsync the journal once every point that
+                # has finished is recorded, before waiting for the next.
+                # The done callbacks run in the executor's thread and
+                # may lag the waiter, which only commits early.
+                finished: list = []
+                for future in futures:
+                    future.add_done_callback(finished.append)
+                recorded = 0
                 # One waiter over every future: waiting afresh after each
                 # completion rescans all pending futures, quadratic in
                 # the number of points.
@@ -781,6 +803,9 @@ class SweepRunner:
                     ):
                         broken = True
                         break
+                    recorded += 1
+                    if recorded >= len(finished):
+                        sink.commit()
                 if broken:
                     # Drain whatever completed before the pool died; the
                     # rest stays queued for the rebuilt executor.
@@ -826,6 +851,7 @@ class SweepRunner:
             for index in exhausted:
                 del queue[index]
             if queue:
+                sink.commit()
                 executor = self._make_executor(min(jobs, len(queue)))
 
     def _consume_future(self, future, item, queue, sink: "_RecordSink") -> bool:
@@ -850,9 +876,9 @@ class _RecordSink:
     Every computed point flows through :meth:`record` — from the serial
     loop, the pool's completion loop, and the pool-rebuild path — so
     checkpoint appends and cache publication happen the moment a point
-    settles, not at the end of the sweep. That per-point durability is
-    what makes a SIGKILLed sweep resumable at the granularity of single
-    points.
+    settles, not at the end of the sweep. That per-point record is what
+    makes a SIGKILLed sweep resumable at the granularity of single
+    points; :meth:`commit` makes the records so far survive a power cut.
     """
 
     def __init__(
@@ -917,3 +943,8 @@ class _RecordSink:
             f"[sweep:{self.runner.label}] point {self.done}/"
             f"{len(self.outcomes)} seed={seed} {status}"
         )
+
+    def commit(self) -> None:
+        """Make every journal record so far durable (one fsync)."""
+        if self.journal is not None:
+            self.journal.commit()

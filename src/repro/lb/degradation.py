@@ -33,11 +33,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, HardwareError, StrategyError
 from repro.games.chsh import chsh_colocation_game, colocation_quantum_strategy
-from repro.games.strategies import (
-    BehaviorStrategy,
-    DeterministicStrategy,
-    Strategy,
-)
+from repro.games.strategies import DeterministicStrategy, Strategy
 from repro.hardware.qnic import apply_measurement_flips
 from repro.hardware.scheduler import (
     effective_win_probability,
@@ -332,7 +328,7 @@ class DegradedPolicy(GamePairedAssignment):
         super().__init__(
             num_balancers,
             num_servers,
-            BehaviorStrategy(quantum_behavior),
+            quantum_behavior,
             task_to_input=task_to_input,
             sticky_servers=sticky_servers,
         )

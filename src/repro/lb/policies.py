@@ -33,6 +33,7 @@ Policies:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.games.chsh import (
     chsh_colocation_game,
     colocation_quantum_strategy,
 )
-from repro.games.strategies import Strategy
+from repro.games.strategies import DeterministicStrategy, Strategy
 from repro.net.packet import TaskType
 from repro.quantum.state import DensityMatrix, StateVector
 
@@ -263,6 +264,80 @@ def _default_task_to_input(task) -> int:
     return task.bit
 
 
+@functools.cache
+def _constant_behavior(build, *args) -> np.ndarray:
+    """The behavior tensor ``build(*args)``, built once per process and
+    read-only.
+
+    A sweep builds its policy afresh at every point, and a constant
+    strategy can cost more to build than a small point costs to
+    simulate: the Bell pair's measurement statistics, a Tsirelson solve
+    for the multi-class pairs, a brute force over the Mermin tables for
+    the classical groups. Policies on a caller's (noisy) state still
+    build theirs per construction. Read-only, so no policy can change
+    what the others sample from.
+    """
+    behavior = np.array(build(*args), dtype=float)
+    behavior.setflags(write=False)
+    return behavior
+
+
+def _bell_pair_behavior() -> np.ndarray:
+    return colocation_quantum_strategy().behavior()
+
+
+def _best_classical_colocation_behavior() -> np.ndarray:
+    alice, bob = chsh_colocation_game().best_classical_strategy()
+    return DeterministicStrategy(outputs_a=alice, outputs_b=bob).behavior()
+
+
+def _same_type_behavior() -> np.ndarray:
+    return DeterministicStrategy(
+        outputs_a=(1, 0), outputs_b=(1, 0)
+    ).behavior()
+
+
+def _multi_class_behavior(num_classes: int, mode: str) -> np.ndarray:
+    from repro.games.nonlocal_games import multi_class_colocation_game
+
+    game = multi_class_colocation_game(num_classes)
+    if mode == "quantum":
+        from repro.games.quantum_value import tsirelson_strategy
+
+        return tsirelson_strategy(game.to_xor_game()).behavior()
+    alice, bob = game.best_classical_strategy()
+    return DeterministicStrategy(outputs_a=alice, outputs_b=bob).behavior()
+
+
+def _mermin_behavior(group_size: int) -> np.ndarray:
+    from repro.games.multiplayer import mermin_optimal_strategy
+
+    return mermin_optimal_strategy(group_size).behavior()
+
+
+def _w_state_behavior(group_size: int) -> np.ndarray:
+    from repro.games.multiplayer import (
+        MultiplayerQuantumStrategy,
+        mermin_optimal_strategy,
+    )
+    from repro.quantum.entangle import w_state
+
+    bases = mermin_optimal_strategy(group_size)._bases
+    return MultiplayerQuantumStrategy(w_state(group_size), bases).behavior()
+
+
+def _mermin_classical_behavior(group_size: int) -> np.ndarray:
+    from repro.games.multiplayer import mermin_game
+
+    game = mermin_game(group_size)
+    tables = game.best_classical_strategy()
+    behavior = np.zeros((2,) * (2 * group_size))
+    for inputs in np.ndindex(*game.num_inputs):
+        outputs = tuple(tables[p][inputs[p]] for p in range(group_size))
+        behavior[inputs + outputs] = 1.0
+    return behavior
+
+
 def behavior_sampling_tables(
     behavior: np.ndarray,
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -425,7 +500,8 @@ class GamePairedAssignment(AssignmentPolicy):
     re-simulating state collapse per round (tests confirm equivalence to
     the explicit :class:`~repro.quantum.measurement.EntangledRegister`
     path). An odd balancer count leaves the last balancer routing
-    uniformly at random.
+    uniformly at random. ``strategy`` is any two-player strategy with
+    binary outputs, or its behavior tensor ``(nx, ny, 2, 2)``.
 
     :meth:`assign_batch` samples every pair of every timestep at once
     with :func:`born_outcomes` (two branch-free probes into the pair's
@@ -437,7 +513,7 @@ class GamePairedAssignment(AssignmentPolicy):
         self,
         num_balancers: int,
         num_servers: int,
-        strategy: Strategy,
+        strategy: Strategy | np.ndarray,
         *,
         task_to_input=None,
         sticky_servers: bool = False,
@@ -445,11 +521,14 @@ class GamePairedAssignment(AssignmentPolicy):
         super().__init__(num_balancers, num_servers)
         if num_servers < 2:
             raise ConfigurationError("paired policies need >= 2 servers")
+        if not isinstance(strategy, np.ndarray):
+            strategy = strategy.behavior()
+        self._behavior = strategy
         (
             self._num_inputs,
             self._cumulative,
             self._flat_cumulative,
-        ) = behavior_sampling_tables(strategy.behavior())
+        ) = behavior_sampling_tables(strategy)
         self._task_to_input = task_to_input or _default_task_to_input
         # Pair-selection policy (DESIGN.md ablation): by default each
         # pair draws a fresh random server pair every round; sticky pairs
@@ -554,12 +633,11 @@ class ClassicalPairedAssignment(GamePairedAssignment):
     """
 
     def __init__(self, num_balancers: int, num_servers: int) -> None:
-        from repro.games.strategies import DeterministicStrategy
-
-        game = chsh_colocation_game()
-        alice, bob = game.best_classical_strategy()
-        strategy = DeterministicStrategy(outputs_a=alice, outputs_b=bob)
-        super().__init__(num_balancers, num_servers, strategy)
+        super().__init__(
+            num_balancers,
+            num_servers,
+            _constant_behavior(_best_classical_colocation_behavior),
+        )
 
 
 class SameTypePairedAssignment(GamePairedAssignment):
@@ -580,17 +658,17 @@ class SameTypePairedAssignment(GamePairedAssignment):
     """
 
     def __init__(self, num_balancers: int, num_servers: int) -> None:
-        from repro.games.strategies import DeterministicStrategy
-
-        strategy = DeterministicStrategy(outputs_a=(1, 0), outputs_b=(1, 0))
-        super().__init__(num_balancers, num_servers, strategy)
+        super().__init__(
+            num_balancers, num_servers, _constant_behavior(_same_type_behavior)
+        )
 
 
 class CHSHPairedAssignment(GamePairedAssignment):
     """The paper's quantum policy: CHSH measurements on shared Bell pairs.
 
-    ``state`` defaults to a perfect Bell pair; pass a Werner or isotropic
-    state (or any two-qubit density matrix) to model hardware noise.
+    ``state`` defaults to a perfect Bell pair, whose behavior is built
+    once per process; pass a Werner or isotropic state (or any two-qubit
+    density matrix) to model hardware noise.
     """
 
     def __init__(
@@ -600,8 +678,11 @@ class CHSHPairedAssignment(GamePairedAssignment):
         *,
         state: StateVector | DensityMatrix | None = None,
     ) -> None:
-        strategy = colocation_quantum_strategy(state)
-        super().__init__(num_balancers, num_servers, strategy)
+        if state is None:
+            behavior = _constant_behavior(_bell_pair_behavior)
+        else:
+            behavior = colocation_quantum_strategy(state).behavior()
+        super().__init__(num_balancers, num_servers, behavior)
 
 
 class MultiClassPairedAssignment(GamePairedAssignment):
@@ -625,22 +706,15 @@ class MultiClassPairedAssignment(GamePairedAssignment):
         num_classes: int = 3,
         mode: str = "quantum",
     ) -> None:
-        from repro.games.nonlocal_games import multi_class_colocation_game
-        from repro.games.strategies import DeterministicStrategy
-
-        game = multi_class_colocation_game(num_classes)
-        if mode == "quantum":
-            from repro.games.quantum_value import tsirelson_strategy
-
-            strategy: Strategy = tsirelson_strategy(game.to_xor_game())
-        elif mode == "classical":
-            alice, bob = game.best_classical_strategy()
-            strategy = DeterministicStrategy(outputs_a=alice, outputs_b=bob)
-        else:
+        if mode not in ("quantum", "classical"):
             raise ConfigurationError(
                 f"mode must be 'quantum' or 'classical', got {mode!r}"
             )
-        super().__init__(num_balancers, num_servers, strategy)
+        super().__init__(
+            num_balancers,
+            num_servers,
+            _constant_behavior(_multi_class_behavior, num_classes, mode),
+        )
         self.num_classes = num_classes
         self.mode = mode
 
@@ -685,6 +759,7 @@ class GroupAssignment(AssignmentPolicy):
             raise ConfigurationError("group policies need >= 2 servers")
         if not isinstance(behavior, np.ndarray):
             behavior = behavior.behavior()
+        self._behavior = behavior
         (
             self._num_inputs,
             self._cumulative,
@@ -779,13 +854,13 @@ class GHZGroupAssignment(GroupAssignment):
         *,
         group_size: int = 3,
     ) -> None:
-        from repro.games.multiplayer import mermin_optimal_strategy
-
         if group_size < 2:
             raise ConfigurationError("groups need at least two balancers")
-        strategy = mermin_optimal_strategy(group_size)
         super().__init__(
-            num_balancers, num_servers, strategy, group_size=group_size
+            num_balancers,
+            num_servers,
+            _constant_behavior(_mermin_behavior, group_size),
+            group_size=group_size,
         )
 
 
@@ -806,18 +881,13 @@ class WGroupAssignment(GroupAssignment):
         *,
         group_size: int = 3,
     ) -> None:
-        from repro.games.multiplayer import (
-            MultiplayerQuantumStrategy,
-            mermin_optimal_strategy,
-        )
-        from repro.quantum.entangle import w_state
-
         if group_size < 2:
             raise ConfigurationError("groups need at least two balancers")
-        bases = mermin_optimal_strategy(group_size)._bases
-        strategy = MultiplayerQuantumStrategy(w_state(group_size), bases)
         super().__init__(
-            num_balancers, num_servers, strategy, group_size=group_size
+            num_balancers,
+            num_servers,
+            _constant_behavior(_w_state_behavior, group_size),
+            group_size=group_size,
         )
 
 
@@ -838,18 +908,11 @@ class ClassicalGroupAssignment(GroupAssignment):
         *,
         group_size: int = 3,
     ) -> None:
-        from repro.games.multiplayer import mermin_game
-
         if group_size < 2:
             raise ConfigurationError("groups need at least two balancers")
-        game = mermin_game(group_size)
-        tables = game.best_classical_strategy()
-        behavior = np.zeros((2,) * (2 * group_size))
-        for inputs in np.ndindex(*game.num_inputs):
-            outputs = tuple(
-                tables[p][inputs[p]] for p in range(group_size)
-            )
-            behavior[inputs + outputs] = 1.0
         super().__init__(
-            num_balancers, num_servers, behavior, group_size=group_size
+            num_balancers,
+            num_servers,
+            _constant_behavior(_mermin_classical_behavior, group_size),
+            group_size=group_size,
         )

@@ -185,6 +185,18 @@ class TestResultCache:
         assert cache.clear() == 3
         assert len(cache) == 0
 
+    def test_clear_removes_orphaned_temp_files(self, tmp_path):
+        """A writer killed between writing its temp file and publishing
+        it leaves ``*.tmp`` in the key's subdir; clear() removes those
+        too, and counts only entries."""
+        cache = ResultCache(tmp_path)
+        key = cache_key({"orphan": 1}, 0)
+        cache.put(key, "entry")
+        orphan = cache._path(key).parent / "abc123.tmp"
+        orphan.write_bytes(b"half a frame")
+        assert cache.clear() == 1
+        assert list(tmp_path.glob("*/*")) == []
+
     def test_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         cache = ResultCache()
@@ -340,6 +352,52 @@ class TestPutIfAbsent:
         cache.put(key, "already-here")
         assert cache.put_if_absent(key, "usurper") is False
         assert cache.get(key) == (True, "already-here")
+
+    @pytest.mark.parametrize("damage", ["zeroed", "truncated", "empty"])
+    def test_torn_entry_is_republished(self, tmp_path, damage):
+        """Entries are written without fsync, so a power cut can leave a
+        published entry torn. put_if_absent over it wins and replaces
+        it; over the complete entry it then loses."""
+        from repro.obs import MetricsRegistry, use_registry
+
+        cache = ResultCache(tmp_path)
+        key = cache_key({"cas": 3}, 0)
+        cache.put(key, list(range(50)))
+        path = cache._path(key)
+        raw = path.read_bytes()
+        path.write_bytes(
+            {
+                "zeroed": bytes(len(raw)),
+                "truncated": raw[: len(raw) // 2],
+                "empty": b"",
+            }[damage]
+        )
+        with use_registry(MetricsRegistry()) as registry:
+            assert cache.put_if_absent(key, "repaired") is True
+            assert cache.put_if_absent(key, "usurper") is False
+        assert registry.counter("cache.put").value == 1
+        assert cache.get(key) == (True, "repaired")
+        assert list(path.parent.glob("*.tmp")) == []
+
+    def test_without_hard_links_the_winner_stays(self, tmp_path, monkeypatch):
+        """Regression: on a file system without hard links the fallback
+        replaced the entry unconditionally, so a loser got ``False``
+        back while its value overwrote the winner's (and counted a
+        ``cache.put``)."""
+        from repro.obs import MetricsRegistry, use_registry
+
+        def no_links(src, dst):
+            raise PermissionError(1, "hard links not supported", str(dst))
+
+        monkeypatch.setattr(os, "link", no_links)
+        cache = ResultCache(tmp_path)
+        key = cache_key({"cas": 4}, 0)
+        with use_registry(MetricsRegistry()) as registry:
+            assert cache.put_if_absent(key, "first") is True
+            assert cache.put_if_absent(key, "second") is False
+        assert cache.get(key) == (True, "first")
+        assert registry.counter("cache.put").value == 1
+        assert list(cache._path(key).parent.glob("*.tmp")) == []
 
     def test_multiprocess_hammer_single_winner(self, tmp_path):
         """Four processes race put_if_absent on the same keys: exactly

@@ -1,12 +1,16 @@
 """Checkpoint/resume correctness for journaled sweeps.
 
-Two headline guarantees from the issue:
+Four guarantees:
 
 1. A sweep SIGKILLed mid-run (no cleanup, no atexit) resumes from its
    journal, and the merged :class:`RunReport` values are bit-identical
    to a clean serial run.
 2. Resume is correct after *any* prefix truncation of the journal — a
    hypothesis property sweeping the cut point over every byte offset.
+3. A power cut loses at most the journal frames written since the last
+   fsync, plus whatever cache entries they name; resume recomputes
+   exactly those points and republishes their entries.
+4. When ``run()`` returns, the last fsync covers the whole journal.
 """
 
 from __future__ import annotations
@@ -30,9 +34,13 @@ from repro.exec import (
     list_journals,
 )
 from repro.exec.cache import source_digest
-from repro.exec.journal import SweepJournal
+from repro.exec.journal import SweepJournal, _unframe
 from repro.obs import capture
-from tests.exec._faultlib import deterministic_value, sleepy_point
+from tests.exec._faultlib import (
+    FlakyWorker,
+    deterministic_value,
+    sleepy_point,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -51,6 +59,33 @@ def _runner(**kwargs) -> SweepRunner:
     )
     defaults.update(kwargs)
     return SweepRunner(deterministic_value, **defaults)
+
+
+def _record_commits(monkeypatch, path: Path) -> list[int]:
+    """Wrap ``os.fsync`` to record the journal's size at each commit.
+
+    Only fsyncs of ``path`` count (a cache or another file is never the
+    journal). The sizes are what a power cut right after each commit
+    would leave on disk.
+    """
+    sizes: list[int] = []
+    fsync = os.fsync
+
+    def recording(fd):
+        fsync(fd)
+        stat = os.fstat(fd)
+        if path.exists() and os.path.samestat(stat, path.stat()):
+            sizes.append(stat.st_size)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    return sizes
+
+
+def _poisoned(config, seed: int) -> float:
+    """:func:`deterministic_value`, except that odd seeds fail."""
+    if seed % 2:
+        raise ValueError(f"poisoned seed {seed}")
+    return deterministic_value(config, seed)
 
 
 class TestJournalLifecycle:
@@ -314,3 +349,150 @@ class TestPrefixTruncation:
         assert report.values() == clean_values
         assert report.points_resumed == 0
         assert registry.counter("journal.corrupt").value >= 1
+
+
+class TestPowerLoss:
+    """The journal is fsync'd once per group of recorded points and the
+    cache never, so a power cut can cut the journal back to any commit
+    and leave the cache entries of the points after it torn."""
+
+    @pytest.mark.parametrize("cut", ["earlier", "last"])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_resume_after_power_loss(self, tmp_path, monkeypatch, jobs, cut):
+        points = _points(24, tag=f"power-{jobs}")
+        cache = ResultCache(tmp_path / "cache")
+        runner = _runner(jobs=jobs, cache=cache)
+        path = cache.root / "journal" / f"{runner.run_key(points)}.jsonl"
+        commits = _record_commits(monkeypatch, path)
+        runner.run(points)
+        raw = path.read_bytes()
+        assert commits[-1] == len(raw)
+        earlier = [size for size in commits if size < len(raw)]
+        size = earlier[len(earlier) // 2] if cut == "earlier" else len(raw)
+        # The power cut: the journal keeps its committed prefix, and
+        # every point recorded after it loses its cache entry's bytes.
+        path.write_bytes(raw[:size])
+        lost = [_unframe(line)["key"] for line in raw[size:].splitlines()]
+        assert bool(lost) == (cut == "earlier")
+        for n, key in enumerate(lost):
+            entry = cache._path(key)
+            data = entry.read_bytes()
+            entry.write_bytes(
+                bytes(len(data)) if n % 2 else data[: len(data) // 2]
+            )
+        with capture() as registry:
+            resumed = _runner(jobs=jobs, cache=cache).run(points)
+        clean = _runner(jobs=1, journal=False).run(points)
+        assert resumed.values() == clean.values()
+        keys = [runner._key(config, seed) for config, seed in points]
+        recomputed = {
+            keys[index]
+            for index, point in enumerate(resumed.points)
+            if not point.cached and not point.resumed
+        }
+        assert recomputed == set(lost)
+        assert resumed.cache_hits == len(points) - len(lost)
+        assert registry.counter("cache.corrupt").value == len(lost)
+        for key in lost:
+            value = clean.points[keys.index(key)].value
+            assert cache.get(key) == (True, value)
+        again = _runner(jobs=jobs, cache=cache).run(points)
+        assert again.cache_hits == len(points)
+        assert again.values() == clean.values()
+
+
+class TestFinalCommit:
+    """When ``run()`` returns, the last fsync covers the whole journal,
+    so no record of a finished sweep waits on a later commit."""
+
+    def _journal(self, runner, points) -> Path:
+        return default_journal_dir() / f"{runner.run_key(points)}.jsonl"
+
+    def test_normal_run(self, monkeypatch):
+        points = _points(40, tag="final")
+        runner = _runner(jobs=2)
+        path = self._journal(runner, points)
+        commits = _record_commits(monkeypatch, path)
+        with capture() as registry:
+            report = runner.run(points)
+        assert commits[-1] == path.stat().st_size
+        assert registry.counter("journal.appends").value == 41
+        assert 1 <= registry.counter("journal.syncs").value == len(commits)
+        assert report.values() == _clean_values(points)
+
+    def test_serial_run_commits_every_point(self, monkeypatch):
+        points = _points(5, tag="final-serial")
+        runner = _runner(jobs=1)
+        path = self._journal(runner, points)
+        commits = _record_commits(monkeypatch, path)
+        runner.run(points)
+        # The header, then one commit per point.
+        assert len(commits) == 6
+        assert commits == sorted(set(commits))
+        assert commits[-1] == path.stat().st_size
+
+    def test_slow_points_commit_as_they_finish(self, monkeypatch):
+        """Points slower than an fsync find the parent idle, so each
+        group of points that finish together is committed before the
+        next one finishes, not at the end of the run."""
+        points = [
+            ({"tag": "final-slow", "sleep": 0.15}, 400 + i) for i in range(8)
+        ]
+        runner = SweepRunner(
+            sleepy_point, jobs=2, label="resume-suite", journal=True
+        )
+        path = self._journal(runner, points)
+        commits = _record_commits(monkeypatch, path)
+        runner.run(points)
+        # The header, then at least one more group before the last.
+        assert len(commits) >= 3
+        assert commits[-1] == path.stat().st_size
+
+    def test_recorded_failures(self, monkeypatch):
+        points = _points(12, tag="final-failures")
+        runner = SweepRunner(
+            _poisoned,
+            jobs=2,
+            label="resume-suite",
+            journal=True,
+            failures="record",
+        )
+        path = self._journal(runner, points)
+        commits = _record_commits(monkeypatch, path)
+        report = runner.run(points)
+        assert len(report.points_failed) == 6
+        assert commits[-1] == path.stat().st_size
+        state = SweepJournal(path.stem, path.parent).replay()
+        statuses = sorted(r["status"] for r in state.points.values())
+        assert statuses == ["done"] * 6 + ["failed"] * 6
+
+    @pytest.mark.parametrize(
+        "faults, retries", [(1, 5), (99, 1)], ids=["recovers", "exhausts"]
+    )
+    def test_after_pool_rebuild(self, tmp_path, monkeypatch, faults, retries):
+        """Worker deaths rebuild the pool. Points that exhaust their
+        budget are recorded on the rebuild path, after the completion
+        loop's last commit, so only the final commit covers them."""
+        points = _points(6, tag=f"final-rebuild-{faults}")
+        runner = SweepRunner(
+            FlakyWorker(str(tmp_path / "faults"), mode="exit", faults=faults),
+            jobs=2,
+            label="resume-suite",
+            journal=True,
+            retries=retries,
+            retry_backoff=0.001,
+            failures="record",
+        )
+        path = self._journal(runner, points)
+        commits = _record_commits(monkeypatch, path)
+        with capture() as registry:
+            report = runner.run(points)
+        assert registry.counter("exec.pool.rebuilds").value >= 1
+        assert commits[-1] == path.stat().st_size
+        state = SweepJournal(path.stem, path.parent).replay()
+        if faults == 1:
+            assert report.values() == _clean_values(points)
+            assert state.completed == 6
+        else:
+            assert len(report.points_failed) == 6
+            assert state.failed == 6

@@ -365,6 +365,47 @@ class TestResume:
         assert header["run_key"] in out
         assert "complete" in out
 
+    def test_listing_shows_failures_and_remaining_compute(self, capsys):
+        """The listing reads failed points, the mean compute time of a
+        computed point and the worker-seconds left from the journal's
+        own records; cache-served records (0.0 s) stay out of the
+        mean."""
+        from repro.exec import SweepJournal
+
+        journal = SweepJournal("feedfacecafe0001")
+        journal.write_header(label="demo", total=6)
+        for index, status, wall in [
+            (0, "done", 0.25),
+            (1, "done", 0.0),  # served from the cache
+            (2, "failed", 2.0),
+            (3, "done", 0.75),
+        ]:
+            journal.record_point(
+                key=f"k{index}",
+                index=index,
+                seed=index,
+                status=status,
+                value=float(index),
+                wall_seconds=wall,
+                error="ValueError: boom" if status == "failed" else None,
+            )
+        journal.close()
+        assert main(["resume"]) == 0
+        out = capsys.readouterr().out
+        header, _, row = out.splitlines()[1:4]
+        cells = dict(
+            zip(
+                [c.strip() for c in header.split("|")],
+                [c.strip() for c in row.split("|")],
+            )
+        )
+        assert cells["points"] == "3/6"
+        assert cells["failed"] == "1"
+        assert cells["s/point"] == "1.000"
+        # Three points left (the failed one recomputes), at 1.0 s each.
+        assert cells["left (worker-s)"] == "3.0"
+        assert cells["status"] == "interrupted"
+
     def test_resume_by_prefix_reruns_command(self, capsys):
         from repro.exec import list_journals
 
