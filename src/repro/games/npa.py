@@ -26,6 +26,7 @@ from below by the k-party see-saw (:mod:`repro.games.seesaw`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,22 +115,19 @@ class NPARelaxation:
     monomials: tuple[tuple, ...]
 
 
-def build_npa_relaxation(
-    game: NonlocalGame, *, level: str = "1+ab"
-) -> NPARelaxation:
-    """Assemble the moment matrix structure and objective for ``game``.
+@functools.cache
+def _npa_structure(num_inputs, num_outputs, level):
+    """The game-independent half of a relaxation, built once per
+    ``(num_inputs, num_outputs, level)``: the monomial basis, the
+    moment-matrix index of each single projector (Alice's, then Bob's),
+    the identification classes and the zero entries.
 
-    One projector per input/output pair is kept except the last output
-    of each input (completeness ``sum_a A_x^a = 1`` eliminates it); the
-    win probability is expanded over the surviving projectors, with
-    marginal terms against row 0 and product terms in the A-B block.
+    Entries are grouped by the canonical monomial of ``m_i† m_j`` over
+    the upper triangle. The corner (0, 0) is the lone identity moment
+    and stays pinned by the solver instead.
     """
-    if level not in NPA_LEVELS:
-        raise GameError(
-            f"unknown NPA level {level!r}; expected one of {NPA_LEVELS}"
-        )
-    nx, ny = game.num_inputs
-    na, nb = game.num_outputs
+    nx, ny = num_inputs
+    na, nb = num_outputs
     alice_singles = [
         (((x, a),), ()) for x in range(nx) for a in range(na - 1)
     ]
@@ -150,6 +148,49 @@ def build_npa_relaxation(
         mono[1][0]: 1 + len(alice_singles) + i
         for i, mono in enumerate(bob_singles)
     }
+
+    class_map: dict[tuple, list[tuple[int, int]]] = {}
+    zero_entries: list[tuple[int, int]] = []
+    for i in range(size):
+        for j in range(i, size):
+            if i == 0 and j == 0:
+                continue
+            key = _entry_key(monomials[i], monomials[j])
+            if key is None:
+                zero_entries.append((i, j))
+            else:
+                class_map.setdefault(key, []).append((i, j))
+    classes = tuple(
+        tuple(entries) for entries in class_map.values() if len(entries) > 1
+    )
+    return (
+        tuple(monomials), alice_index, bob_index, classes, tuple(zero_entries)
+    )
+
+
+def build_npa_relaxation(
+    game: NonlocalGame, *, level: str = "1+ab"
+) -> NPARelaxation:
+    """Assemble the moment matrix structure and objective for ``game``.
+
+    One projector per input/output pair is kept except the last output
+    of each input (completeness ``sum_a A_x^a = 1`` eliminates it); the
+    win probability is expanded over the surviving projectors, with
+    marginal terms against row 0 and product terms in the A-B block.
+    The structure depends only on the alphabets and the level, so it is
+    built once per process for each; only the cost and the constant are
+    built per game.
+    """
+    if level not in NPA_LEVELS:
+        raise GameError(
+            f"unknown NPA level {level!r}; expected one of {NPA_LEVELS}"
+        )
+    nx, ny = game.num_inputs
+    na, nb = game.num_outputs
+    monomials, alice_index, bob_index, classes, zero_entries = (
+        _npa_structure((nx, ny), (na, nb), level)
+    )
+    size = len(monomials)
 
     # Objective: expand p(a, b | x, y) over the reduced projector set.
     # Dropped outputs expand via completeness, e.g. for a = na - 1 the
@@ -204,31 +245,14 @@ def build_npa_relaxation(
                                     value,
                                 )
 
-    # Entry identifications: group upper-triangle entries by the
-    # canonical monomial of m_i† m_j. The corner (0, 0) is the lone
-    # identity moment and stays pinned by the solver instead.
-    class_map: dict[tuple, list[tuple[int, int]]] = {}
-    zero_entries: list[tuple[int, int]] = []
-    for i in range(size):
-        for j in range(i, size):
-            if i == 0 and j == 0:
-                continue
-            key = _entry_key(monomials[i], monomials[j])
-            if key is None:
-                zero_entries.append((i, j))
-            else:
-                class_map.setdefault(key, []).append((i, j))
-    classes = tuple(
-        tuple(entries) for entries in class_map.values() if len(entries) > 1
-    )
     return NPARelaxation(
         level=level,
         size=size,
         cost=cost,
         constant=constant,
         classes=classes,
-        zero_entries=tuple(zero_entries),
-        monomials=tuple(monomials),
+        zero_entries=zero_entries,
+        monomials=monomials,
     )
 
 

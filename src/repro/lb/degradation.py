@@ -42,9 +42,8 @@ from repro.hardware.scheduler import (
 from repro.lb.policies import (
     GamePairedAssignment,
     _input_blocks,
-    _route_members,
+    _sample_routes,
     behavior_sampling_tables,
-    born_outcomes,
 )
 from repro.quantum.entangle import werner_state
 
@@ -521,20 +520,20 @@ class DegradedPolicy(GamePairedAssignment):
             s0, s1 = self._server_pair_batch(steps, num_pairs, rng)
             uniform = rng.random((steps, num_pairs))
             if self._fallback_random:
-                outcome = born_outcomes(self._tables, 4, block, uniform)
-                _route_members(choices, outcome, 2, s0, s1)
+                _sample_routes(choices, self._tables, 2, block, uniform, s0, s1)
+                dead = np.logical_not(live)
                 for j in range(2):
-                    member = choices[:, j : 2 * num_pairs : 2]
                     fallback = rng.integers(
                         0, self.num_servers, size=live.shape, dtype=np.int32
                     )
-                    member[...] = np.where(live, member, fallback)
+                    np.copyto(
+                        choices[:, j : 2 * num_pairs : 2], fallback, where=dead
+                    )
             else:
                 # Dead pairs read the fallback half of the stacked tables.
-                dead_row = block + self._flat_cumulative.size // 4
-                row = np.where(live, block, dead_row)
-                outcome = born_outcomes(self._tables, 4, block, uniform, row)
-                _route_members(choices, outcome, 2, s0, s1)
+                _sample_routes(
+                    choices, self._tables, 2, block, uniform, s0, s1, live
+                )
         if n % 2 == 1:
             choices[:, -1] = rng.integers(
                 0, self.num_servers, size=steps, dtype=np.int32

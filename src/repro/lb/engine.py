@@ -10,10 +10,11 @@ discipline / workload combinations that vectorize:
    ``chunk_steps`` timesteps. Each chunk draws its ``(chunk, N)`` task
    matrix (``draw_batch``), maps it to server choices in one shot
    (``assign_batch``; the built-in policies return int32 choices), and
-   pre-aggregates per-(step, server) arrival counts by type with one
-   ``bincount`` over int64 ``(step, type, server)`` cells. Feedback
-   policies (e.g. power-of-two choices) cannot batch and fall back to
-   the reference loop under ``engine="auto"``.
+   pre-aggregates per-(step, server) arrival counts by type with a
+   ``bincount`` over the ``(step, type, server)`` cells of each block
+   of steps, written straight into the window. Feedback policies (e.g.
+   power-of-two choices) cannot batch and fall back to the reference
+   loop under ``engine="auto"``.
 2. **Count-only server model** — which server serves how many tasks of
    which type each step depends only on its queued counts:
    ``take_c = min(queued_c, 2)`` (1 under "serial") and
@@ -32,7 +33,12 @@ discipline / workload combinations that vectorize:
    fit, so peak memory is ``O(M * (queue-age span + chunk))`` instead
    of ``O(M * timesteps)`` (the ``engine.window_bytes`` gauge records
    the peak). Chunks are split at the warmup step, so ``Q(W-1)`` is
-   read between two kernel calls.
+   read between two kernel calls. Every pass over a chunk after its
+   draws — the bincount, the window scan, and the paired, group and
+   degraded policies' Born sampling — walks it in blocks of at most
+   :data:`SCAN_BLOCK_CELLS` cells (:func:`block_rows`), so beyond the
+   window and the chunk's draw and choice arrays a pass holds
+   ``O(block)`` scratch, not ``O(chunk * width)``.
 4. **Pluggable kernels** — the per-chunk serve loop is dispatched
    through :func:`repro.backend.get_backend`: the NumPy reference
    kernel, or the numba ``@njit`` variant when available. Both execute
@@ -52,10 +58,11 @@ different order and match in distribution instead (see
 ``docs/reproducing.md``). Task matrices are *integer class* matrices:
 0 is type-E and any nonzero value a type-C class, so the ``(2,)*k``
 group-output and multi-class-input policies stream through the same
-``draw_batch -> assign_batch -> bincount`` path as the binary ones. The default chunk of
-:data:`DEFAULT_CHUNK_STEPS` steps keeps runs up to 2048 steps —
-including every paper-scale Fig 4 point — in a single chunk, where even
-the paired policies reproduce the pre-chunking per-seed values.
+``draw_batch -> assign_batch -> bincount`` path as the binary ones.
+The default chunk of :data:`DEFAULT_CHUNK_STEPS` steps keeps runs up
+to 2048 steps — including every paper-scale Fig 4 point — in a single
+chunk, where even the paired policies reproduce the pre-chunking
+per-seed values.
 """
 
 from __future__ import annotations
@@ -133,8 +140,15 @@ def resolve_chunk_steps(
     return min(DEFAULT_CHUNK_STEPS, budgeted, timesteps)
 
 
-#: Cells per block when walking the window (bounds the scan's scratch).
+#: Cells per block when a pass walks the window or a chunk (bounds the
+#: pass's scratch).
 SCAN_BLOCK_CELLS = 1 << 18
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` cells in one block: at most
+    :data:`SCAN_BLOCK_CELLS` cells, and never less than one row."""
+    return max(1, SCAN_BLOCK_CELLS // width)
 
 
 def _queued_arrivals(window, queued, rows):
@@ -157,7 +171,7 @@ def _queued_arrivals(window, queued, rows):
     """
     flat = window.reshape(window.shape[0], -1)
     remaining = queued.reshape(-1).astype(np.int64)
-    block = max(1, SCAN_BLOCK_CELLS // flat.shape[1])
+    block = block_rows(flat.shape[1])
     row_sum = 0
     oldest = rows
     hi = rows
@@ -209,6 +223,49 @@ def _compact_and_fit(window, queued, base, start, end):
         grown[:used] = window[:used]
         window = grown
     return window, base
+
+
+def _draw_arrivals(rows, policy, workload, workload_rng, policy_rng):
+    """Draw one chunk and write its arrival counts into ``rows``.
+
+    ``rows`` is the chunk's ``(steps, 2, M)`` window slice. The chunk's
+    task and choice matrices live only here, so they are freed before
+    the chunk is served and the next one drawn. Each block of steps is
+    one bincount over its (step, type, server) cells, cell
+    ``(2 * step + is_e) * M + choice``, written straight into its rows,
+    so the cells and bins take O(:data:`SCAN_BLOCK_CELLS`) memory
+    whatever the chunk. The cells are intp, the index type bincount
+    reads without a copy.
+    """
+    steps, _, num_servers = rows.shape
+    task_bits = np.asarray(workload.draw_batch(workload_rng, steps))
+    if task_bits.shape != (steps, policy.num_balancers):
+        raise ConfigurationError(
+            f"workload batch shape {task_bits.shape} != "
+            f"({steps}, {policy.num_balancers})"
+        )
+    choices = np.asarray(policy.assign_batch(task_bits, policy_rng))
+    if choices.shape != task_bits.shape:
+        raise ConfigurationError(
+            f"policy batch shape {choices.shape} != {task_bits.shape}"
+        )
+    if choices.min() < 0 or choices.max() >= num_servers:
+        bad = choices[(choices < 0) | (choices >= num_servers)]
+        raise ConfigurationError(
+            f"policy chose invalid server {int(bad.ravel()[0])}"
+        )
+
+    bins = 2 * num_servers
+    block = block_rows(max(choices.shape[1], bins))
+    offsets = bins * np.arange(min(block, steps), dtype=np.intp)[:, None]
+    for lo in range(0, steps, block):
+        hi = min(lo + block, steps)
+        cell = np.multiply(task_bits[lo:hi] == 0, num_servers, dtype=np.intp)
+        cell += choices[lo:hi]
+        cell += offsets[: hi - lo]
+        rows[lo:hi] = np.bincount(
+            cell.ravel(), minlength=(hi - lo) * bins
+        ).reshape(hi - lo, 2, num_servers)
 
 
 def run_vectorized(
@@ -268,37 +325,11 @@ def run_vectorized(
         end = min(start + chunk, timesteps)
         steps = end - start
         with span("engine.chunk", start=start, steps=steps) as chunk_span:
-            task_bits = np.asarray(workload.draw_batch(workload_rng, steps))
-            if task_bits.shape != (steps, num_balancers):
-                raise ConfigurationError(
-                    f"workload batch shape {task_bits.shape} != "
-                    f"({steps}, {num_balancers})"
-                )
-            choices = np.asarray(policy.assign_batch(task_bits, policy_rng))
-            if choices.shape != task_bits.shape:
-                raise ConfigurationError(
-                    f"policy batch shape {choices.shape} != {task_bits.shape}"
-                )
-            if choices.min() < 0 or choices.max() >= num_servers:
-                bad = choices[(choices < 0) | (choices >= num_servers)]
-                raise ConfigurationError(
-                    f"policy chose invalid server {int(bad.ravel()[0])}"
-                )
-
             window, base = _compact_and_fit(window, queued, base, start, end)
             window_bytes = window.nbytes
             peak_window_bytes = max(peak_window_bytes, window_bytes)
-            # Per-step, per-server arrival counts by type: one bincount
-            # over the chunk's (step, type, server) cells, cell
-            # (2 * step + is_e) * M + choice. int64, because an explicit
-            # chunk_steps can take steps * 2 * M past 2**31.
-            cell = np.multiply(task_bits == 0, num_servers, dtype=np.int64)
-            cell += choices
-            cell += 2 * num_servers * np.arange(steps, dtype=np.int64)[:, None]
             rows = window[start - base:end - base]
-            rows[...] = np.bincount(
-                cell.ravel(), minlength=steps * 2 * num_servers
-            ).reshape(rows.shape)
+            _draw_arrivals(rows, policy, workload, workload_rng, policy_rng)
 
             # Split the chunk at the warmup step, so every kernel call is
             # all warmup (its accounting is dropped) or all measured.

@@ -44,6 +44,7 @@ from repro.games.chsh import (
     colocation_quantum_strategy,
 )
 from repro.games.strategies import DeterministicStrategy, Strategy
+from repro.lb.engine import block_rows
 from repro.net.packet import TaskType
 from repro.quantum.state import DensityMatrix, StateVector
 
@@ -171,10 +172,11 @@ class RoundRobinAssignment(AssignmentPolicy):
         if self._next is None:
             self._next = rng.integers(0, self.num_servers, size=self.num_balancers)
         # Deterministic after the start-offset draw, so per-seed
-        # identical to the sequential path.
-        choices = (
-            self._next[None, :] + np.arange(steps)[:, None]
-        ) % self.num_servers
+        # identical to the sequential path. Both terms lie below M, so
+        # their int32 sum is exact below 2**30 servers.
+        offset = (np.arange(steps) % self.num_servers).astype(np.int32)
+        choices = np.add.outer(offset, self._next.astype(np.int32))
+        choices %= self.num_servers
         self._next = (self._next + steps) % self.num_servers
         return choices
 
@@ -251,8 +253,8 @@ class DedicatedPoolAssignment(AssignmentPolicy):
         # parity with the sequential path is distributional.
         uniform = rng.random(tasks.shape)
         pool = self.pool_size
-        in_pool = (uniform * pool).astype(np.int64)
-        outside = pool + (uniform * (self.num_servers - pool)).astype(np.int64)
+        in_pool = (uniform * pool).astype(np.int32)
+        outside = pool + (uniform * (self.num_servers - pool)).astype(np.int32)
         return np.where(tasks != 0, in_pool, outside)
 
 
@@ -486,6 +488,32 @@ def _route_members(choices, outcome, k, s0, s1):
         choices[:, j : k * num_groups : k] = s0 + bit * spread
 
 
+def _sample_routes(choices, table, k, block, uniform, s0, s1, live=None):
+    """Born-sample every group's outcome and route its members.
+
+    :func:`born_outcomes` then :func:`_route_members`, walked in blocks
+    of steps of at most :data:`~repro.lb.engine.SCAN_BLOCK_CELLS` choice
+    cells each, so their temporaries take O(block) memory while the
+    ``(steps, groups)`` draws stay whole-chunk. Both passes are
+    elementwise, so the choices equal one whole-chunk pass bit for bit.
+
+    ``table`` holds ``2**k`` entries per input block. With ``live``, it
+    stacks two tables of one shape, and a group whose ``live`` entry is
+    false reads the second: its row is ``block`` plus the first table's
+    number of blocks.
+    """
+    width = 1 << k
+    rows = block_rows(choices.shape[1])
+    for lo in range(0, block.shape[0], rows):
+        part = slice(lo, lo + rows)
+        row = None
+        if live is not None:
+            dead_row = block[part] + table.size // (2 * width)
+            row = np.where(live[part], block[part], dead_row)
+        outcome = born_outcomes(table, width, block[part], uniform[part], row)
+        _route_members(choices[part], outcome, k, s0[part], s1[part])
+
+
 class GamePairedAssignment(AssignmentPolicy):
     """Paired balancers playing a two-player strategy over random server pairs.
 
@@ -503,10 +531,11 @@ class GamePairedAssignment(AssignmentPolicy):
     uniformly at random. ``strategy`` is any two-player strategy with
     binary outputs, or its behavior tensor ``(nx, ny, 2, 2)``.
 
-    :meth:`assign_batch` samples every pair of every timestep at once
-    with :func:`born_outcomes` (two branch-free probes into the pair's
-    own block of the flat cumulative table, equal to the sequential
-    path's bisect) and returns int32 server choices.
+    :meth:`assign_batch` samples every pair of every timestep with
+    :func:`born_outcomes` (two branch-free probes into the pair's own
+    block of the flat cumulative table, equal to the sequential path's
+    bisect), a block of steps at a time, and returns int32 server
+    choices.
     """
 
     def __init__(
@@ -613,8 +642,9 @@ class GamePairedAssignment(AssignmentPolicy):
             # the flat cumulative table, matching the sequential path's
             # per-pair searchsorted exactly (see born_outcomes).
             uniform = rng.random((steps, num_pairs))
-            outcome = born_outcomes(self._flat_cumulative, 4, block, uniform)
-            _route_members(choices, outcome, 2, s0, s1)
+            _sample_routes(
+                choices, self._flat_cumulative, 2, block, uniform, s0, s1
+            )
         if n % 2 == 1:
             choices[:, -1] = rng.integers(
                 0, self.num_servers, size=steps, dtype=np.int32
@@ -823,10 +853,9 @@ class GroupAssignment(AssignmentPolicy):
             # Born-rule outcomes: each group descends its own block of
             # the flat cumulative table (see born_outcomes).
             uniform = rng.random((steps, num_groups))
-            outcome = born_outcomes(
-                self._flat_cumulative, self._width, block, uniform
+            _sample_routes(
+                choices, self._flat_cumulative, k, block, uniform, s0, s1
             )
-            _route_members(choices, outcome, k, s0, s1)
         leftover = n - num_groups * k
         if leftover:
             choices[:, n - leftover :] = rng.integers(

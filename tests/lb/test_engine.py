@@ -13,27 +13,35 @@ Two grades of parity, matching the engines' contract:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.games.chsh import colocation_quantum_strategy
 from repro.lb import (
     CHSHPairedAssignment,
+    ClassicalGroupAssignment,
     ClassicalPairedAssignment,
     DedicatedPoolAssignment,
     GamePairedAssignment,
+    GHZGroupAssignment,
+    MultiClassPairedAssignment,
     PowerOfTwoAssignment,
     RandomAssignment,
     RoundRobinAssignment,
     SameTypePairedAssignment,
     SIMULATION_ENGINES,
+    WGroupAssignment,
+    make_degraded_chsh,
     run_timestep_simulation,
     vectorization_unsupported_reason,
 )
 from repro.net.trace import record_bernoulli_trace
-from repro.net.workload import BernoulliTaskMix
+from repro.net.workload import BernoulliTaskMix, MultiClassTaskMix
 
 from tests._stattools import assert_ci_overlap, run_pair
 
@@ -45,6 +53,38 @@ STOCHASTIC_POLICIES = [
     CHSHPairedAssignment,
 ]
 VEC_DISCIPLINES = ["paper", "serial"]
+
+_three_classes = partial(
+    MultiClassTaskMix, class_probabilities=(0.4, 0.3, 0.3)
+)
+#: name -> (policy factory (N, M), workload factory (N)).
+BUILT_IN_BATCH_POLICIES = {
+    "random": (RandomAssignment, BernoulliTaskMix),
+    "round_robin": (RoundRobinAssignment, BernoulliTaskMix),
+    "dedicated_pool": (DedicatedPoolAssignment, BernoulliTaskMix),
+    "classical_pairs": (ClassicalPairedAssignment, BernoulliTaskMix),
+    "same_type_pairs": (SameTypePairedAssignment, BernoulliTaskMix),
+    "chsh_pairs": (CHSHPairedAssignment, BernoulliTaskMix),
+    "sticky_pairs": (
+        partial(
+            GamePairedAssignment,
+            strategy=colocation_quantum_strategy(),
+            sticky_servers=True,
+        ),
+        BernoulliTaskMix,
+    ),
+    "ghz3": (GHZGroupAssignment, BernoulliTaskMix),
+    "w3": (WGroupAssignment, BernoulliTaskMix),
+    "classical_group3": (ClassicalGroupAssignment, BernoulliTaskMix),
+    "multi_class3": (MultiClassPairedAssignment, _three_classes),
+    "degraded": (
+        partial(make_degraded_chsh, availability=0.6), BernoulliTaskMix
+    ),
+    "degraded_random_fallback": (
+        partial(make_degraded_chsh, availability=0.6, fallback="random"),
+        BernoulliTaskMix,
+    ),
+}
 
 
 class TestExactParity:
@@ -351,6 +391,18 @@ class TestBatchedPolicies:
         with pytest.raises(StrategyError):
             policy.assign_batch(bad, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_BATCH_POLICIES))
+    def test_built_in_batches_are_int32(self, name):
+        """23 balancers leave an odd balancer and group leftovers."""
+        make_policy, workload = BUILT_IN_BATCH_POLICIES[name]
+        tasks = workload(23).draw_batch(np.random.default_rng(1), 9)
+        choices = make_policy(23, 19).assign_batch(
+            tasks, np.random.default_rng(2)
+        )
+        assert choices.dtype == np.int32
+        assert choices.shape == (9, 23)
+        assert 0 <= choices.min() and choices.max() < 19
+
 
 class TestChunkedStreaming:
     """The streaming engine: chunk-size invariance, early stops across
@@ -420,6 +472,45 @@ class TestChunkedStreaming:
             engine="vectorized", chunk_steps=11,
         )
         assert single == tiny
+
+
+class TestTransientMemory:
+    def test_chunk_passes_allocate_one_block_of_scratch(self):
+        """A wide CHSH-paired chunk peaks at its window, its draw and
+        choice arrays, and one block of scratch: the bincount and the
+        Born sampling build no chunk-wide temporaries."""
+        import tracemalloc
+
+        from repro.lb.engine import SCAN_BLOCK_CELLS
+        from repro.obs.metrics import capture
+
+        n, m, steps = 4000, 4000, 300
+        # Warm up: imports and the process-wide behavior table.
+        run_timestep_simulation(
+            CHSHPairedAssignment(20, 20), timesteps=20, seed=1,
+            engine="vectorized",
+        )
+        with capture() as registry:
+            tracemalloc.start()
+            try:
+                run_timestep_simulation(
+                    CHSHPairedAssignment(n, m), timesteps=steps, seed=3,
+                    engine="vectorized", chunk_steps=steps,
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            window = registry.snapshot()["gauges"]["engine.window_bytes"]
+        # The workload's float64 uniforms (9 bytes a cell with the
+        # compare) die before the policy draws, which weigh more.
+        cells, pair_cells = steps * n, steps * (n // 2)
+        arrays = (
+            cells * (1 + 4)  # uint8 task bits, int32 choices
+            # int32 s0 and s1, float64 uniforms, uint8 input blocks
+            + pair_cells * (4 + 4 + 8 + 1)
+        )
+        one_block = 32 * SCAN_BLOCK_CELLS  # 32 bytes of scratch a cell
+        assert peak < window + arrays + one_block
 
 
 class TestResolveChunkSteps:
