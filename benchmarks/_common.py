@@ -57,8 +57,7 @@ def scaled(base: int, minimum: int = 1) -> int:
 #: - ``paper`` — the default: paper-scale Fig 3/Fig 4 points plus the
 #:   large streaming point at a bounded step count (~1 min).
 #: - ``production`` — the ISSUE 7 scale-up: N=10^4 balancers x 10^6
-#:   timesteps streamed through the chunked engine (~tens of minutes on
-#:   the NumPy backend; minutes under numba).
+#:   timesteps streamed through the chunked engine (~tens of minutes).
 SCALE_LADDER = {
     "smoke": {
         "stream_balancers": 1_000,

@@ -19,16 +19,12 @@ trajectory under ``telemetry_overhead``.
 
 The streaming scale-up section runs the chunked engine at the shared
 scale ladder's ``stream_*`` point (``production``: N=10^4 balancers,
-10^6 timesteps) on every importable backend, gates the peak sliding
-window below :data:`WINDOW_BYTES_BUDGET`, and — when numba is present —
-gates its kernels at no slower than the NumPy reference (the NumPy
-serve loop only touches per-server counts, so compiled code has little
-left to win) with bit-identical results.
+10^6 timesteps) and gates the peak sliding window below
+:data:`WINDOW_BYTES_BUDGET`.
 
 A trajectory file (``BENCH_engine.json``, override via
 ``REPRO_BENCH_ENGINE_JSON``) records per-repeat wall-clock times and
-speedups for trend tracking, tagged with the resolved backend; CI
-uploads it as an artifact.
+speedups for trend tracking; CI uploads it as an artifact.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ import numpy as np
 
 from benchmarks._common import scale_tier, ladder, print_block, scaled
 from repro.analysis import format_table
-from repro.backend import numba_available, resolve_backend_name
 from repro.lb import (
     CHSHPairedAssignment,
     RandomAssignment,
@@ -57,11 +52,6 @@ REPEATS = 3
 #: criterion: the production point must complete in bounded memory, not
 #: the O(M x timesteps) of full materialization).
 WINDOW_BYTES_BUDGET = 256 * 1024 * 1024
-
-#: Required numba speedup over the NumPy kernels on the streaming
-#: point, gated whenever numba is importable and the tier is not smoke:
-#: numba must be no slower than NumPy.
-NUMBA_SPEEDUP_GATE = 1.0
 
 #: Repeats for the telemetry on/off comparison — more than the engine
 #: race because the effect being measured is a few percent at most.
@@ -176,80 +166,47 @@ def bench_engine_speed(benchmark):
 
     # --- streaming scale-up: the chunked engine at production size ----
     # The reference loop is not raced here: at N=10^4 it would take
-    # hours. The race is NumPy kernels vs numba kernels (when
-    # importable), and the gates are (a) the run completes inside the
-    # sliding-window memory budget and (b) numba is no slower.
+    # hours. The gate is that the run completes inside the sliding-window
+    # memory budget.
     tier = scale_tier()
     stream_n = ladder("stream_balancers")
     stream_m = ladder("stream_servers")
     stream_steps = ladder("stream_timesteps")
     stream_chunk = resolve_chunk_steps(None, stream_steps, stream_n, stream_m)
-    backends = ["numpy"] + (["numba"] if numba_available() else [])
-    stream_rows = []
-    stream_points = []
-    stream_results = {}
-    for backend_name in backends:
-        # Warm up outside the timer so numba's one-off JIT compilation
-        # does not count against the kernel.
-        run_timestep_simulation(
-            RandomAssignment(64, 80), timesteps=64, seed=1,
-            engine="vectorized", backend=backend_name,
+    with capture() as registry:
+        policy = RandomAssignment(stream_n, stream_m)
+        start = time.perf_counter()
+        result = run_timestep_simulation(
+            policy, timesteps=stream_steps, seed=1, engine="vectorized"
         )
-        with capture() as registry:
-            policy = RandomAssignment(stream_n, stream_m)
-            start = time.perf_counter()
-            result = run_timestep_simulation(
-                policy, timesteps=stream_steps, seed=1,
-                engine="vectorized", backend=backend_name,
-            )
-            wall = time.perf_counter() - start
-            snapshot = registry.snapshot()
-        window_bytes = snapshot["gauges"]["engine.window_bytes"]
-        chunks = snapshot["counters"]["engine.vectorized.chunks"]
-        stream_results[backend_name] = result
-        stream_rows.append(
-            [backend_name, wall, stream_steps / wall, window_bytes / 2**20]
-        )
-        stream_points.append(
+        wall = time.perf_counter() - start
+        snapshot = registry.snapshot()
+    window_bytes = snapshot["gauges"]["engine.window_bytes"]
+    trajectory["streaming"] = {
+        "tier": tier,
+        "points": [
             {
-                "backend": backend_name,
                 "num_balancers": stream_n,
                 "num_servers": stream_m,
                 "timesteps": stream_steps,
                 "chunk_steps": stream_chunk,
-                "chunks": chunks,
+                "chunks": snapshot["counters"]["engine.vectorized.chunks"],
                 "seconds": wall,
                 "steps_per_sec": stream_steps / wall,
                 "peak_window_bytes": int(window_bytes),
                 "mean_queue_length": result.mean_queue_length,
             }
-        )
-        assert window_bytes <= WINDOW_BYTES_BUDGET, (
-            f"{backend_name} streaming window peaked at "
-            f"{window_bytes / 2**20:.0f} MiB, over the "
-            f"{WINDOW_BYTES_BUDGET / 2**20:.0f} MiB budget"
-        )
-        full_bytes = 2 * stream_m * stream_steps * np.dtype(np.int32).itemsize
-        if stream_steps > stream_chunk:
-            assert window_bytes < full_bytes / 4, (
-                "sliding window did not stay below full materialization"
-            )
-    if len(backends) == 2:
-        assert stream_results["numpy"] == stream_results["numba"], (
-            "backends diverged on the exact-parity streaming point"
-        )
-        numba_speedup = stream_points[0]["seconds"] / stream_points[1]["seconds"]
-        stream_points[1]["speedup_vs_numpy"] = numba_speedup
-        if tier != "smoke":
-            assert numba_speedup >= NUMBA_SPEEDUP_GATE, (
-                f"numba kernels {numba_speedup:.2f}x vs numpy, below the "
-                f"{NUMBA_SPEEDUP_GATE:.1f}x gate"
-            )
-    trajectory["backend"] = resolve_backend_name()
-    trajectory["streaming"] = {
-        "tier": tier,
-        "points": stream_points,
+        ],
     }
+    assert window_bytes <= WINDOW_BYTES_BUDGET, (
+        f"streaming window peaked at {window_bytes / 2**20:.0f} MiB, over "
+        f"the {WINDOW_BYTES_BUDGET / 2**20:.0f} MiB budget"
+    )
+    full_bytes = 2 * stream_m * stream_steps * np.dtype(np.int32).itemsize
+    if stream_steps > stream_chunk:
+        assert window_bytes < full_bytes / 4, (
+            "sliding window did not stay below full materialization"
+        )
 
     body = format_table(
         ["point", "reference s", "vectorized s", "speedup"],
@@ -264,8 +221,8 @@ def bench_engine_speed(benchmark):
     )
     body += "\n\nstreaming scale-up (tier '" + tier + "'):\n"
     body += format_table(
-        ["backend", "seconds", "steps/s", "window MiB"],
-        stream_rows,
+        ["seconds", "steps/s", "window MiB"],
+        [[wall, stream_steps / wall, window_bytes / 2**20]],
         float_format="{:.2f}",
     )
     body += (

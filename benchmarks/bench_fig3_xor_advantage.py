@@ -29,7 +29,6 @@ from benchmarks._common import (
     sweep_jobs,
 )
 from repro.analysis import FigureData, format_figure, format_table
-from repro.backend import resolve_backend_name
 from repro.exec import SweepRunner
 from repro.games import (
     advantage_decisions,
@@ -216,12 +215,11 @@ def bench_fig3_batched_cascade(benchmark):
 
     # --- scale-up: n=6..8 -------------------------------------------
     # No reference race here — the per-game loop would pay a full SDP
-    # per game at n=8. Cross-backend verdict agreement at these sizes is
-    # covered by tests/backend/test_parity.py. The default screens now
-    # decide every game here (its ties fall to the classical dual
-    # certificate), so to keep the batched ADMM stage exercised the same
-    # games are screened again with the ascent off: that forced screen
-    # must escalate games and reach the default screen's verdicts.
+    # per game at n=8. The default screens now decide every game here
+    # (its ties fall to the classical dual certificate), so to keep the
+    # batched ADMM stage exercised the same games are screened again
+    # with the ascent off: that forced screen must escalate games and
+    # reach the default screen's verdicts.
     tier = scale_tier()
     scale_sizes = ladder("fig3_sizes")
     scale_games = ladder("fig3_games")
@@ -269,7 +267,6 @@ def bench_fig3_batched_cascade(benchmark):
         assert np.array_equal(forced.verdicts, report.verdicts), (
             f"forced escalation changed a verdict at n={vertices}"
         )
-    trajectory["backend"] = resolve_backend_name()
     trajectory["scale_up"] = {"tier": tier, "points": scale_points}
 
     body = format_table(

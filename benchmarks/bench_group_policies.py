@@ -40,7 +40,6 @@ from benchmarks._common import (
     sweep_jobs,
 )
 from repro.analysis import format_table
-from repro.backend import resolve_backend_name
 from repro.lb import (
     CHSHPairedAssignment,
     ClassicalGroupAssignment,
@@ -77,7 +76,6 @@ def bench_group_policies(benchmark):
     trajectory = {
         "benchmark": "group_policies",
         "tier": tier,
-        "backend": resolve_backend_name(),
         "num_balancers": n,
         "timesteps": timesteps,
         "seed": SEED,

@@ -28,7 +28,6 @@ import numpy as np
 
 from benchmarks._common import ladder, print_block, scale_tier
 from repro.analysis import format_table
-from repro.backend import resolve_backend_name
 from repro.games import (
     chsh_nonlocal_game,
     ffl_game,
@@ -59,7 +58,6 @@ def bench_nonlocal_value(benchmark):
     trajectory = {
         "benchmark": "nonlocal_value",
         "tier": tier,
-        "backend": resolve_backend_name(),
         "seed": SEED,
         "restarts": restarts,
         "iterations": iterations,

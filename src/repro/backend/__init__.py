@@ -1,173 +1,199 @@
-"""Pluggable array-kernel backends for the two hot kernels.
+"""The NumPy kernel table behind the Fig 3 and Fig 4 hot loops.
 
-The Fig 4 streaming engine (:mod:`repro.lb.engine`) and the stacked
-ADMM solver (:mod:`repro.sdp.batch`) route their inner kernels through
-an :class:`~repro.backend.base.ArrayBackend` resolved here instead of
-hard-coding NumPy. Two backends ship today:
+The Fig 4 streaming engine (:mod:`repro.lb.engine`), the diagonal SDP
+solver (:mod:`repro.sdp.batch`) and the see-saw's behavior sanitization
+(:mod:`repro.games.seesaw`, through
+:func:`repro.sdp.projections.project_psd_batch`) reach their inner
+kernels through one :class:`ArrayBackend` table, which they look up
+with :func:`get_backend` when they run: the engine once per run, the
+solver once per solve.
 
-- ``numpy`` — the reference implementations; always available.
-- ``numba`` — ``@njit``-compiled variants of the same kernels,
-  registered only when :mod:`numba` is importable. Kernel-for-kernel
-  the numba versions execute the same arithmetic in the same order as
-  the NumPy reference, so the Fig 4 server model is bit-identical
-  across backends and the SDP projections agree to LAPACK tolerance
-  (both are asserted by ``tests/backend/``).
+The table is a seam for the benchmark suite's tracer
+(``benchmarks/suite/tracing.py``): it wraps every kernel it lists and
+puts the wrapped table in place with :func:`register_backend`. That is
+why no call site binds the table at import time. ``"numpy"`` is the
+only name :func:`get_backend`, :func:`register_backend` and
+:func:`resolve_backend_name` accept; any other raises
+:class:`~repro.errors.ConfigurationError`.
 
-The registry is open: :func:`register_backend` accepts any name with a
-factory and an availability probe, so a CuPy/GPU backend can slot in
-without touching the dispatch sites.
+Kernels:
 
-Resolution order for :func:`get_backend` / :func:`resolve_backend_name`:
-an explicit argument wins, then the ``REPRO_BACKEND`` environment
-variable (the CLI's ``--backend`` flag sets it so sweep workers
-inherit the choice), then ``"auto"``, which picks the first available
-entry of :data:`AUTO_ORDER` (numba when importable, else numpy).
-Requesting an unavailable backend by name warns and falls back to
-numpy rather than failing the run.
+``serve_chunk``
+    Advance the Fig 4 count-only server model over one chunk of
+    timesteps. The state is the ``(M,)`` per-server queued counts of
+    each type; each step adds the step's arrival counts, then every
+    server takes ``min(queued_c, 2)`` type-C tasks (``min(queued_c, 1)``
+    under the serial discipline), or one type-E task if it has no
+    type-C. Which tasks are served never matters here: each type is
+    FIFO, so the engine recovers queueing delays from arrival counts
+    alone (see :mod:`repro.lb.engine`).
 
-The resolved name participates in the sweep result-cache key
-(:func:`repro.exec.cache.cache_key`) and is recorded on every
-:class:`~repro.obs.manifest.RunManifest`, so cached results never leak
-across backends and every artifact says which kernels produced it.
+``searchsorted_right``
+    ``np.searchsorted(table, values, side="right")``. No package code
+    calls it; it stays while the suite's tracer lists it, because the
+    tracer wraps every listed kernel by attribute.
+
+``project_psd_batch``
+    Project every slice of a ``(B, n, n)`` stack onto the PSD cone:
+    symmetrize, one stacked ``eigh``, clip negative eigenvalues,
+    reconstruct. LAPACK decomposes each slice independently.
+
+``frobenius_batch``
+    Frobenius norm of every slice of a ``(B, n, n)`` stack — the ADMM
+    residual check.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib
-import importlib.util
-import os
-import warnings
 from collections.abc import Callable
+from dataclasses import dataclass
 
-from repro.backend.base import ArrayBackend
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "AUTO_ORDER",
     "ArrayBackend",
-    "available_backends",
     "get_backend",
-    "numba_available",
     "register_backend",
-    "registered_backends",
     "resolve_backend_name",
 ]
 
-#: Preference order for ``backend="auto"``: first available entry wins.
-AUTO_ORDER = ("numba", "numpy")
+
+@dataclass(frozen=True)
+class ArrayBackend:
+    """A named bundle of hot-kernel implementations (see the module doc)."""
+
+    name: str
+    serve_chunk: Callable
+    searchsorted_right: Callable
+    project_psd_batch: Callable
+    frobenius_batch: Callable
+
+    def __repr__(self) -> str:  # keep logs short
+        return f"ArrayBackend({self.name!r})"
 
 
-@functools.cache
-def numba_available() -> bool:
-    """Whether the numba JIT backend can be imported on this host."""
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):  # pragma: no cover - defensive
-        return False
+def _serve_chunk(
+    arrivals_c,
+    arrivals_e,
+    queued_c,
+    queued_e,
+    start,
+    num_balancers,
+    serve_two_c,
+    max_total_queue,
+    total_queued,
+    queue_length_sum,
+):
+    """Advance the count-only server model over one chunk of timesteps.
 
+    Args:
+        arrivals_c / arrivals_e: ``(chunk, M)`` per-step, per-server
+            arrival counts by type.
+        queued_c / queued_e: ``(M,)`` per-server queued counts by type,
+            updated in place.
+        start: absolute step of chunk row 0.
+        num_balancers: arrivals per step.
+        serve_two_c: "paper" discipline (two type-C per step) when True,
+            "serial" (one task per step, C first) when False.
+        max_total_queue: early-stop threshold on the system-wide queue.
+        total_queued: system-wide queued count carried in from the
+            previous chunk.
+        queue_length_sum: running queue-length accumulator carried in
+            from the previous chunk. Accumulating *inside* the kernel
+            keeps the float addition sequence identical to a monolithic
+            run, so results are bit-identical across chunk sizes.
 
-def _load_numpy_backend() -> ArrayBackend:
-    module = importlib.import_module("repro.backend.numpy_backend")
-    return module.make_backend()
-
-
-def _load_numba_backend() -> ArrayBackend:
-    module = importlib.import_module("repro.backend.numba_backend")
-    return module.make_backend()
-
-
-#: name -> (factory, availability probe). Ordered: registration order is
-#: reported by :func:`registered_backends`.
-_REGISTRY: dict[str, tuple[Callable[[], ArrayBackend], Callable[[], bool]]] = {}
-
-#: Instantiated backends, keyed by resolved name.
-_INSTANCES: dict[str, ArrayBackend] = {}
-
-
-def register_backend(
-    name: str,
-    factory: Callable[[], ArrayBackend],
-    *,
-    available: Callable[[], bool] = lambda: True,
-) -> None:
-    """Register (or replace) a backend under ``name``.
-
-    ``factory`` is called lazily on first :func:`get_backend` resolution
-    so heavyweight imports (numba compilation, CUDA context creation)
-    only happen when the backend is actually selected. ``available``
-    is a cheap probe consulted during resolution; unavailable backends
-    are skipped by ``auto`` and trigger a warn-and-fallback when
-    requested by name.
+    Returns:
+        ``(steps_done, total_queued, served, served_step_sum,
+        queue_length_sum, stopped)``: ``served_step_sum`` is the sum of
+        the serving step over every served task, and ``stopped`` flags a
+        ``max_total_queue`` early stop after ``steps_done`` steps.
     """
-    if not name or not name.islower():
-        raise ConfigurationError(
-            f"backend name must be non-empty lowercase, got {name!r}"
-        )
-    _REGISTRY[name] = (factory, available)
-    _INSTANCES.pop(name, None)
+    num_servers = queued_c.shape[0]
+    cap_c = 2 if serve_two_c else 1
+    served = 0
+    served_step_sum = 0
+    stopped = False
+    steps_done = 0
 
+    for offset in range(arrivals_c.shape[0]):
+        queued_c += arrivals_c[offset]
+        queued_e += arrivals_e[offset]
+        take_e = (queued_c == 0) & (queued_e > 0)
+        take_c = np.minimum(queued_c, cap_c)
+        queued_c -= take_c
+        queued_e -= take_e
+        step_served = int(take_c.sum()) + int(np.count_nonzero(take_e))
 
-def registered_backends() -> tuple[str, ...]:
-    """Every registered backend name, available or not."""
-    return tuple(_REGISTRY)
+        total_queued += num_balancers - step_served
+        served += step_served
+        served_step_sum += (start + offset) * step_served
+        queue_length_sum += total_queued / num_servers
+        steps_done += 1
+        if total_queued > max_total_queue:
+            stopped = True
+            break
 
-
-def available_backends() -> tuple[str, ...]:
-    """The registered backends whose availability probe passes."""
-    return tuple(
-        name for name, (_, available) in _REGISTRY.items() if available()
+    return (
+        steps_done,
+        total_queued,
+        served,
+        served_step_sum,
+        queue_length_sum,
+        stopped,
     )
 
 
-def resolve_backend_name(name: str | None = None) -> str:
-    """Resolve a backend request to the name that will actually run.
+def _searchsorted_right(table, values):
+    return np.searchsorted(table, values, side="right")
 
-    Resolution: explicit ``name`` > ``REPRO_BACKEND`` > ``"auto"``.
-    ``auto`` picks the first available entry of :data:`AUTO_ORDER`
-    (falling back to any available registered backend for third-party
-    registrations). A by-name request for a registered-but-unavailable
-    backend warns and resolves to ``numpy``; an unknown name raises.
-    """
-    requested = (
-        name
-        if name is not None
-        else os.environ.get("REPRO_BACKEND", "").strip()
-    ) or "auto"
-    requested = requested.lower()
-    if requested == "auto":
-        for candidate in AUTO_ORDER:
-            entry = _REGISTRY.get(candidate)
-            if entry is not None and entry[1]():
-                return candidate
-        for candidate in available_backends():  # pragma: no cover
-            return candidate
-        raise ConfigurationError("no array backend is available")
-    if requested not in _REGISTRY:
+
+def _project_psd_batch(matrices):
+    sym = (matrices + np.swapaxes(matrices, -1, -2)) / 2.0
+    eigs, vecs = np.linalg.eigh(sym)
+    clipped = eigs.clip(min=0.0)
+    return (vecs * clipped[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+
+
+def _frobenius_batch(matrices):
+    return np.sqrt(np.einsum("bij,bij->b", matrices, matrices))
+
+
+_table = ArrayBackend(
+    name="numpy",
+    serve_chunk=_serve_chunk,
+    searchsorted_right=_searchsorted_right,
+    project_psd_batch=_project_psd_batch,
+    frobenius_batch=_frobenius_batch,
+)
+
+
+def resolve_backend_name(name: str | None = None) -> str:
+    """``"numpy"``, the one kernel table's name, for ``None`` or
+    ``"numpy"``; any other name raises :class:`ConfigurationError`."""
+    if name not in (None, "numpy"):
         raise ConfigurationError(
-            f"unknown backend {requested!r}; registered: "
-            f"{sorted(_REGISTRY)} (plus 'auto')"
+            f"unknown backend {name!r}; the only kernel table is 'numpy'"
         )
-    if not _REGISTRY[requested][1]():
-        warnings.warn(
-            f"backend {requested!r} requested but not available on this "
-            "host; falling back to 'numpy'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "numpy"
-    return requested
+    return "numpy"
 
 
 def get_backend(name: str | None = None) -> ArrayBackend:
-    """The resolved, instantiated backend for ``name`` (see resolution
-    rules on :func:`resolve_backend_name`)."""
-    resolved = resolve_backend_name(name)
-    instance = _INSTANCES.get(resolved)
-    if instance is None:
-        instance = _INSTANCES[resolved] = _REGISTRY[resolved][0]()
-    return instance
+    """The kernel table in place now (``name`` as for
+    :func:`resolve_backend_name`)."""
+    resolve_backend_name(name)
+    return _table
 
 
-register_backend("numpy", _load_numpy_backend)
-register_backend("numba", _load_numba_backend, available=numba_available)
+def register_backend(name: str, factory: Callable[[], ArrayBackend]) -> None:
+    """Put ``factory()`` in place as the kernel table (``name`` as for
+    :func:`resolve_backend_name`).
+
+    Later :func:`get_backend` calls return it. To restore the original
+    table, register the one :func:`get_backend` returned before.
+    """
+    global _table
+    resolve_backend_name(name)
+    _table = factory()

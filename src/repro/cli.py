@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from collections.abc import Sequence
 
@@ -63,14 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run observability: 'summary' prints the run manifest and "
         "span tree, 'json:PATH' writes {manifest, spans} to PATH "
         "(default: off; see docs/observability.md)",
-    )
-    telemetry.add_argument(
-        "--backend",
-        default=None,
-        metavar="{auto,numpy,numba}",
-        help="array-kernel backend for the hot kernels; sets "
-        "REPRO_BACKEND so sweep workers inherit it (default: "
-        "REPRO_BACKEND, else auto — numba when importable, else numpy)",
     )
     telemetry.add_argument(
         "--no-journal",
@@ -1009,8 +1000,6 @@ def _cli_manifest(args, registry, wall: float):
 
     snapshot = registry.snapshot()
     counters = snapshot.get("counters", {})
-    from repro.backend import resolve_backend_name
-
     config = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -1021,7 +1010,6 @@ def _cli_manifest(args, registry, wall: float):
         "cli",
         seeds=() if seed is None else (int(seed),),
         engine=getattr(args, "engine", None),
-        backend=resolve_backend_name(),
         config={"command": args.command, **config},
         cache_hits=counters.get("cache.hit", 0),
         cache_misses=counters.get("cache.miss", 0),
@@ -1056,19 +1044,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from repro.backend import resolve_backend_name
-        from repro.errors import ConfigurationError
-
-        # Validate eagerly (unknown names fail before any work) and
-        # publish through the environment so forked sweep workers and
-        # every dispatch site resolve the same backend.
-        try:
-            resolve_backend_name(backend)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
-        os.environ["REPRO_BACKEND"] = backend
     mode = getattr(args, "telemetry", "off")
     if mode == "off":
         _dispatch(parser, args)

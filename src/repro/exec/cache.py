@@ -4,7 +4,6 @@ A sweep point is identified by *what would be computed*. Its key hashes:
 
 - the config (callables in it, such as policy classes, by their code)
   and the seed;
-- the resolved array backend;
 - a fingerprint of the work function's own code (module, qualname,
   source text, default arguments, and closure cells), which covers
   work functions that live outside the package, in benchmarks, tests
@@ -191,26 +190,18 @@ def source_digest() -> str:
     return digest.hexdigest()
 
 
-def cache_key(
-    config, seed: int, *, code_token: str = "", backend: str | None = None
-) -> str:
+def cache_key(config, seed: int, *, code_token: str = "") -> str:
     """The cache key for one (config, seed) sweep point.
 
     ``code_token`` fingerprints the work function (see
     :func:`stable_fingerprint`); :func:`source_digest` stands for the
-    package code that function reaches. ``backend`` is the resolved
-    array-backend name (see :mod:`repro.backend`); it participates in
-    the key so results never replay across backends — numpy and numba
-    agree bit-for-bit on the Fig 4 kernels but only to LAPACK tolerance
-    on the SDP projections, and a cache hit must mean "this exact
-    computation".
+    package code that function reaches.
     """
     material = "|".join(
         [
             f"v{CACHE_VERSION}",
             f"repro-src:{source_digest()}",
             code_token,
-            f"backend:{backend or 'numpy'}",
             stable_fingerprint(config),
             f"seed:{int(seed)}",
         ]

@@ -26,7 +26,7 @@ with hypothesis).
 Records are content-addressed: each ``point`` record carries the
 point's result-cache key (:func:`repro.exec.cache.cache_key`), so a
 re-invocation only skips a journaled point when the *same computation*
-— config, seed, work-function code, and backend — produced it. Values
+— config, seed and work-function code — produced it. Values
 ride inline as base64 pickles, so resume works even with the result
 cache disabled.
 

@@ -539,22 +539,15 @@ class SweepRunner:
             self._progress(message)
 
     def _key(self, config, seed: int) -> str:
-        from repro.backend import resolve_backend_name
-
         if self._code_token is None:
             self._code_token = stable_fingerprint(self._fn)
-        return cache_key(
-            config,
-            seed,
-            code_token=self._code_token,
-            backend=resolve_backend_name(),
-        )
+        return cache_key(config, seed, code_token=self._code_token)
 
     def run_key(self, points: Iterable[tuple[object, int]]) -> str:
         """Content-addressed identity of a point set under this runner.
 
         Derived from the label and every point's cache key, so the same
-        sweep (same configs, seeds, code, and backend) maps to the same
+        sweep (same configs, seeds and code) maps to the same
         journal file across invocations.
         """
         return self._run_key(
@@ -695,13 +688,10 @@ class SweepRunner:
             if journal is not None:
                 journal.close()  # commits what an exception left behind
 
-        from repro.backend import resolve_backend_name
-
         wall_clock = time.perf_counter() - start
         run_manifest = _manifest.RunManifest.collect(
             "sweep",
             seeds=tuple(seed for _, seed in submitted),
-            backend=resolve_backend_name(),
             config={
                 "label": self.label,
                 "jobs": self.jobs,

@@ -378,7 +378,6 @@ def screen_game_batch(
     restarts: int = 3,
     iterations: int = 200,
     heuristic_seed: int = 0,
-    backend: str | None = None,
 ) -> CascadeReport:
     """Decide quantum advantage for every game via the screening cascade.
 
@@ -395,8 +394,7 @@ def screen_game_batch(
 
     ``restarts`` / ``iterations`` set the ascent budget; the screens
     stay exact under any budget, which only moves games between the
-    lower and sdp stages. ``backend`` selects the array-kernel backend
-    for the escalated stacked solve (see :mod:`repro.backend`).
+    lower and sdp stages.
     """
     if not (np.isfinite(margin) and margin >= 0.0):
         raise GameError(f"margin must be finite and >= 0, got {margin}")
@@ -464,7 +462,6 @@ def screen_game_batch(
                         blocks[~proven],
                         tolerance=tolerance,
                         warm_starts=stacked @ np.swapaxes(stacked, 1, 2),
-                        backend=backend,
                         stop_below=line - margin,
                         stop_above=line + margin,
                     )
@@ -503,7 +500,6 @@ def screen_advantage_batch(
     margin: float = DEFAULT_SCREEN_MARGIN,
     restarts: int = 3,
     iterations: int = 200,
-    backend: str | None = None,
 ) -> CascadeReport:
     """Sample one Fig 3 point's games and screen them in one pass."""
     batch = sample_game_batch(
@@ -520,5 +516,4 @@ def screen_advantage_batch(
         margin=margin,
         restarts=restarts,
         iterations=iterations,
-        backend=backend,
     )

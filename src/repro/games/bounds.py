@@ -111,7 +111,6 @@ def quantum_value_bounds(
     iterations: int = 200,
     seed: int = 0,
     npa_level: str = "1+ab",
-    backend=None,
 ) -> QuantumValueBounds:
     """Certified ``classical <= lower <= upper`` bounds for ``game``.
 
@@ -134,7 +133,6 @@ def quantum_value_bounds(
         restarts / iterations / seed: see-saw budget and determinism
             (see :func:`~repro.games.seesaw.seesaw_lower_bound`).
         npa_level: NPA hierarchy level for the upper bound.
-        backend: array backend forwarded to the see-saw.
     """
     if method not in BOUND_METHODS:
         raise GameError(
@@ -163,7 +161,6 @@ def quantum_value_bounds(
         restarts=restarts,
         iterations=iterations,
         seed=seed,
-        backend=backend,
     )
     upper, npa_sdp = npa_upper_bound(game, level=npa_level, tolerance=tolerance)
     return QuantumValueBounds(
@@ -223,7 +220,6 @@ def screen_nonlocal_games(
     iterations: int = 150,
     seed: int = 0,
     npa_level: str = "1+ab",
-    backend=None,
 ) -> NonlocalScreenReport:
     """Cascade advantage verdicts over a batch of general games.
 
@@ -272,7 +268,6 @@ def screen_nonlocal_games(
                 restarts=restarts,
                 iterations=iterations,
                 seed=seed,
-                backend=backend,
             )
             lower = max(classical, seesaw.value)
             lower_bounds[index] = lower

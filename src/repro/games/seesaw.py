@@ -29,7 +29,7 @@ a valid quantum strategy (possibly needing a dimension doubling to
 match complex optima, hence the ``dim`` knob).
 
 The returned value is **certified**: the behavior is sanitized through
-the backend's batched PSD projection
+the batched PSD projection
 (:func:`repro.sdp.projections.project_psd_batch`), clipped, and
 renormalized, and the reported value is
 ``game.value_of_behavior(behavior)`` of that explicit behavior — a
@@ -290,11 +290,10 @@ def _behavior_of(
     subs: _Subscripts,
     psi: np.ndarray,
     effects: list[np.ndarray],
-    backend=None,
 ) -> np.ndarray:
     """Explicit behavior of (state, POVMs), sanitized to a valid one.
 
-    Effects pass through the backend's batched PSD projection to
+    Effects pass through the batched PSD projection to
     scrub eigenvalue-level negativity before probabilities are formed;
     the rows are then clipped and renormalized exactly.
     """
@@ -303,8 +302,7 @@ def _behavior_of(
         n, m, dim, _ = party.shape
         sanitized.append(
             project_psd_batch(
-                symmetrize_batch(party).reshape(n * m, dim, dim),
-                backend=backend,
+                symmetrize_batch(party).reshape(n * m, dim, dim)
             ).reshape(n, m, dim, dim)
         )
     # p(outputs | inputs) = Tr(Q^T E_rest Q E_last) for the last party.
@@ -331,7 +329,6 @@ def seesaw_lower_bound(
     tolerance: float = 1e-10,
     seed: int = 0,
     streams: RandomStreams | None = None,
-    backend=None,
 ) -> SeesawResult:
     """Certified lower bound on the quantum value of ``game``.
 
@@ -351,8 +348,6 @@ def seesaw_lower_bound(
         seed: root seed (ignored when ``streams`` is given).
         streams: optional shared :class:`RandomStreams`; lets callers
             tie the see-saw into an existing deterministic sweep.
-        backend: array backend (name or instance) for the batched PSD
-            sanitization of the final behavior.
     """
     if dim < 2:
         raise GameError("see-saw needs local dimension >= 2")
@@ -425,9 +420,7 @@ def seesaw_lower_bound(
     registry.counter("seesaw.restarts").inc(restarts)
     registry.counter("seesaw.iterations").inc(total_sweeps)
     value, state, effects, converged = best
-    behavior = _behavior_of(
-        subs, state.reshape((dim,) * num_parties), effects, backend=backend
-    )
+    behavior = _behavior_of(subs, state.reshape((dim,) * num_parties), effects)
     certified = float(game.value_of_behavior(behavior))
     return SeesawResult(
         value=certified,

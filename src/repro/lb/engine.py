@@ -39,11 +39,10 @@ discipline / workload combinations that vectorize:
    :data:`SCAN_BLOCK_CELLS` cells (:func:`block_rows`), so beyond the
    window and the chunk's draw and choice arrays a pass holds
    ``O(block)`` scratch, not ``O(chunk * width)``.
-4. **Pluggable kernels** — the per-chunk serve loop is dispatched
-   through :func:`repro.backend.get_backend`: the NumPy reference
-   kernel, or the numba ``@njit`` variant when available. Both execute
-   identical arithmetic in identical order, so results are
-   bit-identical across backends (asserted by ``tests/backend/``).
+4. **One kernel table** — the per-chunk serve loop is the
+   ``serve_chunk`` kernel of the table :func:`repro.backend.get_backend`
+   returns, looked up once per run, so a table the benchmark suite's
+   tracer puts in place is the one that runs.
 
 Metric equivalence: for a fixed task and choice matrix the count-only
 model serves the same number of tasks of each type per server each
@@ -71,7 +70,7 @@ import time
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend
+from repro.backend import get_backend
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
@@ -278,7 +277,6 @@ def run_vectorized(
     discipline: str,
     warmup: int,
     max_total_queue: float,
-    backend: str | ArrayBackend | None = None,
     chunk_steps: int | None = None,
 ):
     """Run the chunked streaming engine; returns a ``SimulationResult``.
@@ -288,15 +286,12 @@ def run_vectorized(
     :func:`vectorization_unsupported_reason` first.
 
     Args:
-        backend: an :class:`~repro.backend.ArrayBackend`, a registry
-            name, or ``None`` for the environment/auto resolution of
-            :func:`repro.backend.get_backend`.
         chunk_steps: timesteps per streamed chunk; ``None`` for the
             adaptive default (see :func:`resolve_chunk_steps`).
     """
     from repro.lb.simulation import SimulationResult
 
-    kernels = backend if isinstance(backend, ArrayBackend) else get_backend(backend)
+    kernels = get_backend()
     num_servers = policy.num_servers
     num_balancers = policy.num_balancers
     chunk = resolve_chunk_steps(chunk_steps, timesteps, num_balancers, num_servers)

@@ -196,7 +196,6 @@ def run_timestep_simulation(
     max_total_queue: float = float("inf"),
     workload=None,
     engine: str = "auto",
-    backend: str | None = None,
     chunk_steps: int | None = None,
 ) -> SimulationResult:
     """Run the Fig 4 experiment for one policy and return its metrics.
@@ -220,10 +219,6 @@ def run_timestep_simulation(
             discipline all support it, else the reference deque loop;
             see :mod:`repro.lb.engine` for the support matrix and
             docs/reproducing.md for how per-seed values relate.
-        backend: array-kernel backend for the vectorized engine — a
-            registry name (``"numpy"``, ``"numba"``, ``"auto"``) or
-            ``None`` to defer to ``REPRO_BACKEND`` / auto resolution
-            (see :mod:`repro.backend`). Ignored by the reference engine.
         chunk_steps: timesteps per streamed chunk for the vectorized
             engine; ``None`` picks the adaptive default.
     """
@@ -256,12 +251,7 @@ def run_timestep_simulation(
         raise ConfigurationError(f"vectorized engine unsupported: {reason}")
     start = time.perf_counter()
     if engine != "reference" and reason is None:
-        from repro.backend import get_backend
-
-        kernels = get_backend(backend)
-        with _spans.span(
-            "engine.vectorized", steps=timesteps, backend=kernels.name
-        ):
+        with _spans.span("engine.vectorized", steps=timesteps):
             result = _engine_mod.run_vectorized(
                 policy,
                 workload,
@@ -271,14 +261,12 @@ def run_timestep_simulation(
                 discipline=discipline,
                 warmup=warmup,
                 max_total_queue=max_total_queue,
-                backend=kernels,
                 chunk_steps=chunk_steps,
             )
         return _finalize(
             policy,
             result,
             engine="vectorized",
-            backend=kernels.name,
             seed=seed,
             wall=time.perf_counter() - start,
             timesteps=timesteps,
@@ -336,7 +324,6 @@ def run_timestep_simulation(
         policy,
         result,
         engine="reference",
-        backend=None,
         seed=seed,
         wall=time.perf_counter() - start,
         timesteps=timesteps,
@@ -350,7 +337,6 @@ def _finalize(
     result: SimulationResult,
     *,
     engine: str,
-    backend: str | None,
     seed: int,
     wall: float,
     timesteps: int,
@@ -389,7 +375,6 @@ def _finalize(
         "simulation",
         seeds=(int(seed),),
         engine=engine,
-        backend=backend,
         config={
             "num_balancers": policy.num_balancers,
             "num_servers": policy.num_servers,

@@ -76,7 +76,6 @@ def _run_load_point(config, seed: int) -> SimulationResult:
         p_colocate=config["p_colocate"],
         workload=workload,
         engine=config.get("engine", "auto"),
-        backend=config.get("backend"),
         chunk_steps=config.get("chunk_steps"),
     )
 
@@ -95,7 +94,6 @@ def sweep_load_detailed(
     cache_dir=None,
     progress=None,
     engine: str = "auto",
-    backend: str | None = None,
     chunk_steps: int | None = None,
     policy_kwargs: dict | None = None,
     workload_factory=None,
@@ -136,11 +134,6 @@ def sweep_load_detailed(
         "p_colocate": p_colocate,
         "engine": engine,
     }
-    # Only placed in the config (hence the cache fingerprint) when set:
-    # the runner's key already embeds the *resolved* backend name, so
-    # default-resolution runs keep compact configs.
-    if backend is not None:
-        base_config["backend"] = backend
     if chunk_steps is not None:
         base_config["chunk_steps"] = chunk_steps
     if policy_kwargs:
@@ -188,7 +181,6 @@ def sweep_load(
     cache_dir=None,
     progress=None,
     engine: str = "auto",
-    backend: str | None = None,
     chunk_steps: int | None = None,
     policy_kwargs: dict | None = None,
     workload_factory=None,
@@ -222,7 +214,6 @@ def sweep_load(
         cache_dir=cache_dir,
         progress=progress,
         engine=engine,
-        backend=backend,
         chunk_steps=chunk_steps,
         policy_kwargs=policy_kwargs,
         workload_factory=workload_factory,

@@ -114,9 +114,6 @@ class RunManifest:
         seeds: every root seed the run consumed, in submission order.
         engine: resolved simulation engine (``"vectorized"`` /
             ``"reference"``), if one ran.
-        backend: resolved array backend (``"numpy"`` / ``"numba"``)
-            whose kernels produced the run, if a backend-dispatched
-            path ran; ``None`` for the pure-Python reference engine.
         config: the run's knobs (timesteps, loads, jobs, …) as plain
             JSON-serializable data.
         cache_hits / cache_misses: result-cache accounting for the run.
@@ -137,7 +134,6 @@ class RunManifest:
     hostname: str
     seeds: tuple[int, ...] = ()
     engine: str | None = None
-    backend: str | None = None
     config: dict = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
@@ -170,7 +166,6 @@ class RunManifest:
             "hostname": self.hostname,
             "seeds": [int(s) for s in self.seeds],
             "engine": self.engine,
-            "backend": self.backend,
             "config": dict(self.config),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,

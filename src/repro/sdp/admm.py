@@ -168,8 +168,8 @@ def solve_partition_sdp(
         # the exact minimizer is the affine projection of z - u + C_hat.
         x = tables.project_affine(z - u + c_active, corner_value)
         z_prev = z
-        # Z-step: NumPy's stacked eigh, not the backend kernel, so NPA
-        # bounds do not depend on the backend.
+        # Z-step: the PSD projection, NumPy's stacked eigh written inline
+        # (not the kernel table's project_psd_batch).
         eigs, vecs = np.linalg.eigh(symmetrize_batch(x + u))
         z = (vecs * np.maximum(eigs, 0.0)[:, None, :]) @ vecs.swapaxes(1, 2)
         u = u + x - z

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import get_backend
 from repro.errors import SolverError
 from repro.obs import metrics as _metrics
 from repro.sdp.projections import project_psd_batch, symmetrize_batch
@@ -50,13 +51,6 @@ __all__ = [
 LINE_CHECK_PERIOD = 25
 
 
-def _frobenius_batch(matrices: np.ndarray, backend=None) -> np.ndarray:
-    """Frobenius norm of every matrix in a ``(B, n, n)`` stack."""
-    if backend is not None:
-        return backend.frobenius_batch(matrices)
-    return np.sqrt(np.einsum("bij,bij->b", matrices, matrices))
-
-
 def _cost_scales(costs: np.ndarray) -> np.ndarray:
     """ADMM step scale of every cost in a ``(B, n, n)`` stack.
 
@@ -64,7 +58,7 @@ def _cost_scales(costs: np.ndarray) -> np.ndarray:
     ``rho = ||C||_F``; a zero cost keeps scale 1. The partition solver
     calls this on a batch of one.
     """
-    norms = _frobenius_batch(costs)
+    norms = np.sqrt(np.einsum("bij,bij->b", costs, costs))
     return np.where(norms > 0.0, norms, 1.0)
 
 
@@ -102,16 +96,14 @@ def _decision_line(
     return line
 
 
-def repair_feasible_batch(
-    z: np.ndarray, diagonal: np.ndarray, *, backend=None
-) -> np.ndarray:
+def repair_feasible_batch(z: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """Batched feasibility repair: PSD with the exact required diagonal.
 
     PSD-project, then rescale every slice by ``D^-1/2 Z D^-1/2``
     (congruence preserves PSD-ness) so each slice's objective is a
     genuine lower bound.
     """
-    psd = project_psd_batch(z, backend=backend)
+    psd = project_psd_batch(z)
     n = psd.shape[-1]
     rows = np.arange(n)
     current = psd[:, rows, rows].clip(min=1e-12)
@@ -121,9 +113,9 @@ def repair_feasible_batch(
     return out
 
 
-def _repaired_bounds(costs, z, diagonal, kernels):
+def _repaired_bounds(costs, z, diagonal):
     """Each slice's repaired primal, its objective and its dual bound."""
-    feasible = repair_feasible_batch(z, diagonal, backend=kernels)
+    feasible = repair_feasible_batch(z, diagonal)
     objectives = np.einsum("bij,bij->b", costs, feasible)
     return feasible, objectives, dual_upper_bound_batch(
         costs, feasible, diagonal
@@ -173,7 +165,6 @@ def solve_diagonal_sdp_batch(
     tolerance: float = 1e-8,
     max_iterations: int = 50_000,
     warm_starts: np.ndarray | None = None,
-    backend: str | None = None,
     stop_below: np.ndarray | None = None,
     stop_above: np.ndarray | None = None,
 ) -> list[SDPResult]:
@@ -189,10 +180,6 @@ def solve_diagonal_sdp_batch(
             are returned with ``converged=False``.
         warm_starts: optional ``(B, n, n)`` stack of initial ``Z``
             iterates (e.g. Gram matrices from a heuristic solver).
-        backend: array-kernel backend for the PSD projections and
-            residual norms — an :class:`~repro.backend.ArrayBackend`, a
-            registry name, or ``None`` for environment/auto resolution
-            (see :mod:`repro.backend`).
         stop_below: optional ``(B,)`` decision lines for ``upper_bound``,
             in the units of ``<C, X>``.
         stop_above: optional ``(B,)`` decision lines for ``objective``.
@@ -217,15 +204,13 @@ def solve_diagonal_sdp_batch(
         raise SolverError(
             f"costs must be a (B, n, n) stack, got shape {costs.shape}"
         )
-    from repro.backend import ArrayBackend, get_backend
-
     num_games, n = costs.shape[0], costs.shape[1]
     check_lines = stop_below is not None or stop_above is not None
     below = _decision_line(stop_below, num_games, "stop_below", -np.inf)
     above = _decision_line(stop_above, num_games, "stop_above", np.inf)
     if num_games == 0:
         return []
-    kernels = backend if isinstance(backend, ArrayBackend) else get_backend(backend)
+    kernels = get_backend()
     c = symmetrize_batch(_require_finite(costs, "costs"))
     diagonal = _check_diagonal(diagonal, n)
 
@@ -267,17 +252,17 @@ def solve_diagonal_sdp_batch(
         x = z - u + c_active
         x[:, rows, rows] = diagonal
         z_prev = z
-        z = project_psd_batch(x + u, backend=kernels)
+        z = kernels.project_psd_batch(x + u)
         u = u + x - z
-        primal = _frobenius_batch(x - z, kernels)
-        dual = _frobenius_batch(z - z_prev, kernels)
+        primal = kernels.frobenius_batch(x - z)
+        dual = kernels.frobenius_batch(z - z_prev)
         done = (primal < tolerance) & (dual < tolerance)
         converged[active[done]] = True
         if check_lines and iteration % LINE_CHECK_PERIOD == 0:
             checked = np.flatnonzero(~done)
             ids = active[checked]
             repaired, lower, upper = _repaired_bounds(
-                c[ids], z[checked], diagonal, kernels
+                c[ids], z[checked], diagonal
             )
             hit = (lower > above[ids]) | (upper <= below[ids])
             leaving = ids[hit]
@@ -316,7 +301,7 @@ def solve_diagonal_sdp_batch(
     rest = ~stopped
     if rest.any():
         feasible[rest], objectives[rest], uppers[rest] = _repaired_bounds(
-            c[rest], final_z[rest], diagonal, kernels
+            c[rest], final_z[rest], diagonal
         )
     return [
         SDPResult(

@@ -36,15 +36,10 @@ PACKAGES = ["repro"] + sorted(
 
 
 def _submodules(package):
-    modules = []
-    for info in pkgutil.iter_modules(package.__path__):
-        try:
-            modules.append(
-                importlib.import_module(f"{package.__name__}.{info.name}")
-            )
-        except ImportError:  # an optional backend whose dependency is absent
-            continue
-    return modules
+    return [
+        importlib.import_module(f"{package.__name__}.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+    ]
 
 
 def _fresh_modules(code: str) -> set[str]:
@@ -176,7 +171,7 @@ TEST_ONLY_EXPORTS = {
         "jain_fairness",
         "run_seeded",
     }),
-    "repro.backend": frozenset({"registered_backends"}),
+    "repro.backend": frozenset(),
     "repro.ecmp": frozenset(),
     "repro.exec": frozenset(),
     "repro.games": frozenset({
