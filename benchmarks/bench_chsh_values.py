@@ -18,7 +18,6 @@ from repro.games import (
     CHSH_CLASSICAL_VALUE,
     CHSH_QUANTUM_VALUE,
     chsh_game,
-    exact_win_probability,
     optimal_classical_strategy,
     optimal_quantum_strategy,
     play_rounds,
@@ -30,8 +29,8 @@ def bench_chsh_values(benchmark):
     quantum = optimal_quantum_strategy()
     classical = optimal_classical_strategy()
 
-    exact_quantum = exact_win_probability(game, quantum)
-    exact_classical = exact_win_probability(game, classical)
+    exact_quantum = game.value_of_strategy(quantum)
+    exact_classical = game.value_of_strategy(classical)
     brute_force = game.classical_value()
 
     rng = np.random.default_rng(0)
@@ -71,13 +70,13 @@ def bench_chsh_values(benchmark):
     assert abs(mc_quantum - CHSH_QUANTUM_VALUE) < 0.03
 
     # Timed kernel: one exact quantum win-probability evaluation.
-    benchmark(lambda: exact_win_probability(game, quantum))
+    benchmark(lambda: game.value_of_strategy(quantum))
 
 
 def bench_chsh_optimality_margin(benchmark):
     """Quantum beats every deterministic classical strategy by >= 10 pts."""
     game = chsh_game()
-    quantum_value = exact_win_probability(game, optimal_quantum_strategy())
+    quantum_value = game.value_of_strategy(optimal_quantum_strategy())
     import itertools
 
     values = []

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from benchmarks._common import print_block
 from repro.analysis import format_table
-from repro.games import exact_win_probability
 from repro.games.biased import (
     biased_colocation_game,
     biased_game_values,
@@ -35,9 +34,9 @@ def bench_biased_workload_values(benchmark):
     rows = []
     for p in BIASES:
         value = biased_game_values(p)
-        game = biased_colocation_game(p).to_two_player_game()
-        fixed = exact_win_probability(game, fixed_strategy)
-        matched = exact_win_probability(game, matched_quantum_strategy(p))
+        game = biased_colocation_game(p).to_nonlocal_game()
+        fixed = game.value_of_strategy(fixed_strategy)
+        matched = game.value_of_strategy(matched_quantum_strategy(p))
         rows.append(
             [p, value.classical_value, fixed, matched, value.advantage]
         )

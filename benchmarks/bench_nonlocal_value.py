@@ -29,7 +29,7 @@ import numpy as np
 from benchmarks._common import ladder, print_block, scale_tier
 from repro.analysis import format_table
 from repro.games import (
-    chsh_nonlocal_game,
+    chsh_game,
     ffl_game,
     magic_square_game,
     multi_class_colocation_game,
@@ -42,7 +42,7 @@ SEED = 13
 
 #: (game factory, see-saw Hilbert-space dimension, known quantum value).
 CORPUS = (
-    (chsh_nonlocal_game, 2, math.cos(math.pi / 8) ** 2),
+    (chsh_game, 2, math.cos(math.pi / 8) ** 2),
     (lambda: multi_class_colocation_game(3), 2, 5.0 / 6.0),
     (ffl_game, 2, 2.0 / 3.0),
     (magic_square_game, 4, 1.0),

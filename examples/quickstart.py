@@ -15,7 +15,6 @@ from repro.games import (
     CHSH_CLASSICAL_VALUE,
     CHSH_QUANTUM_VALUE,
     chsh_game,
-    exact_win_probability,
     optimal_classical_strategy,
     optimal_quantum_strategy,
     play_rounds,
@@ -33,12 +32,12 @@ def main() -> None:
     print(f"classical value (brute force):  {game.classical_value():.6f}")
     print(
         "classical strategy, exact:      "
-        f"{exact_win_probability(game, classical):.6f}"
+        f"{game.value_of_strategy(classical):.6f}"
     )
     print(f"quantum value (paper):          {CHSH_QUANTUM_VALUE:.6f}")
     print(
         "quantum strategy, exact:        "
-        f"{exact_win_probability(game, quantum):.6f}"
+        f"{game.value_of_strategy(quantum):.6f}"
     )
 
     rng = np.random.default_rng(0)

@@ -19,7 +19,6 @@ import numpy as np
 from repro.analysis import format_table
 from repro.games import (
     AffinityGraph,
-    exact_win_probability,
     tsirelson_strategy,
     xor_game_from_graph,
     xor_quantum_value,
@@ -56,7 +55,7 @@ def main() -> None:
     )
 
     strategy = tsirelson_strategy(game)
-    achieved = exact_win_probability(game.to_two_player_game(), strategy)
+    achieved = game.to_nonlocal_game().value_of_strategy(strategy)
     print(
         f"\nexplicit quantum strategy achieves {achieved:.6f} "
         f"(SDP optimum {value.quantum_value:.6f})"

@@ -277,7 +277,6 @@ def _cmd_chsh() -> None:
         CHSH_CLASSICAL_VALUE,
         CHSH_QUANTUM_VALUE,
         chsh_game,
-        exact_win_probability,
         optimal_quantum_strategy,
     )
 
@@ -290,7 +289,7 @@ def _cmd_chsh() -> None:
                 ["classical value (paper)", CHSH_CLASSICAL_VALUE],
                 [
                     "quantum value (paper angles)",
-                    exact_win_probability(game, optimal_quantum_strategy()),
+                    game.value_of_strategy(optimal_quantum_strategy()),
                 ],
                 ["quantum value (paper)", CHSH_QUANTUM_VALUE],
             ],

@@ -8,28 +8,20 @@ computations, optimal strategy construction, and a Monte-Carlo referee.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "base": ("TwoPlayerGame", "uniform_distribution"),
     "biased": (
         "biased_chsh_game",
         "biased_colocation_game",
         "biased_game_values",
         "matched_quantum_strategy",
     ),
-    "correlations": (
-        "alice_marginal",
-        "behavior_win_probability",
-        "bob_marginal",
-        "classical_mixture_behavior",
-        "is_no_signaling",
-        "is_valid_behavior",
-        "pr_box",
-    ),
     "chsh": (
         "CHSH_CLASSICAL_VALUE",
         "CHSH_QUANTUM_VALUE",
         "chsh_colocation_game",
         "chsh_game",
+        "chsh_nonlocal_game",
         "chsh_win_probability_for_state",
+        "colocation_classical_strategy",
         "colocation_quantum_strategy",
         "optimal_classical_strategy",
         "optimal_quantum_strategy",
@@ -71,7 +63,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "MAGIC_SQUARE_CLASSICAL_VALUE",
         "MultipartyNonlocalGame",
         "NonlocalGame",
-        "chsh_nonlocal_game",
         "ffl_game",
         "magic_square_game",
         "magic_square_optimal_strategy",
@@ -93,7 +84,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "random_projective_povms",
         "seesaw_lower_bound",
     ),
-    "products": ("xor_power", "xor_product"),
     "quantum_value": (
         "XORValue",
         "alternating_bias_lower_bound",
@@ -115,7 +105,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "QuantumStrategy",
         "SharedRandomnessStrategy",
         "Strategy",
-        "exact_win_probability",
     ),
     "xor": ("XORGame", "classical_strategy_batch"),
 })

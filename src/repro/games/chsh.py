@@ -8,15 +8,19 @@ wins with probability ``cos^2(pi/8) ~= 0.8536`` (Tsirelson's bound).
 The load-balancing variant (§4.1) flips one party's output so the pair
 implements ``a XOR b == NOT (x AND y)``: same-type-C tasks colocate, all
 other combinations anti-colocate.
+
+Both games are :class:`~repro.games.nonlocal_games.NonlocalGame` values,
+imported when a game is built: the Fig 4 policies need only the
+strategies here, not the general-game layer.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.games.base import TwoPlayerGame, uniform_distribution
 from repro.games.strategies import (
     DeterministicStrategy,
     QuantumStrategy,
@@ -25,14 +29,19 @@ from repro.quantum.bases import chsh_alice_basis, chsh_bob_basis, rotation_basis
 from repro.quantum.entangle import bell_pair
 from repro.quantum.state import DensityMatrix, StateVector
 
+if TYPE_CHECKING:
+    from repro.games.nonlocal_games import NonlocalGame
+
 __all__ = [
     "CHSH_QUANTUM_VALUE",
     "CHSH_CLASSICAL_VALUE",
     "chsh_game",
+    "chsh_nonlocal_game",
     "chsh_colocation_game",
     "optimal_quantum_strategy",
     "optimal_classical_strategy",
     "colocation_quantum_strategy",
+    "colocation_classical_strategy",
     "chsh_win_probability_for_state",
 ]
 
@@ -43,20 +52,22 @@ CHSH_QUANTUM_VALUE = math.cos(math.pi / 8) ** 2
 CHSH_CLASSICAL_VALUE = 0.75
 
 
-def chsh_game() -> TwoPlayerGame:
+def chsh_game() -> NonlocalGame:
     """The standard CHSH game: win iff ``a ^ b == x & y``."""
-    return TwoPlayerGame(
-        name="chsh",
-        num_inputs_a=2,
-        num_inputs_b=2,
-        num_outputs_a=2,
-        num_outputs_b=2,
-        distribution=uniform_distribution(2, 2),
-        predicate=lambda x, y, a, b: (a ^ b) == (x & y),
+    from repro.games.nonlocal_games import NonlocalGame
+
+    return NonlocalGame.from_predicate(
+        "chsh",
+        np.full((2, 2), 0.25),
+        lambda x, y, a, b: (a ^ b) == (x & y),
     )
 
 
-def chsh_colocation_game() -> TwoPlayerGame:
+#: Alias of :func:`chsh_game`; the benchmark suite imports this name.
+chsh_nonlocal_game = chsh_game
+
+
+def chsh_colocation_game() -> NonlocalGame:
     """The load-balancing variant: win iff ``a ^ b == NOT (x & y)``.
 
     Inputs are 1 for type-C tasks; outputs pick one of two servers. A win
@@ -65,14 +76,12 @@ def chsh_colocation_game() -> TwoPlayerGame:
     the CHSH value, achieved by flipping one party's output of the
     standard strategy.
     """
-    return TwoPlayerGame(
-        name="chsh-colocation",
-        num_inputs_a=2,
-        num_inputs_b=2,
-        num_outputs_a=2,
-        num_outputs_b=2,
-        distribution=uniform_distribution(2, 2),
-        predicate=lambda x, y, a, b: (a ^ b) == 1 - (x & y),
+    from repro.games.nonlocal_games import NonlocalGame
+
+    return NonlocalGame.from_predicate(
+        "chsh-colocation",
+        np.full((2, 2), 0.25),
+        lambda x, y, a, b: (a ^ b) == 1 - (x & y),
     )
 
 
@@ -97,6 +106,16 @@ def optimal_quantum_strategy(
 def optimal_classical_strategy() -> DeterministicStrategy:
     """Always answer ``a = b = 0``; wins 3 of 4 input pairs."""
     return DeterministicStrategy(outputs_a=(0, 0), outputs_b=(0, 0))
+
+
+def colocation_classical_strategy() -> DeterministicStrategy:
+    """The classical strategy of the paired Fig 4 balancers.
+
+    Alice always answers 0 and Bob always 1, so the pair always splits:
+    it wins the three input pairs that are not both type-C, 3/4 of the
+    colocation game, its classical value.
+    """
+    return DeterministicStrategy(outputs_a=(0, 0), outputs_b=(1, 1))
 
 
 def colocation_quantum_strategy(
@@ -129,6 +148,4 @@ def chsh_win_probability_for_state(
     Used by the hardware/noise ablations: e.g. on a Werner state of
     fidelity F this degrades linearly toward 1/2.
     """
-    strategy = optimal_quantum_strategy(state)
-    game = chsh_game()
-    return game.win_probability_of_behavior(strategy.behavior())
+    return chsh_game().value_of_strategy(optimal_quantum_strategy(state))

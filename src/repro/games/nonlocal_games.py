@@ -7,10 +7,13 @@ toqito-style representation: a joint input distribution ``prob_mat``
 of shape ``(nx, ny)`` and a win predicate ``pred_mat`` of shape
 ``(na, nb, nx, ny)`` (outputs first, matching toqito's convention), so
 arbitrary finite input/output alphabets and non-parity win conditions
-fit in one object. :class:`XORGame` and :class:`TwoPlayerGame` become
-views onto it through the adapters below, and the pseudo-telepathy
-classics — the Mermin–Peres Magic Square and the FFL game — live here
-with their optimal strategies.
+fit in one object. It is the one two-player game class: CHSH and its
+colocation variant (:mod:`repro.games.chsh`) are built with
+:meth:`NonlocalGame.from_predicate`, an :class:`XORGame` ``(pi, s)``
+converts both ways (:meth:`NonlocalGame.from_xor_game`,
+:meth:`NonlocalGame.as_xor_game`), and the pseudo-telepathy classics —
+the Mermin–Peres Magic Square and the FFL game — live here with their
+optimal strategies.
 
 For the multiparty analogue (GHZ/Mermin and the k-party balancer
 groups), see :class:`MultipartyNonlocalGame`.
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GameError, StrategyError
-from repro.games.base import TwoPlayerGame
 from repro.games.strategies import BehaviorStrategy
 from repro.games.xor import XORGame
 from repro.quantum.gates import X as _PAULI_X
@@ -37,7 +39,6 @@ from repro.quantum.linalg import expand_operator
 __all__ = [
     "NonlocalGame",
     "MultipartyNonlocalGame",
-    "chsh_nonlocal_game",
     "ffl_game",
     "FFL_CLASSICAL_VALUE",
     "magic_square_game",
@@ -99,6 +100,8 @@ class NonlocalGame:
                 f"pred_mat input block {pred.shape[2:]} != prob_mat "
                 f"shape {prob.shape}"
             )
+        if min(pred.shape[:2]) < 1:
+            raise GameError("output alphabets must be non-empty")
         if (prob < -1e-12).any() or abs(prob.sum() - 1.0) > 1e-9:
             raise GameError("prob_mat must be a probability distribution")
         if (pred < -1e-12).any() or (pred > 1.0 + 1e-12).any():
@@ -145,17 +148,6 @@ class NonlocalGame:
                         if predicate(x, y, a, b):
                             pred[a, b, x, y] = 1.0
         return cls(name=name, prob_mat=prob, pred_mat=pred)
-
-    @classmethod
-    def from_two_player_game(cls, game: TwoPlayerGame) -> "NonlocalGame":
-        """View a predicate-style :class:`TwoPlayerGame` in matrix form."""
-        return cls.from_predicate(
-            game.name,
-            game.distribution,
-            game.predicate,
-            num_outputs_a=game.num_outputs_a,
-            num_outputs_b=game.num_outputs_b,
-        )
 
     @classmethod
     def from_xor_game(cls, game: XORGame) -> "NonlocalGame":
@@ -205,20 +197,6 @@ class NonlocalGame:
                 "condition does not reduce to a XOR b"
             )
         return xor
-
-    def to_two_player_game(self) -> TwoPlayerGame:
-        """View as a predicate-style :class:`TwoPlayerGame`."""
-        pred = self.pred_mat
-        na, nb = self.num_outputs
-        return TwoPlayerGame(
-            name=self.name,
-            num_inputs_a=self.num_inputs[0],
-            num_inputs_b=self.num_inputs[1],
-            num_outputs_a=na,
-            num_outputs_b=nb,
-            distribution=self.prob_mat,
-            predicate=lambda x, y, a, b: bool(pred[a, b, x, y] >= 0.5),
-        )
 
     # -- values ---------------------------------------------------------------
 
@@ -360,15 +338,6 @@ class NonlocalGame:
 
 
 # -- the beyond-XOR classics --------------------------------------------------
-
-
-def chsh_nonlocal_game() -> NonlocalGame:
-    """CHSH in ``(prob_mat, pred_mat)`` form: win iff ``a ^ b == x & y``."""
-    return NonlocalGame.from_predicate(
-        "chsh",
-        np.full((2, 2), 0.25),
-        lambda x, y, a, b: (a ^ b) == (x & y),
-    )
 
 
 def ffl_game() -> NonlocalGame:
@@ -599,6 +568,8 @@ class MultipartyNonlocalGame:
                 f"pred_tensor input block {pred.shape[k:]} != prob_tensor "
                 f"shape {prob.shape}"
             )
+        if min(pred.shape[:k]) < 1:
+            raise GameError("output alphabets must be non-empty")
         self.check_size(prob.shape, pred.shape[:k])
         if (prob < -1e-12).any() or abs(prob.sum() - 1.0) > 1e-9:
             raise GameError("prob_tensor must be a probability distribution")

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GameError
-from repro.games.base import TwoPlayerGame
 from repro.games.nonlocal_games import NonlocalGame
 from repro.obs import metrics as _metrics
 from repro.obs.spans import span
@@ -257,7 +256,7 @@ def build_npa_relaxation(
 
 
 def npa_upper_bound(
-    game: NonlocalGame | TwoPlayerGame,
+    game: NonlocalGame,
     *,
     level: str = "1+ab",
     tolerance: float = 1e-8,
@@ -310,8 +309,7 @@ def npa_upper_bounds(
     ``npa_upper_bound(game)`` bit for bit.
 
     Args:
-        games: two-player games (:class:`NonlocalGame` or
-            :class:`TwoPlayerGame`).
+        games: two-player games (:class:`NonlocalGame`).
         level / tolerance / max_iterations: as in
             :func:`npa_upper_bound`, shared by every game.
         decide_below: optional decision line on the win probability per
@@ -320,12 +318,7 @@ def npa_upper_bounds(
     Returns:
         ``(bound, sdp_result)`` per game, in input order.
     """
-    games = [
-        game
-        if isinstance(game, NonlocalGame)
-        else NonlocalGame.from_two_player_game(game)
-        for game in games
-    ]
+    games = list(games)
     if decide_below is not None:
         decide_below = np.asarray(decide_below, dtype=float)
         if decide_below.shape != (len(games),):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from repro.errors import GameError
-from repro.games.base import TwoPlayerGame
+from repro.games.nonlocal_games import NonlocalGame
 from repro.games.strategies import Strategy
 
 __all__ = ["GameRecord", "play_rounds"]
@@ -50,7 +50,7 @@ class GameRecord:
 
 
 def play_rounds(
-    game: TwoPlayerGame,
+    game: NonlocalGame,
     strategy: Strategy,
     rounds: int,
     rng: np.random.Generator,
@@ -60,12 +60,18 @@ def play_rounds(
     Inputs are sampled from the game's joint distribution; each round the
     strategy is executed fresh (for quantum strategies this consumes a
     fresh entangled state, matching the architecture's one-pair-per-
-    decision usage).
+    decision usage). A round is won when ``pred_mat[a, b, x, y] == 1``,
+    so the game's predicate must be 0/1.
     """
     if rounds < 1:
         raise GameError("must play at least one round")
-    flat = game.distribution.reshape(-1)
-    nx, ny = game.distribution.shape
+    if not np.isin(game.pred_mat, (0.0, 1.0)).all():
+        raise GameError(
+            f"game {game.name!r} has a fractional predicate; a referee "
+            "scores 0/1 wins"
+        )
+    flat = game.prob_mat.reshape(-1)
+    nx, ny = game.num_inputs
     counts = np.zeros((nx, ny), dtype=int)
     wins = 0
     pair_indices = rng.choice(flat.size, size=rounds, p=flat)
@@ -73,6 +79,6 @@ def play_rounds(
         x, y = divmod(int(idx), ny)
         counts[x, y] += 1
         a, b = strategy.play(x, y, rng)
-        if game.predicate(x, y, a, b):
+        if game.pred_mat[a, b, x, y] == 1.0:
             wins += 1
     return GameRecord(rounds=rounds, wins=wins, input_counts=counts)

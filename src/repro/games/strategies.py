@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StrategyError
-from repro.games.base import TwoPlayerGame
 from repro.quantum.bases import MeasurementBasis
 from repro.quantum.linalg import expand_operator, require_hermitian
 from repro.quantum.measurement import measure_with_projectors
@@ -37,7 +36,6 @@ __all__ = [
     "SharedRandomnessStrategy",
     "QuantumStrategy",
     "BinaryObservable",
-    "exact_win_probability",
 ]
 
 
@@ -314,8 +312,3 @@ class QuantumStrategy(Strategy):
         a, post = measure_with_projectors(self._state, self._proj_a[x], rng)
         b, _ = measure_with_projectors(post, self._proj_b[y], rng)
         return a, b
-
-
-def exact_win_probability(game: TwoPlayerGame, strategy: Strategy) -> float:
-    """Exact win probability of ``strategy`` in ``game`` (no sampling)."""
-    return game.win_probability_of_behavior(strategy.behavior())

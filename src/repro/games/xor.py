@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GameError
-from repro.games.base import TwoPlayerGame
 
 __all__ = ["XORGame", "classical_strategy_batch"]
 
@@ -163,20 +162,6 @@ class XORGame:
         return (1.0 + bias) / 2.0
 
     # -- conversions ----------------------------------------------------------
-
-    def to_two_player_game(self) -> TwoPlayerGame:
-        """View as a generic :class:`TwoPlayerGame` (binary outputs)."""
-        targets = self.targets
-
-        return TwoPlayerGame(
-            name=self.name,
-            num_inputs_a=self.num_inputs_a,
-            num_inputs_b=self.num_inputs_b,
-            num_outputs_a=2,
-            num_outputs_b=2,
-            distribution=self.distribution,
-            predicate=lambda x, y, a, b: (a ^ b) == int(targets[x, y]),
-        )
 
     def to_nonlocal_game(self):
         """View as a :class:`~repro.games.nonlocal_games.NonlocalGame`.

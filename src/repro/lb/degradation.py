@@ -32,8 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, HardwareError, StrategyError
-from repro.games.chsh import chsh_colocation_game, colocation_quantum_strategy
-from repro.games.strategies import DeterministicStrategy, Strategy
+from repro.games.chsh import (
+    chsh_colocation_game,
+    colocation_classical_strategy,
+    colocation_quantum_strategy,
+)
+from repro.games.strategies import Strategy
 from repro.hardware.qnic import apply_measurement_flips
 from repro.hardware.scheduler import (
     effective_win_probability,
@@ -260,12 +264,6 @@ class DegradationReport:
         }
 
 
-def _classical_fallback_strategy() -> DeterministicStrategy:
-    """The best classical paired strategy of the colocation game."""
-    alice, bob = chsh_colocation_game().best_classical_strategy()
-    return DeterministicStrategy(outputs_a=alice, outputs_b=bob)
-
-
 class DegradedPolicy(GamePairedAssignment):
     """A paired quantum policy that degrades gracefully under faults.
 
@@ -339,7 +337,7 @@ class DegradedPolicy(GamePairedAssignment):
             fallback_behavior = None
         else:
             if fallback == "classical":
-                fallback = _classical_fallback_strategy()
+                fallback = colocation_classical_strategy()
             elif not isinstance(fallback, Strategy):
                 raise ConfigurationError(
                     f"fallback must be 'classical', 'random', or a "
@@ -360,22 +358,18 @@ class DegradedPolicy(GamePairedAssignment):
                 [self._flat_cumulative, fallback_flat]
             )
         game = chsh_colocation_game()
-        self._quantum_win = game.win_probability_of_behavior(quantum_behavior)
+        self._quantum_win = game.value_of_behavior(quantum_behavior)
         if fallback_behavior is not None:
-            self._fallback_win = game.win_probability_of_behavior(
-                fallback_behavior
-            )
+            self._fallback_win = game.value_of_behavior(fallback_behavior)
         else:
             # Uniform independent routing colocates with probability 1/M;
             # the colocation predicate depends only on a XOR b.
             p_co = 1.0 / num_servers
             win = 0.0
-            for x in range(game.num_inputs_a):
-                for y in range(game.num_inputs_b):
-                    weight = game.distribution[x, y]
-                    same = game.predicate(x, y, 0, 0)
-                    split = game.predicate(x, y, 0, 1)
-                    win += weight * (p_co * same + (1.0 - p_co) * split)
+            for (x, y), weight in np.ndenumerate(game.prob_mat):
+                same = game.pred_mat[0, 0, x, y]
+                split = game.pred_mat[0, 1, x, y]
+                win += weight * (p_co * same + (1.0 - p_co) * split)
             self._fallback_win = win
         self._quantum_per_step: list[int] = []
         self._fallback_per_step: list[int] = []

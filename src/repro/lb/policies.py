@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, StrategyError
 from repro.games.chsh import (
-    chsh_colocation_game,
+    colocation_classical_strategy,
     colocation_quantum_strategy,
 )
 from repro.games.strategies import DeterministicStrategy, Strategy
@@ -289,8 +289,7 @@ def _bell_pair_behavior() -> np.ndarray:
 
 
 def _best_classical_colocation_behavior() -> np.ndarray:
-    alice, bob = chsh_colocation_game().best_classical_strategy()
-    return DeterministicStrategy(outputs_a=alice, outputs_b=bob).behavior()
+    return colocation_classical_strategy().behavior()
 
 
 def _same_type_behavior() -> np.ndarray:

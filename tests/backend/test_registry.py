@@ -72,9 +72,9 @@ def run_forced_sdp_screen():
 
 
 def run_seesaw():
-    from repro.games import chsh_nonlocal_game, seesaw_lower_bound
+    from repro.games import chsh_game, seesaw_lower_bound
 
-    result = seesaw_lower_bound(chsh_nonlocal_game(), restarts=1, iterations=5)
+    result = seesaw_lower_bound(chsh_game(), restarts=1, iterations=5)
     return result.value, result.behavior.tobytes()
 
 

@@ -5,12 +5,12 @@ strategy induces. Three nested sets organize the whole paper:
 
 - classical (shared randomness) ⊂ quantum (entanglement) ⊂ no-signaling.
 
-This module provides behavior-level checks (validity, no-signaling,
-marginals) and the Popescu-Rohrlich box — the extremal no-signaling
-behavior that wins CHSH with certainty. Physics stops at Tsirelson's
-bound, not at no-signaling: the PR box quantifies how much coordination
-causality alone would permit, and how much of it quantum mechanics
-actually delivers.
+This test helper provides behavior-level checks (validity,
+no-signaling, marginals) and the Popescu-Rohrlich box — the extremal
+no-signaling behavior that wins CHSH with certainty. Physics stops at
+Tsirelson's bound, not at no-signaling: the PR box quantifies how much
+coordination causality alone would permit, and how much of it quantum
+mechanics actually delivers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GameError
-from repro.games.base import TwoPlayerGame
+from repro.games.nonlocal_games import NonlocalGame
 
 __all__ = [
     "is_valid_behavior",
@@ -87,12 +87,12 @@ def pr_box() -> np.ndarray:
 
 
 def behavior_win_probability(
-    game: TwoPlayerGame, behavior: np.ndarray
+    game: NonlocalGame, behavior: np.ndarray
 ) -> float:
     """Win probability of an arbitrary behavior (validity enforced)."""
     if not is_valid_behavior(behavior):
         raise GameError("behavior is not a valid conditional distribution")
-    return game.win_probability_of_behavior(behavior)
+    return game.value_of_behavior(behavior)
 
 
 def classical_mixture_behavior(

@@ -11,7 +11,8 @@ together, classical players win more than the naive square).
 Systems reading: a load-balancer pair that must coordinate *several*
 decisions per round (one per game instance) keeps exactly its per-game
 quantum edge per instance, whereas classical strategies can hedge across
-instances — quantified by the product-bias tables in the tests.
+instances. ``test_products.py`` and ``test_game_properties.py`` check
+both facts on these products.
 """
 
 from __future__ import annotations

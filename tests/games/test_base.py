@@ -1,4 +1,4 @@
-"""Tests for TwoPlayerGame."""
+"""Tests for the two-player game class, NonlocalGame, on small games."""
 
 from __future__ import annotations
 
@@ -7,59 +7,46 @@ import pytest
 
 from repro.errors import GameError
 from repro.games import (
-    TwoPlayerGame,
+    MultipartyNonlocalGame,
+    NonlocalGame,
     chsh_game,
     optimal_classical_strategy,
-    uniform_distribution,
 )
 
-
-class TestUniformDistribution:
-    def test_shape_and_sum(self):
-        dist = uniform_distribution(3, 4)
-        assert dist.shape == (3, 4)
-        assert dist.sum() == pytest.approx(1.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(GameError):
-            uniform_distribution(0, 2)
+UNIFORM = np.full((2, 2), 0.25)
 
 
 class TestGameValidation:
     def test_distribution_shape_checked(self):
         with pytest.raises(GameError):
-            TwoPlayerGame(
+            NonlocalGame(
                 name="bad",
-                num_inputs_a=2,
-                num_inputs_b=2,
-                num_outputs_a=2,
-                num_outputs_b=2,
-                distribution=np.ones((3, 3)) / 9,
-                predicate=lambda x, y, a, b: True,
+                prob_mat=np.ones((3, 3)) / 9,
+                pred_mat=np.ones((2, 2, 2, 2)),
             )
 
     def test_distribution_normalization_checked(self):
         with pytest.raises(GameError):
-            TwoPlayerGame(
-                name="bad",
-                num_inputs_a=2,
-                num_inputs_b=2,
-                num_outputs_a=2,
-                num_outputs_b=2,
-                distribution=np.ones((2, 2)),
-                predicate=lambda x, y, a, b: True,
+            NonlocalGame.from_predicate(
+                "bad", np.ones((2, 2)), lambda x, y, a, b: True
             )
 
     def test_output_alphabet_checked(self):
-        with pytest.raises(GameError):
-            TwoPlayerGame(
-                name="bad",
-                num_inputs_a=1,
-                num_inputs_b=1,
+        for pred in (np.zeros((0, 2, 1, 1)), np.zeros((2, 0, 1, 1))):
+            with pytest.raises(GameError, match="output alphabets"):
+                NonlocalGame(name="bad", prob_mat=np.ones((1, 1)), pred_mat=pred)
+        with pytest.raises(GameError, match="output alphabets"):
+            NonlocalGame.from_predicate(
+                "bad",
+                np.ones((1, 1)),
+                lambda x, y, a, b: True,
                 num_outputs_a=0,
-                num_outputs_b=2,
-                distribution=np.ones((1, 1)),
-                predicate=lambda x, y, a, b: True,
+            )
+        with pytest.raises(GameError, match="output alphabets"):
+            MultipartyNonlocalGame(
+                name="bad",
+                prob_tensor=np.ones((1, 1, 1)),
+                pred_tensor=np.zeros((2, 0, 2, 1, 1, 1)),
             )
 
     def test_repr(self):
@@ -76,39 +63,21 @@ class TestValues:
         assert game.deterministic_value(alice, bob) == pytest.approx(0.75)
 
     def test_trivial_game_value_one(self):
-        game = TwoPlayerGame(
-            name="always-win",
-            num_inputs_a=2,
-            num_inputs_b=2,
-            num_outputs_a=2,
-            num_outputs_b=2,
-            distribution=uniform_distribution(2, 2),
-            predicate=lambda x, y, a, b: True,
+        game = NonlocalGame.from_predicate(
+            "always-win", UNIFORM, lambda x, y, a, b: True
         )
         assert game.classical_value() == pytest.approx(1.0)
 
     def test_impossible_game_value_zero(self):
-        game = TwoPlayerGame(
-            name="never-win",
-            num_inputs_a=1,
-            num_inputs_b=1,
-            num_outputs_a=2,
-            num_outputs_b=2,
-            distribution=np.ones((1, 1)),
-            predicate=lambda x, y, a, b: False,
+        game = NonlocalGame.from_predicate(
+            "never-win", np.ones((1, 1)), lambda x, y, a, b: False
         )
         assert game.classical_value() == pytest.approx(0.0)
 
     def test_matching_game(self):
         # Win iff outputs equal; trivially winnable classically.
-        game = TwoPlayerGame(
-            name="match",
-            num_inputs_a=2,
-            num_inputs_b=2,
-            num_outputs_a=2,
-            num_outputs_b=2,
-            distribution=uniform_distribution(2, 2),
-            predicate=lambda x, y, a, b: a == b,
+        game = NonlocalGame.from_predicate(
+            "match", UNIFORM, lambda x, y, a, b: a == b
         )
         assert game.classical_value() == pytest.approx(1.0)
 
@@ -119,27 +88,22 @@ class TestValues:
         with pytest.raises(GameError):
             game.deterministic_value([0, 0], [0])
 
-    def test_win_probability_of_behavior_chsh_classical(self):
+    def test_value_of_behavior_chsh_classical(self):
         game = chsh_game()
         behavior = optimal_classical_strategy().behavior()
-        assert game.win_probability_of_behavior(behavior) == pytest.approx(0.75)
+        assert game.value_of_behavior(behavior) == pytest.approx(0.75)
 
-    def test_win_probability_of_behavior_shape_checked(self):
+    def test_value_of_behavior_shape_checked(self):
         with pytest.raises(GameError):
-            chsh_game().win_probability_of_behavior(np.zeros((2, 2, 2)))
+            chsh_game().value_of_behavior(np.zeros((2, 2, 2)))
 
     def test_nonuniform_distribution(self):
         # Weight all mass on x=y=1; CHSH then requires a XOR b = 1.
         dist = np.zeros((2, 2))
         dist[1, 1] = 1.0
-        game = TwoPlayerGame(
-            name="chsh-corner",
-            num_inputs_a=2,
-            num_inputs_b=2,
-            num_outputs_a=2,
-            num_outputs_b=2,
-            distribution=dist,
-            predicate=lambda x, y, a, b: (a ^ b) == (x & y),
+        game = NonlocalGame.from_predicate(
+            "chsh-corner", dist, lambda x, y, a, b: (a ^ b) == (x & y)
         )
         # Classical strategy a=0, b=1 wins always.
         assert game.classical_value() == pytest.approx(1.0)
+        assert game.classical_value(method="general") == pytest.approx(1.0)

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.errors import GameError
-from repro.games import exact_win_probability
 from repro.games.biased import (
     biased_chsh_game,
     biased_colocation_game,
@@ -78,24 +77,24 @@ class TestMatchedStrategy:
     def test_matched_achieves_sdp_value(self):
         for p in (0.4, 0.6):
             value = biased_game_values(p)
-            game = biased_colocation_game(p).to_two_player_game()
+            game = biased_colocation_game(p).to_nonlocal_game()
             strategy = matched_quantum_strategy(p)
-            win = exact_win_probability(game, strategy)
+            win = game.value_of_strategy(strategy)
             assert win == pytest.approx(value.quantum_value, abs=1e-5)
 
     def test_matched_beats_fixed_angles_under_bias(self):
         """The paper's fixed CHSH angles lose badly to the workload-matched
         operators away from a 50/50 mix."""
         p = 0.75
-        game = biased_colocation_game(p).to_two_player_game()
-        fixed = exact_win_probability(game, colocation_quantum_strategy())
-        matched = exact_win_probability(game, matched_quantum_strategy(p))
+        game = biased_colocation_game(p).to_nonlocal_game()
+        fixed = game.value_of_strategy(colocation_quantum_strategy())
+        matched = game.value_of_strategy(matched_quantum_strategy(p))
         assert matched > fixed + 0.05
 
     def test_matched_equals_fixed_at_half(self):
-        game = biased_colocation_game(0.5).to_two_player_game()
-        fixed = exact_win_probability(game, colocation_quantum_strategy())
-        matched = exact_win_probability(game, matched_quantum_strategy(0.5))
+        game = biased_colocation_game(0.5).to_nonlocal_game()
+        fixed = game.value_of_strategy(colocation_quantum_strategy())
+        matched = game.value_of_strategy(matched_quantum_strategy(0.5))
         assert matched == pytest.approx(fixed, abs=1e-5)
 
 

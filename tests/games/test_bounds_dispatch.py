@@ -15,7 +15,6 @@ import pytest
 
 from repro.games import (
     NonlocalGame,
-    TwoPlayerGame,
     XORGame,
     advantage_decisions,
     ffl_game,
@@ -70,14 +69,12 @@ def test_npa1_routes_non_binary_outputs_through_general_form():
     # A two-player game with 4 outputs per player gets a sound bound.
     square = magic_square_game()
     pred = square.pred_mat
-    game = TwoPlayerGame(
-        name="magic-square-predicate",
-        num_inputs_a=3,
-        num_inputs_b=3,
+    game = NonlocalGame.from_predicate(
+        "magic-square-predicate",
+        square.prob_mat,
+        lambda x, y, a, b: pred[a, b, x, y] > 0.5,
         num_outputs_a=4,
         num_outputs_b=4,
-        distribution=square.prob_mat,
-        predicate=lambda x, y, a, b: pred[a, b, x, y] > 0.5,
     )
     bound, result = npa_upper_bound(game, level="1")
     assert bound >= 1.0 - 1e-6
@@ -86,7 +83,7 @@ def test_npa1_routes_non_binary_outputs_through_general_form():
 
 def test_chsh_npa1_still_matches_tsirelson():
     xor = XORGame.chsh()
-    bound, _ = npa_upper_bound(xor.to_two_player_game(), level="1")
+    bound, _ = npa_upper_bound(xor.to_nonlocal_game(), level="1")
     value = xor_quantum_value(xor)
     assert bound == pytest.approx(value.quantum_value, abs=1e-6)
 

@@ -7,17 +7,19 @@ import math
 import numpy as np
 import pytest
 
+from repro.errors import GameError
 from repro.games import (
     CHSH_CLASSICAL_VALUE,
     CHSH_QUANTUM_VALUE,
     chsh_colocation_game,
     chsh_game,
     chsh_win_probability_for_state,
+    colocation_classical_strategy,
     colocation_quantum_strategy,
-    exact_win_probability,
     optimal_classical_strategy,
     optimal_quantum_strategy,
     play_rounds,
+    tilted_chsh_game,
 )
 from repro.quantum import DensityMatrix, isotropic_state, werner_state
 
@@ -34,11 +36,11 @@ class TestValuesMatchPaper:
 
     def test_paper_angles_achieve_tsirelson(self):
         strategy = optimal_quantum_strategy()
-        win = exact_win_probability(chsh_game(), strategy)
+        win = chsh_game().value_of_strategy(strategy)
         assert win == pytest.approx(CHSH_QUANTUM_VALUE, abs=1e-10)
 
     def test_classical_strategy_achieves_value(self):
-        win = exact_win_probability(chsh_game(), optimal_classical_strategy())
+        win = chsh_game().value_of_strategy(optimal_classical_strategy())
         assert win == pytest.approx(CHSH_CLASSICAL_VALUE)
 
     def test_quantum_beats_classical(self):
@@ -81,19 +83,26 @@ class TestColocationVariant:
         assert chsh_colocation_game().classical_value() == pytest.approx(0.75)
 
     def test_colocation_quantum_strategy_achieves_tsirelson(self):
-        win = exact_win_probability(
-            chsh_colocation_game(), colocation_quantum_strategy()
+        win = chsh_colocation_game().value_of_strategy(
+            colocation_quantum_strategy()
         )
         assert win == pytest.approx(CHSH_QUANTUM_VALUE, abs=1e-10)
 
     def test_colocation_semantics(self):
         """Both type-C (x=y=1) wins iff same output; else different."""
+        pred = chsh_colocation_game().pred_mat  # indexed [a, b, x, y]
+        assert pred[0, 0, 1, 1] == 1.0
+        assert pred[1, 1, 1, 1] == 1.0
+        assert pred[0, 1, 1, 1] == 0.0
+        assert pred[0, 1, 0, 1] == 1.0
+        assert pred[1, 1, 0, 0] == 0.0
+
+    def test_classical_strategy_attains_the_classical_value(self):
+        """The Fig 4 classical pairs always split, at the game's optimum."""
         game = chsh_colocation_game()
-        assert game.predicate(1, 1, 0, 0)
-        assert game.predicate(1, 1, 1, 1)
-        assert not game.predicate(1, 1, 0, 1)
-        assert game.predicate(0, 1, 0, 1)
-        assert not game.predicate(0, 0, 1, 1)
+        strategy = colocation_classical_strategy()
+        assert (strategy.outputs_a, strategy.outputs_b) == ((0, 0), (1, 1))
+        assert game.value_of_strategy(strategy) == game.classical_value()
 
 
 class TestNoisyStates:
@@ -148,3 +157,10 @@ class TestEndToEnd:
         assert record.input_counts.sum() == 400
         # Uniform inputs: each pair should appear roughly 100 times.
         assert record.input_counts.min() > 50
+
+    def test_referee_rejects_a_fractional_predicate(self):
+        rng = np.random.default_rng(10)
+        with pytest.raises(GameError, match="fractional predicate"):
+            play_rounds(
+                tilted_chsh_game(0.5), optimal_quantum_strategy(), 10, rng
+            )

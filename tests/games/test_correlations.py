@@ -12,7 +12,7 @@ from repro.games import (
     optimal_classical_strategy,
     optimal_quantum_strategy,
 )
-from repro.games.correlations import (
+from tests.games._correlations import (
     alice_marginal,
     behavior_win_probability,
     bob_marginal,

@@ -12,10 +12,10 @@ from repro.games import (
     alternating_bias_lower_bound,
     biased_colocation_game,
     weighted_values,
-    xor_product,
     xor_quantum_value,
 )
 from repro.games.strategies import DeterministicStrategy
+from tests.games._products import xor_product
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 sizes = st.integers(min_value=2, max_value=4)
@@ -103,13 +103,13 @@ def test_deterministic_strategies_never_beat_classical_value(seed, nx, ny):
     game = random_xor_game(seed, nx, ny)
     classical = game.classical_value()
     rng = np.random.default_rng(seed)
-    two_player = game.to_two_player_game()
+    dense = game.to_nonlocal_game()
     for _ in range(5):
         strat = DeterministicStrategy(
             outputs_a=tuple(rng.integers(0, 2, size=nx)),
             outputs_b=tuple(rng.integers(0, 2, size=ny)),
         )
-        value = two_player.win_probability_of_behavior(strat.behavior())
+        value = dense.value_of_behavior(strat.behavior())
         assert value <= classical + 1e-10
 
 

@@ -12,12 +12,11 @@ from repro.errors import GameError, StrategyError
 from repro.games import (
     MultipartyNonlocalGame,
     MultiplayerQuantumStrategy,
-    TwoPlayerGame,
+    NonlocalGame,
     chsh_game,
     mermin_game,
     mermin_optimal_strategy,
     npa_upper_bound,
-    uniform_distribution,
 )
 from repro.quantum import ghz_state
 from repro.quantum.bases import (
@@ -206,14 +205,8 @@ class TestNPA1:
         assert bound >= game.classical_value() - 1e-9
 
     def test_trivial_game_bound_one(self):
-        game = TwoPlayerGame(
-            name="always",
-            num_inputs_a=2,
-            num_inputs_b=2,
-            num_outputs_a=2,
-            num_outputs_b=2,
-            distribution=uniform_distribution(2, 2),
-            predicate=lambda x, y, a, b: True,
+        game = NonlocalGame.from_predicate(
+            "always", np.full((2, 2), 0.25), lambda x, y, a, b: True
         )
         bound, _ = npa_upper_bound(game, level="1")
         assert bound == pytest.approx(1.0, abs=1e-6)
@@ -221,14 +214,11 @@ class TestNPA1:
     def test_non_binary_outputs_route_through_general_form(self):
         # Always-win with a ternary output is classically perfect, so
         # the level-1 bound must land at ~1 and not above.
-        game = TwoPlayerGame(
-            name="ternary",
-            num_inputs_a=1,
-            num_inputs_b=1,
+        game = NonlocalGame.from_predicate(
+            "ternary",
+            np.ones((1, 1)),
+            lambda x, y, a, b: True,
             num_outputs_a=3,
-            num_outputs_b=2,
-            distribution=np.ones((1, 1)),
-            predicate=lambda x, y, a, b: True,
         )
         bound, _ = npa_upper_bound(game, level="1")
         assert bound == pytest.approx(1.0, abs=1e-6)
@@ -236,14 +226,8 @@ class TestNPA1:
     def test_matching_game_bound(self):
         # Win iff a == b irrespective of inputs: classically perfect, so
         # the NPA bound must be ~1 and not more.
-        game = TwoPlayerGame(
-            name="match",
-            num_inputs_a=2,
-            num_inputs_b=2,
-            num_outputs_a=2,
-            num_outputs_b=2,
-            distribution=uniform_distribution(2, 2),
-            predicate=lambda x, y, a, b: a == b,
+        game = NonlocalGame.from_predicate(
+            "match", np.full((2, 2), 0.25), lambda x, y, a, b: a == b
         )
         bound, _ = npa_upper_bound(game, level="1")
         assert bound == pytest.approx(1.0, abs=1e-6)

@@ -17,13 +17,14 @@ from repro.errors import GameError, StrategyError
 from repro.games import (
     CHSH_CLASSICAL_VALUE,
     CHSH_QUANTUM_VALUE,
+    DeterministicStrategy,
     FFL_CLASSICAL_VALUE,
     MAGIC_SQUARE_CLASSICAL_VALUE,
     MultipartyNonlocalGame,
     NonlocalGame,
     XORGame,
     chsh_colocation_game,
-    chsh_nonlocal_game,
+    chsh_game,
     ffl_game,
     magic_square_game,
     magic_square_optimal_strategy,
@@ -34,25 +35,53 @@ from repro.games import (
     multiplayer_behavior,
     optimal_quantum_strategy,
 )
+from tests.games._oracles import classical_value_loops, win_probability_loops
 
 TOL = 1e-9
 
 
+def _random_game(seed: int, outputs: tuple[int, int]) -> NonlocalGame:
+    rng = np.random.default_rng(seed)
+    prob = rng.dirichlet(np.ones(9)).reshape(3, 3)
+    pred = rng.integers(0, 2, size=outputs + (3, 3)).astype(float)
+    return NonlocalGame(name=f"random-{seed}", prob_mat=prob, pred_mat=pred)
+
+
+def _random_xor_game(seed: int) -> NonlocalGame:
+    rng = np.random.default_rng(seed)
+    prob = rng.dirichlet(np.ones(12)).reshape(3, 4)
+    targets = rng.integers(0, 2, size=(3, 4))
+    return XORGame("random-xor", prob, targets).to_nonlocal_game()
+
+
+#: Games whose vectorized classical values must match the loop brute force.
+LOOP_ORACLE_GAMES = {
+    "chsh": chsh_game,
+    "chsh-colocation": chsh_colocation_game,
+    "ffl": ffl_game,
+    "magic-square": magic_square_game,
+    "colocation-3": lambda: multi_class_colocation_game(3),
+    "random-binary": lambda: _random_game(11, (2, 2)),
+    "random-ternary": lambda: _random_game(12, (3, 2)),
+    "random-xor": lambda: _random_xor_game(13),
+}
+
+
 class TestKnownValues:
     def test_chsh_classical(self):
-        game = chsh_nonlocal_game()
+        game = chsh_game()
         assert game.classical_value() == pytest.approx(
             CHSH_CLASSICAL_VALUE, abs=TOL
         )
 
     def test_chsh_general_matches_xor_path(self):
-        game = chsh_nonlocal_game()
+        game = chsh_game()
         assert game.classical_value(method="general") == pytest.approx(
             game.classical_value(method="xor"), abs=TOL
         )
 
     def test_chsh_quantum_value_via_behavior(self):
-        game = chsh_nonlocal_game()
+        game = chsh_game()
         value = game.value_of_strategy(optimal_quantum_strategy())
         assert value == pytest.approx(CHSH_QUANTUM_VALUE, abs=1e-8)
 
@@ -100,19 +129,45 @@ class TestKnownValues:
 
     def test_multi_class_two_is_chsh_colocation(self):
         ours = multi_class_colocation_game(2)
-        reference = NonlocalGame.from_two_player_game(chsh_colocation_game())
+        reference = chsh_colocation_game()
         assert np.array_equal(ours.pred_mat, reference.pred_mat)
         assert ours.classical_value() == pytest.approx(0.75, abs=TOL)
 
 
 class TestDeterministicSearch:
     def test_best_strategy_achieves_value(self):
-        for game in (chsh_nonlocal_game(), ffl_game(), magic_square_game()):
+        for game in (chsh_game(), ffl_game(), magic_square_game()):
             alice, bob = game.best_classical_strategy()
             achieved = game.deterministic_value(alice, bob)
             assert achieved == pytest.approx(
                 game.classical_value(method="general"), abs=TOL
             )
+
+    @pytest.mark.parametrize("name", sorted(LOOP_ORACLE_GAMES))
+    def test_matches_loop_brute_force(self, name):
+        game = LOOP_ORACLE_GAMES[name]()
+        reference = classical_value_loops(game)
+        assert game.classical_value(method="general") == pytest.approx(
+            reference, abs=TOL
+        )
+        if game.as_xor_game() is not None:
+            assert game.classical_value(method="xor") == pytest.approx(
+                reference, abs=TOL
+            )
+        alice, bob = game.best_classical_strategy()
+        behavior = DeterministicStrategy(
+            alice, bob, *game.num_outputs
+        ).behavior()
+        assert win_probability_loops(game, behavior) == pytest.approx(
+            reference, abs=TOL
+        )
+        (nx, ny), (na, nb) = game.num_inputs, game.num_outputs
+        mixed = np.random.default_rng(0).dirichlet(
+            np.ones(na * nb), size=(nx, ny)
+        ).reshape(nx, ny, na, nb)
+        assert game.value_of_behavior(mixed) == pytest.approx(
+            win_probability_loops(game, mixed), abs=TOL
+        )
 
     def test_search_limit_guard(self):
         prob = np.full((26, 1), 1.0 / 26.0)
@@ -123,7 +178,7 @@ class TestDeterministicSearch:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(GameError, match="unknown"):
-            chsh_nonlocal_game().classical_value(method="sdp")
+            chsh_game().classical_value(method="sdp")
 
 
 class TestAdapters:
@@ -135,13 +190,13 @@ class TestAdapters:
 
     def test_two_player_round_trip_value(self):
         game = chsh_colocation_game()
-        dense = NonlocalGame.from_two_player_game(game)
-        assert dense.classical_value() == pytest.approx(
-            game.classical_value(), abs=TOL
-        )
-        assert dense.to_two_player_game().classical_value() == pytest.approx(
-            game.classical_value(), abs=TOL
-        )
+        reference = classical_value_loops(game)
+        assert game.classical_value() == pytest.approx(reference, abs=TOL)
+        xor = game.to_xor_game()
+        assert xor.classical_value() == pytest.approx(reference, abs=TOL)
+        assert xor.to_nonlocal_game().classical_value(
+            method="general"
+        ) == pytest.approx(reference, abs=TOL)
 
     def test_to_xor_game_raises_for_non_xor(self):
         with pytest.raises(GameError, match="not XOR-representable"):
@@ -183,7 +238,7 @@ class TestValidation:
 
     def test_behavior_shape_checked(self):
         with pytest.raises(GameError, match="behavior shape"):
-            chsh_nonlocal_game().value_of_behavior(np.zeros((3, 3, 4, 4)))
+            chsh_game().value_of_behavior(np.zeros((3, 3, 4, 4)))
 
 
 class TestMultiparty:

@@ -14,7 +14,7 @@ import pytest
 from repro.errors import GameError
 from repro.games import (
     advantage_decisions,
-    chsh_nonlocal_game,
+    chsh_game,
     ffl_game,
     magic_square_game,
     multi_class_colocation_game,
@@ -102,7 +102,7 @@ def test_screen_runs_one_npa_solve_per_alphabet():
 
 def test_npa_upper_bounds_equal_single_bounds_in_input_order():
     games = [
-        chsh_nonlocal_game(),
+        chsh_game(),
         multi_class_colocation_game(3),
         ffl_game(),
         magic_square_game(),

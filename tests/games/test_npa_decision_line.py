@@ -18,7 +18,7 @@ from repro.games import (
     CHSH_CLASSICAL_VALUE,
     FFL_CLASSICAL_VALUE,
     NPA_LEVELS,
-    chsh_nonlocal_game,
+    chsh_game,
     ffl_game,
     magic_square_game,
     multi_class_colocation_game,
@@ -30,7 +30,7 @@ from repro.obs import capture
 
 #: ``(game factory, known quantum value)``.
 KNOWN_VALUES = {
-    "chsh": (chsh_nonlocal_game, math.cos(math.pi / 8) ** 2),
+    "chsh": (chsh_game, math.cos(math.pi / 8) ** 2),
     "colocation3": (lambda: multi_class_colocation_game(3), 5.0 / 6.0),
     "ffl": (ffl_game, 2.0 / 3.0),
     "magic-square": (magic_square_game, 1.0),
@@ -66,7 +66,7 @@ def test_decision_line_stops_a_tie_early():
 
 def test_unreached_line_leaves_the_solve_unchanged():
     # CHSH's NPA bound converges to cos^2(pi/8), far above this line.
-    game = chsh_nonlocal_game()
+    game = chsh_game()
     plain_bound, plain = npa_upper_bound(game)
     with capture() as registry:
         bound, lined = npa_upper_bound(

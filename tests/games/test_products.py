@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from repro.errors import GameError
-from repro.games.products import xor_power, xor_product
 from repro.games.quantum_value import xor_quantum_bias
 from repro.games.xor import XORGame
+from tests.games._products import xor_power, xor_product
 
 
 def colocate_game(n: int = 2) -> XORGame:

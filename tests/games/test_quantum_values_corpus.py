@@ -19,7 +19,7 @@ from repro.games import (
     FFL_CLASSICAL_VALUE,
     MAGIC_SQUARE_CLASSICAL_VALUE,
     NonlocalGame,
-    chsh_nonlocal_game,
+    chsh_game,
     ffl_game,
     magic_square_game,
     mermin_game,
@@ -42,7 +42,7 @@ def assert_sandwich(bounds, slack=1e-6):
 
 
 def test_chsh_via_xor_path():
-    bounds = quantum_value_bounds(chsh_nonlocal_game())
+    bounds = quantum_value_bounds(chsh_game())
     assert bounds.method == "xor"
     assert_sandwich(bounds)
     assert bounds.classical_value == pytest.approx(CHSH_CLASSICAL_VALUE)
@@ -54,7 +54,7 @@ def test_chsh_via_xor_path():
 
 
 def test_chsh_general_path_matches_tsirelson():
-    bounds = quantum_value_bounds(chsh_nonlocal_game(), method="general")
+    bounds = quantum_value_bounds(chsh_game(), method="general")
     assert bounds.method == "general"
     assert_sandwich(bounds)
     assert bounds.lower_bound == pytest.approx(CHSH_QUANTUM_VALUE, abs=1e-7)

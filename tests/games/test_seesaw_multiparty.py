@@ -15,7 +15,7 @@ import pytest
 from repro.errors import GameError
 from repro.games import (
     MultipartyNonlocalGame,
-    chsh_nonlocal_game,
+    chsh_game,
     magic_square_game,
     mermin_game,
     seesaw_lower_bound,
@@ -69,7 +69,7 @@ def test_restarts_are_a_deterministic_prefix():
 
 
 @pytest.mark.parametrize(
-    "game, dim", [(chsh_nonlocal_game(), 2), (magic_square_game(), 4)]
+    "game, dim", [(chsh_game(), 2), (magic_square_game(), 4)]
 )
 def test_two_player_game_in_dense_form_is_the_same_optimization(game, dim):
     # A two-player game needs no adapter: its tensors, as a k-party

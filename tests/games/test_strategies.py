@@ -12,7 +12,6 @@ from repro.games import (
     QuantumStrategy,
     SharedRandomnessStrategy,
     chsh_game,
-    exact_win_probability,
     optimal_quantum_strategy,
 )
 from repro.quantum import bell_pair, computational_basis, hadamard_basis
@@ -69,7 +68,7 @@ class TestSharedRandomness:
         ]
         weights = rng.dirichlet(np.ones(6))
         mix = SharedRandomnessStrategy(list(zip(weights, strategies)))
-        assert exact_win_probability(game, mix) <= 0.75 + 1e-12
+        assert game.value_of_strategy(mix) <= 0.75 + 1e-12
 
     def test_rejects_bad_weights(self):
         s = DeterministicStrategy(outputs_a=(0,), outputs_b=(0,))

@@ -12,12 +12,12 @@ from repro.games import (
     XORGame,
     alternating_bias_lower_bound,
     anticommuting_observables,
-    exact_win_probability,
     has_quantum_advantage,
     tsirelson_strategy,
     xor_quantum_bias,
     xor_quantum_value,
 )
+from tests.games._oracles import classical_value_loops
 
 
 def all_colocate_game(n: int = 3) -> XORGame:
@@ -83,7 +83,7 @@ class TestClassicalValues:
             dist = rng.dirichlet(np.ones(9)).reshape(3, 3)
             targets = rng.integers(0, 2, size=(3, 3))
             game = XORGame("rand", dist, targets)
-            generic = game.to_two_player_game().classical_value()
+            generic = classical_value_loops(game.to_nonlocal_game())
             assert game.classical_value() == pytest.approx(generic, abs=1e-10)
 
     def test_brute_force_guard(self):
@@ -212,7 +212,7 @@ class TestTsirelsonStrategy:
     def test_chsh_strategy_achieves_quantum_value(self):
         game = XORGame.chsh()
         strategy = tsirelson_strategy(game)
-        win = exact_win_probability(game.to_two_player_game(), strategy)
+        win = game.to_nonlocal_game().value_of_strategy(strategy)
         assert win == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-6)
 
     def test_random_game_strategy_matches_sdp(self):
@@ -222,7 +222,7 @@ class TestTsirelsonStrategy:
         game = XORGame("rand3", dist, targets)
         bias, _ = xor_quantum_bias(game)
         strategy = tsirelson_strategy(game)
-        win = exact_win_probability(game.to_two_player_game(), strategy)
+        win = game.to_nonlocal_game().value_of_strategy(strategy)
         assert win == pytest.approx((1 + bias) / 2, abs=1e-5)
 
     def test_strategy_marginals_uniform(self):

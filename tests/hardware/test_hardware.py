@@ -141,11 +141,11 @@ class TestMeasurementFlips:
         from repro.games.chsh import chsh_game
 
         game = chsh_game()
-        clean = game.win_probability_of_behavior(self.behavior())
+        clean = game.value_of_behavior(self.behavior())
         assert clean == pytest.approx(CHSH_QUANTUM_VALUE)
         last = clean
         for error in (0.01, 0.05, 0.1, 0.25):
-            noisy = game.win_probability_of_behavior(
+            noisy = game.value_of_behavior(
                 apply_measurement_flips(self.behavior(), error)
             )
             assert noisy < last
@@ -155,7 +155,7 @@ class TestMeasurementFlips:
         from repro.games.chsh import chsh_game
 
         scrambled = apply_measurement_flips(self.behavior(), 0.5, 0.5)
-        win = chsh_game().win_probability_of_behavior(scrambled)
+        win = chsh_game().value_of_behavior(scrambled)
         assert win == pytest.approx(0.5, abs=1e-9)
 
     def test_asymmetric_errors_compose(self):

@@ -14,7 +14,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.games.chsh import chsh_colocation_game, colocation_quantum_strategy
+from repro.games.chsh import (
+    colocation_classical_strategy,
+    colocation_quantum_strategy,
+)
 from repro.games.multiplayer import (
     MultiplayerQuantumStrategy,
     mermin_optimal_strategy,
@@ -40,8 +43,7 @@ from repro.quantum.entangle import w_state
 
 
 def _fresh_classical_pairs(n, m):
-    alice, bob = chsh_colocation_game().best_classical_strategy()
-    return GamePairedAssignment(n, m, DeterministicStrategy(alice, bob))
+    return GamePairedAssignment(n, m, colocation_classical_strategy())
 
 
 def _fresh_multi_class(n, m, mode):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.games import build_npa_relaxation, chsh_nonlocal_game, ffl_game
+from repro.games import build_npa_relaxation, chsh_game, ffl_game
 from repro.sdp import solve_diagonal_sdp_batch, solve_partition_sdp
 
 from tests.sdp.test_batch import random_cost_stack
@@ -49,7 +49,7 @@ def test_stacked_diagonal_solver(n):
             assert_scaled(scaled, plain, s)
 
 
-@pytest.mark.parametrize("make_game", [chsh_nonlocal_game, ffl_game])
+@pytest.mark.parametrize("make_game", [chsh_game, ffl_game])
 def test_partition_solver_on_npa_relaxations(make_game):
     relaxation = build_npa_relaxation(make_game(), level="1+ab")
     structure = (relaxation.classes, relaxation.zero_entries)

@@ -36,6 +36,15 @@ class TestQuickstart:
         assert "Monte-Carlo" in out
 
 
+class TestXorGameDesigner:
+    def test_strategy_achieves_the_sdp_optimum(self, capsys):
+        out = run_example("xor_game_designer.py", capsys)
+        assert (
+            "explicit quantum strategy achieves 0.833333 "
+            "(SDP optimum 0.833333)"
+        ) in out
+
+
 class TestNoisyHardware:
     def test_prints_budget_table(self, capsys):
         out = run_example("noisy_hardware.py", capsys)
