@@ -13,7 +13,7 @@ from benchmarks._common import print_block, scaled
 from repro.analysis import format_table
 from repro.games.chsh import colocation_quantum_strategy
 from repro.lb import RandomAssignment, run_timestep_simulation
-from repro.lb.policies import GamePairedAssignment
+from repro.lb.policies import GroupAssignment
 
 
 def bench_pair_selection_policy(benchmark):
@@ -23,10 +23,10 @@ def bench_pair_selection_policy(benchmark):
     rows = []
     results = {}
     for label, policy in (
-        ("fresh pair per round", GamePairedAssignment(n, m, strategy)),
+        ("fresh pair per round", GroupAssignment(n, m, strategy)),
         (
             "sticky pairs",
-            GamePairedAssignment(n, m, strategy, sticky_servers=True),
+            GroupAssignment(n, m, strategy, sticky_servers=True),
         ),
         ("random baseline", RandomAssignment(n, m)),
     ):
@@ -49,7 +49,7 @@ def bench_pair_selection_policy(benchmark):
     assert results["fresh pair per round"] < results["random baseline"]
     assert results["sticky pairs"] > results["random baseline"]
 
-    small = GamePairedAssignment(20, 16, strategy, sticky_servers=True)
+    small = GroupAssignment(20, 16, strategy, sticky_servers=True)
     benchmark.pedantic(
         lambda: run_timestep_simulation(small, timesteps=100, seed=1),
         rounds=3,

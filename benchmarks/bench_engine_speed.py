@@ -15,7 +15,14 @@ lengths for CHSH.
 The run also times the observability layer itself: the vectorized CHSH
 point with telemetry on (the default registry) vs off
 (:func:`repro.obs.disabled`), gated at <=5% overhead and recorded in the
-trajectory under ``telemetry_overhead``.
+trajectory under ``telemetry_overhead``. The two arms run in interleaved
+pairs, alternating which goes first, so a drift in machine load hits
+both alike rather than only the arm timed later.
+
+The full-scale gates (the 5x speedup and the overhead budget) arm only
+at ``REPRO_BENCH_SCALE >= 1``, which CI does not run: at this load-2
+point the reference loop takes 29-54 s a run on a 2-vCPU container, and
+a full-scale run of this bench about 5 minutes.
 
 The streaming scale-up section runs the chunked engine at the shared
 scale ladder's ``stream_*`` point (``production``: N=10^4 balancers,
@@ -53,9 +60,10 @@ REPEATS = 3
 #: the O(M x timesteps) of full materialization).
 WINDOW_BYTES_BUDGET = 256 * 1024 * 1024
 
-#: Repeats for the telemetry on/off comparison — more than the engine
-#: race because the effect being measured is a few percent at most.
-OVERHEAD_REPEATS = 7
+#: Interleaved on/off pairs for the telemetry comparison — more than the
+#: engine race because the effect being measured is a few percent at
+#: most. A run takes ~25 ms at full scale.
+OVERHEAD_PAIRS = 40
 
 #: Instrumentation overhead budget (acceptance criterion).
 OVERHEAD_BUDGET_PCT = 5.0
@@ -75,25 +83,29 @@ def _time_engine(policy_factory, *, n, m, timesteps, engine):
     return times, result
 
 
-def _time_telemetry(*, timesteps, telemetry):
-    """Time the vectorized CHSH point with the registry on or off."""
-    times = []
-    for _ in range(OVERHEAD_REPEATS):
-        policy = CHSHPairedAssignment(100, 50)
-        if telemetry:
-            start = time.perf_counter()
-            run_timestep_simulation(
-                policy, timesteps=timesteps, seed=1, engine="vectorized"
-            )
-            times.append(time.perf_counter() - start)
-        else:
-            with disabled():
-                start = time.perf_counter()
-                run_timestep_simulation(
-                    policy, timesteps=timesteps, seed=1, engine="vectorized"
-                )
-                times.append(time.perf_counter() - start)
-    return times
+def _time_vectorized_chsh(timesteps):
+    policy = CHSHPairedAssignment(100, 50)
+    start = time.perf_counter()
+    run_timestep_simulation(
+        policy, timesteps=timesteps, seed=1, engine="vectorized"
+    )
+    return time.perf_counter() - start
+
+
+def _time_telemetry(*, timesteps):
+    """Time the vectorized CHSH point with the registry on and off in
+    :data:`OVERHEAD_PAIRS` back-to-back pairs, alternating which arm
+    runs first. Returns the ``(on, off)`` wall clocks."""
+    on_times, off_times = [], []
+    for pair in range(OVERHEAD_PAIRS):
+        order = (True, False) if pair % 2 == 0 else (False, True)
+        for telemetry in order:
+            if telemetry:
+                on_times.append(_time_vectorized_chsh(timesteps))
+            else:
+                with disabled():
+                    off_times.append(_time_vectorized_chsh(timesteps))
+    return on_times, off_times
 
 
 def bench_engine_speed(benchmark):
@@ -149,15 +161,14 @@ def bench_engine_speed(benchmark):
             )
 
     # --- telemetry overhead: vectorized CHSH, registry on vs off ------
-    on_times = _time_telemetry(timesteps=timesteps, telemetry=True)
-    off_times = _time_telemetry(timesteps=timesteps, telemetry=False)
+    on_times, off_times = _time_telemetry(timesteps=timesteps)
     overhead_pct = (min(on_times) / min(off_times) - 1.0) * 100.0
     trajectory["telemetry_overhead"] = {
         "policy": "quantum CHSH",
         "engine": "vectorized",
         "num_balancers": 100,
         "num_servers": 50,
-        "repeats": OVERHEAD_REPEATS,
+        "pairs": OVERHEAD_PAIRS,
         "telemetry_on_seconds": on_times,
         "telemetry_off_seconds": off_times,
         "overhead_pct": overhead_pct,
@@ -217,7 +228,8 @@ def bench_engine_speed(benchmark):
         f"\n\ntimesteps={timesteps} (REPRO_BENCH_SCALE), best of "
         f"{REPEATS}; target: >=5x at full scale on the CHSH point"
         f"\ntelemetry overhead: {overhead_pct:+.2f}% "
-        f"(budget {OVERHEAD_BUDGET_PCT:.0f}%, best of {OVERHEAD_REPEATS})"
+        f"(budget {OVERHEAD_BUDGET_PCT:.0f}%, min of {OVERHEAD_PAIRS} "
+        "interleaved on/off pairs)"
     )
     body += "\n\nstreaming scale-up (tier '" + tier + "'):\n"
     body += format_table(

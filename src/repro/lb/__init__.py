@@ -8,7 +8,6 @@ that measures genuine simulated qubits per decision.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "biased": ("BiasedCHSHPairedAssignment",),
     "degradation": (
         "BernoulliPairFaults",
         "DegradationReport",
@@ -40,7 +39,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ClassicalGroupAssignment",
         "ClassicalPairedAssignment",
         "DedicatedPoolAssignment",
-        "GamePairedAssignment",
         "GHZGroupAssignment",
         "GroupAssignment",
         "MultiClassPairedAssignment",

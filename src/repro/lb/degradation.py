@@ -44,7 +44,7 @@ from repro.hardware.scheduler import (
     simulate_pair_availability,
 )
 from repro.lb.policies import (
-    GamePairedAssignment,
+    GroupAssignment,
     _input_blocks,
     _sample_routes,
     behavior_sampling_tables,
@@ -264,7 +264,7 @@ class DegradationReport:
         }
 
 
-class DegradedPolicy(GamePairedAssignment):
+class DegradedPolicy(GroupAssignment):
     """A paired quantum policy that degrades gracefully under faults.
 
     Per step and per pair, ``faults`` draws whether a live entangled
@@ -303,7 +303,6 @@ class DegradedPolicy(GamePairedAssignment):
         measurement_error_a: float = 0.0,
         measurement_error_b: float = 0.0,
         task_to_input=None,
-        sticky_servers: bool = False,
     ) -> None:
         if not isinstance(faults, PairFaultModel):
             raise ConfigurationError(
@@ -327,7 +326,6 @@ class DegradedPolicy(GamePairedAssignment):
             num_servers,
             quantum_behavior,
             task_to_input=task_to_input,
-            sticky_servers=sticky_servers,
         )
         self._faults = faults
         self._fallback_random = False
@@ -469,14 +467,7 @@ class DegradedPolicy(GamePairedAssignment):
         for k in range(num_pairs):
             i, j = 2 * k, 2 * k + 1
             s0, s1 = self._server_pair(k, rng)
-            x = self._task_to_input(tasks[i])
-            y = self._task_to_input(tasks[j])
-            if not (0 <= x < self._num_inputs[0]) or not (
-                0 <= y < self._num_inputs[1]
-            ):
-                raise StrategyError(
-                    f"task inputs ({x},{y}) outside the strategy's alphabet"
-                )
+            x, y = self._group_inputs(tasks, (i, j))
             if not live[k] and self._fallback_random:
                 choices[i] = int(rng.integers(0, self.num_servers))
                 choices[j] = int(rng.integers(0, self.num_servers))

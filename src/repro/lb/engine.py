@@ -51,8 +51,8 @@ total, so ``SimulationResult`` is bit-identical to the reference
 engine. Policies whose batched draws consume the RNG exactly
 like their sequential draws (uniform random, round robin, Bernoulli
 and multi-class workloads — all row-major per step) are additionally
-per-seed identical across engines *and* chunk sizes; the paired-game,
-k-party group, and dedicated-pool policies draw per-chunk in a
+per-seed identical across engines *and* chunk sizes; the group
+policies (pairs included) and the dedicated pool draw per-chunk in a
 different order and match in distribution instead (see
 ``docs/reproducing.md``). Task matrices are *integer class* matrices:
 0 is type-E and any nonzero value a type-C class, so the ``(2,)*k``
@@ -60,7 +60,7 @@ group-output and multi-class-input policies stream through the same
 ``draw_batch -> assign_batch -> bincount`` path as the binary ones.
 The default chunk of :data:`DEFAULT_CHUNK_STEPS` steps keeps runs up
 to 2048 steps — including every paper-scale Fig 4 point — in a single
-chunk, where even the paired policies reproduce the pre-chunking
+chunk, where even the group policies reproduce the pre-chunking
 per-seed values.
 """
 

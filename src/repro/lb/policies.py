@@ -16,19 +16,20 @@ Policies:
   as an informed reference point).
 - :class:`DedicatedPoolAssignment` — the §4.1 caveat's hybrid: a server
   pool reserved for type-C tasks.
-- :class:`ClassicalPairedAssignment` — paired balancers playing the best
-  *classical* strategy of the colocation game with shared randomness.
-- :class:`CHSHPairedAssignment` — the paper's quantum policy: paired
-  balancers measure shared (possibly noisy) Bell pairs with the CHSH
-  angles.
-- :class:`GamePairedAssignment` — generic paired policy driven by any
-  two-player strategy's exact behavior (used for XOR-game balancers over
-  multi-subtype workloads).
-- :class:`MultiClassPairedAssignment` — pairs playing the multi-class
-  colocation game (>2 task classes, §4.1 caveat), quantum or classical.
-- :class:`GroupAssignment` — ``k``-party groups sharing GHZ/W states
-  (or classical tables): :class:`GHZGroupAssignment`,
-  :class:`WGroupAssignment`, :class:`ClassicalGroupAssignment`.
+- :class:`GroupAssignment` — the one correlated-routing policy: groups
+  of ``k >= 2`` balancers (pairs included) driven by any binary-output
+  strategy's exact behavior. Its subclasses fix the strategy:
+
+  - :class:`CHSHPairedAssignment` — the paper's quantum policy: pairs
+    measure shared (possibly noisy) Bell pairs with the CHSH angles.
+  - :class:`ClassicalPairedAssignment` — pairs playing the best
+    *classical* colocation strategy with shared randomness, and
+    :class:`SameTypePairedAssignment`, the other optimal classical point.
+  - :class:`MultiClassPairedAssignment` — pairs playing the multi-class
+    colocation game (>2 task classes, §4.1 caveat), quantum or classical.
+  - :class:`GHZGroupAssignment`, :class:`WGroupAssignment`,
+    :class:`ClassicalGroupAssignment` — ``k``-party groups sharing GHZ/W
+    states or classical Mermin tables.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.games.chsh import (
     colocation_classical_strategy,
     colocation_quantum_strategy,
 )
-from repro.games.strategies import DeterministicStrategy, Strategy
+from repro.games.strategies import DeterministicStrategy
 from repro.lb.engine import block_rows
 from repro.net.packet import TaskType
 from repro.quantum.state import DensityMatrix, StateVector
@@ -55,12 +56,11 @@ __all__ = [
     "RoundRobinAssignment",
     "PowerOfTwoAssignment",
     "DedicatedPoolAssignment",
-    "GamePairedAssignment",
+    "GroupAssignment",
     "ClassicalPairedAssignment",
     "SameTypePairedAssignment",
     "CHSHPairedAssignment",
     "MultiClassPairedAssignment",
-    "GroupAssignment",
     "GHZGroupAssignment",
     "WGroupAssignment",
     "ClassicalGroupAssignment",
@@ -360,10 +360,9 @@ def behavior_sampling_tables(
       u``. Clipping each block at its offset + 1 keeps the flat table
       sorted even when float error pushes a cumsum above 1.
 
-    Shared by :class:`GamePairedAssignment`, :class:`GroupAssignment`,
-    and the degraded policies in :mod:`repro.lb.degradation`, which
-    sample from two tables (live quantum vs classical fallback) behind
-    one interface.
+    Shared by :class:`GroupAssignment` and the degraded policies in
+    :mod:`repro.lb.degradation`, which sample from two tables (live
+    quantum vs classical fallback) behind one interface.
     """
     behavior = np.asarray(behavior, dtype=float)
     if behavior.ndim < 4 or behavior.ndim % 2 != 0:
@@ -513,42 +512,56 @@ def _sample_routes(choices, table, k, block, uniform, s0, s1, live=None):
         _route_members(choices[part], outcome, k, s0[part], s1[part])
 
 
-class GamePairedAssignment(AssignmentPolicy):
-    """Paired balancers playing a two-player strategy over random server pairs.
+class GroupAssignment(AssignmentPolicy):
+    """Balancer groups of ``k >= 2`` playing a binary-output strategy.
 
-    Each round, consecutive balancers ``(2k, 2k+1)`` form a pair. The pair
-    draws two distinct servers ``(s0, s1)`` from shared randomness, plays
-    the strategy on inputs ``(x, y)`` derived from their task types, and
-    balancer ``2k`` routes to ``s[a]`` while ``2k+1`` routes to ``s[b]``.
-    Equal outputs colocate the two tasks; differing outputs separate them.
+    The one correlated-routing policy: the paper's Bell pairs (§4.1) are
+    its groups of two, and shared ``k``-partite states (§4.1's "extends
+    to more than two players", probing the §4.2 ECMP conjecture) its
+    larger groups. Each round, consecutive balancers ``(gk, ..., gk + k
+    - 1)`` form a group; the group draws two distinct servers ``(s0,
+    s1)`` from shared randomness, samples a joint output tuple from the
+    strategy's exact behavior on the members' task-derived inputs, and
+    member ``i`` routes to ``s[bit_i]``. For a pair, equal outputs
+    colocate the two tasks and differing outputs separate them.
+    Leftover balancers (``N mod k``) route uniformly at random.
 
-    The strategy's exact behavior ``p(a, b | x, y)`` is precomputed, so
-    quantum strategies sample their true Born-rule statistics without
-    re-simulating state collapse per round (tests confirm equivalence to
-    the explicit :class:`~repro.quantum.measurement.EntangledRegister`
-    path). An odd balancer count leaves the last balancer routing
-    uniformly at random. ``strategy`` is any two-player strategy with
-    binary outputs, or its behavior tensor ``(nx, ny, 2, 2)``.
+    ``strategy`` is any binary-output strategy exposing ``behavior()``
+    (a two-player strategy, a
+    :class:`~repro.games.multiplayer.MultiplayerQuantumStrategy`) or its
+    behavior tensor: ``k`` input axes then ``k`` binary output axes (see
+    :func:`behavior_sampling_tables`), which fix ``k``. The exact
+    behavior is precomputed, so quantum strategies sample their true
+    Born-rule statistics without re-simulating state collapse per round
+    (tests confirm equivalence to the explicit
+    :class:`~repro.quantum.measurement.EntangledRegister` path).
 
-    :meth:`assign_batch` samples every pair of every timestep with
-    :func:`born_outcomes` (two branch-free probes into the pair's own
-    block of the flat cumulative table, equal to the sequential path's
-    bisect), a block of steps at a time, and returns int32 server
-    choices.
+    Server-pair selection (DESIGN.md ablation): by default each group
+    draws a fresh server pair every round; with ``sticky_servers`` it
+    keeps its first draw forever, concentrating its load.
+
+    The batched path resolves every group of every timestep with
+    :func:`born_outcomes` (``k`` branch-free probes into each group's
+    own block of the flat cumulative table, equal to the sequential
+    path's bisect), a block of steps at a time, and returns int32
+    server choices. :meth:`assign` draws each group's ``s0``, ``s1``
+    and uniform in turn; :meth:`assign_batch` draws a ``(steps,
+    groups)`` block of each in that order. Both then draw the leftover
+    balancers' servers.
     """
 
     def __init__(
         self,
         num_balancers: int,
         num_servers: int,
-        strategy: Strategy | np.ndarray,
+        strategy,
         *,
         task_to_input=None,
         sticky_servers: bool = False,
     ) -> None:
         super().__init__(num_balancers, num_servers)
         if num_servers < 2:
-            raise ConfigurationError("paired policies need >= 2 servers")
+            raise ConfigurationError("group policies need >= 2 servers")
         if not isinstance(strategy, np.ndarray):
             strategy = strategy.behavior()
         self._behavior = strategy
@@ -557,101 +570,107 @@ class GamePairedAssignment(AssignmentPolicy):
             self._cumulative,
             self._flat_cumulative,
         ) = behavior_sampling_tables(strategy)
+        self.group_size = len(self._num_inputs)
+        self._width = 1 << self.group_size
         self._task_to_input = task_to_input or _default_task_to_input
-        # Pair-selection policy (DESIGN.md ablation): by default each
-        # pair draws a fresh random server pair every round; sticky pairs
-        # keep the first draw forever, concentrating their load.
         self._sticky = sticky_servers
         self._sticky_servers: dict[int, tuple[int, int]] = {}
 
     def _server_pair(
-        self, pair_index: int, rng: np.random.Generator
+        self, group: int, rng: np.random.Generator
     ) -> tuple[int, int]:
-        if self._sticky and pair_index in self._sticky_servers:
-            return self._sticky_servers[pair_index]
+        """Group ``group``'s ``(s0, s1)`` server draw for one round."""
+        if self._sticky and group in self._sticky_servers:
+            return self._sticky_servers[group]
         s0 = int(rng.integers(0, self.num_servers))
         s1 = int(rng.integers(0, self.num_servers - 1))
         if s1 >= s0:
             s1 += 1
         if self._sticky:
-            self._sticky_servers[pair_index] = (s0, s1)
+            self._sticky_servers[group] = (s0, s1)
         return s0, s1
 
-    def assign(self, tasks, rng):
-        self._check(tasks)
-        choices: list[int] = [0] * len(tasks)
-        num_pairs = len(tasks) // 2
-        for k in range(num_pairs):
-            i, j = 2 * k, 2 * k + 1
-            s0, s1 = self._server_pair(k, rng)
-            x = self._task_to_input(tasks[i])
-            y = self._task_to_input(tasks[j])
-            if not (0 <= x < self._num_inputs[0]) or not (
-                0 <= y < self._num_inputs[1]
-            ):
-                raise StrategyError(
-                    f"task inputs ({x},{y}) outside the strategy's alphabet"
-                )
-            u = rng.random()
-            index = int(np.searchsorted(self._cumulative[x, y], u, side="right"))
-            index = min(index, 3)
-            a, b = divmod(index, 2)
-            pair = (s0, s1)
-            choices[i] = pair[a]
-            choices[j] = pair[b]
-        if len(tasks) % 2 == 1:
-            choices[-1] = int(rng.integers(0, self.num_servers))
-        return choices
-
     def _server_pair_batch(
-        self, steps: int, num_pairs: int, rng: np.random.Generator
+        self, steps: int, num_groups: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-round ``(s0, s1)`` server draws for every pair, batched."""
+        """Per-round ``(s0, s1)`` server draws for every group, batched."""
         if self._sticky:
             missing = [
-                k for k in range(num_pairs) if k not in self._sticky_servers
+                g for g in range(num_groups) if g not in self._sticky_servers
             ]
             if missing:
                 s0_new, s1_new = _server_pairs(
                     self.num_servers, len(missing), rng
                 )
-                for k, a, b in zip(missing, s0_new, s1_new):
-                    self._sticky_servers[k] = (int(a), int(b))
+                for g, a, b in zip(missing, s0_new, s1_new):
+                    self._sticky_servers[g] = (int(a), int(b))
             fixed = np.array(
-                [self._sticky_servers[k] for k in range(num_pairs)],
+                [self._sticky_servers[g] for g in range(num_groups)],
                 dtype=np.int32,
             )
-            s0 = np.broadcast_to(fixed[:, 0], (steps, num_pairs))
-            s1 = np.broadcast_to(fixed[:, 1], (steps, num_pairs))
+            s0 = np.broadcast_to(fixed[:, 0], (steps, num_groups))
+            s1 = np.broadcast_to(fixed[:, 1], (steps, num_groups))
             return s0, s1
-        return _server_pairs(self.num_servers, (steps, num_pairs), rng)
+        return _server_pairs(self.num_servers, (steps, num_groups), rng)
+
+    def _group_inputs(self, tasks, members) -> tuple[int, ...]:
+        """The game inputs of one group's members; raises
+        :class:`StrategyError` outside the strategy's alphabet."""
+        inputs = tuple(self._task_to_input(tasks[i]) for i in members)
+        if any(not 0 <= x < n for x, n in zip(inputs, self._num_inputs)):
+            raise StrategyError(
+                f"task inputs {inputs} outside the strategy's alphabet"
+            )
+        return inputs
+
+    def assign(self, tasks, rng):
+        self._check(tasks)
+        k = self.group_size
+        choices: list[int] = [0] * len(tasks)
+        num_groups = len(tasks) // k
+        for g in range(num_groups):
+            members = range(g * k, (g + 1) * k)
+            s0, s1 = self._server_pair(g, rng)
+            inputs = self._group_inputs(tasks, members)
+            u = rng.random()
+            index = int(
+                np.searchsorted(self._cumulative[inputs], u, side="right")
+            )
+            index = min(index, self._width - 1)
+            pair = (s0, s1)
+            for j, i in enumerate(members):
+                choices[i] = pair[(index >> (k - 1 - j)) & 1]
+        for i in range(num_groups * k, len(tasks)):
+            choices[i] = int(rng.integers(0, self.num_servers))
+        return choices
 
     def assign_batch(self, tasks, rng):
         tasks = self._check_batch(tasks)
         steps, n = tasks.shape
-        num_pairs = n // 2
+        k = self.group_size
+        num_groups = n // k
         choices = np.empty((steps, n), dtype=np.int32)
-        if num_pairs:
+        if num_groups:
             block = _input_blocks(
-                tasks, self._num_inputs, num_pairs,
+                tasks, self._num_inputs, num_groups,
                 np.min_scalar_type(self._flat_cumulative.size),
             )
-            s0, s1 = self._server_pair_batch(steps, num_pairs, rng)
-            # Born-rule outcomes: each pair descends its own block of
-            # the flat cumulative table, matching the sequential path's
-            # per-pair searchsorted exactly (see born_outcomes).
-            uniform = rng.random((steps, num_pairs))
+            s0, s1 = self._server_pair_batch(steps, num_groups, rng)
+            # Born-rule outcomes: each group descends its own block of
+            # the flat cumulative table (see born_outcomes).
+            uniform = rng.random((steps, num_groups))
             _sample_routes(
-                choices, self._flat_cumulative, 2, block, uniform, s0, s1
+                choices, self._flat_cumulative, k, block, uniform, s0, s1
             )
-        if n % 2 == 1:
-            choices[:, -1] = rng.integers(
-                0, self.num_servers, size=steps, dtype=np.int32
+        leftover = n - num_groups * k
+        if leftover:
+            choices[:, n - leftover :] = rng.integers(
+                0, self.num_servers, size=(steps, leftover), dtype=np.int32
             )
         return choices
 
 
-class ClassicalPairedAssignment(GamePairedAssignment):
+class ClassicalPairedAssignment(GroupAssignment):
     """Paired policy with the *optimal classical* colocation strategy.
 
     The colocation game's classical value is 3/4; the optimal
@@ -669,7 +688,7 @@ class ClassicalPairedAssignment(GamePairedAssignment):
         )
 
 
-class SameTypePairedAssignment(GamePairedAssignment):
+class SameTypePairedAssignment(GroupAssignment):
     """Deterministic classical pairs that colocate equal task types.
 
     Both members output bit 0 on type-C and bit 1 on type-E, so CC pairs
@@ -692,7 +711,7 @@ class SameTypePairedAssignment(GamePairedAssignment):
         )
 
 
-class CHSHPairedAssignment(GamePairedAssignment):
+class CHSHPairedAssignment(GroupAssignment):
     """The paper's quantum policy: CHSH measurements on shared Bell pairs.
 
     ``state`` defaults to a perfect Bell pair, whose behavior is built
@@ -714,7 +733,7 @@ class CHSHPairedAssignment(GamePairedAssignment):
         super().__init__(num_balancers, num_servers, behavior)
 
 
-class MultiClassPairedAssignment(GamePairedAssignment):
+class MultiClassPairedAssignment(GroupAssignment):
     """Paired policy for the >2-task-class workload (§4.1 caveat).
 
     Tasks carry integer classes ``0..num_classes - 1`` (class 0 is
@@ -748,121 +767,6 @@ class MultiClassPairedAssignment(GamePairedAssignment):
         self.mode = mode
 
 
-class GroupAssignment(AssignmentPolicy):
-    """``k``-party balancer groups playing a multiparty strategy.
-
-    The generalization of :class:`GamePairedAssignment` from Bell pairs
-    to shared ``k``-partite states (§4.1's "extends to more than two
-    players", probing the §4.2 ECMP conjecture). Each round, consecutive
-    balancers ``(gk, ..., gk + k - 1)`` form a group; the group draws
-    two distinct servers ``(s0, s1)`` from shared randomness, samples a
-    joint output tuple from the strategy's exact behavior on the
-    members' task-derived inputs, and member ``i`` routes to
-    ``s[bit_i]``. Leftover balancers (``N mod k``) route uniformly at
-    random.
-
-    ``behavior`` is the strategy's exact conditional distribution as a
-    tensor of ``k`` input axes then ``k`` binary output axes (see
-    :func:`behavior_sampling_tables`); pass a precomputed tensor or any
-    k-party strategy exposing ``behavior()`` (e.g. a
-    :class:`~repro.games.multiplayer.MultiplayerQuantumStrategy`).
-    The batched path resolves every group of every timestep with
-    :func:`born_outcomes` (``k`` branch-free probes into each group's
-    own block of the flat cumulative table) and returns int32 server
-    choices, so the chunked streaming engine serves k-party
-    correlations at about the same cost per task as the paired
-    policies.
-    """
-
-    def __init__(
-        self,
-        num_balancers: int,
-        num_servers: int,
-        behavior,
-        *,
-        group_size: int | None = None,
-        task_to_input=None,
-    ) -> None:
-        super().__init__(num_balancers, num_servers)
-        if num_servers < 2:
-            raise ConfigurationError("group policies need >= 2 servers")
-        if not isinstance(behavior, np.ndarray):
-            behavior = behavior.behavior()
-        self._behavior = behavior
-        (
-            self._num_inputs,
-            self._cumulative,
-            self._flat_cumulative,
-        ) = behavior_sampling_tables(behavior)
-        self.group_size = len(self._num_inputs)
-        if group_size is not None and group_size != self.group_size:
-            raise ConfigurationError(
-                f"group_size {group_size} does not match the strategy's "
-                f"{self.group_size} parties"
-            )
-        self._width = 1 << self.group_size
-        self._task_to_input = task_to_input or _default_task_to_input
-
-    def _server_pair(self, rng: np.random.Generator) -> tuple[int, int]:
-        s0 = int(rng.integers(0, self.num_servers))
-        s1 = int(rng.integers(0, self.num_servers - 1))
-        if s1 >= s0:
-            s1 += 1
-        return s0, s1
-
-    def assign(self, tasks, rng):
-        self._check(tasks)
-        k = self.group_size
-        choices: list[int] = [0] * len(tasks)
-        num_groups = len(tasks) // k
-        for g in range(num_groups):
-            members = range(g * k, (g + 1) * k)
-            s0, s1 = self._server_pair(rng)
-            inputs = tuple(self._task_to_input(tasks[i]) for i in members)
-            if any(
-                not 0 <= x < n for x, n in zip(inputs, self._num_inputs)
-            ):
-                raise StrategyError(
-                    f"task inputs {inputs} outside the strategy's alphabet"
-                )
-            u = rng.random()
-            index = int(
-                np.searchsorted(self._cumulative[inputs], u, side="right")
-            )
-            index = min(index, self._width - 1)
-            pair = (s0, s1)
-            for j, i in enumerate(members):
-                choices[i] = pair[(index >> (k - 1 - j)) & 1]
-        for i in range(num_groups * k, len(tasks)):
-            choices[i] = int(rng.integers(0, self.num_servers))
-        return choices
-
-    def assign_batch(self, tasks, rng):
-        tasks = self._check_batch(tasks)
-        steps, n = tasks.shape
-        k = self.group_size
-        num_groups = n // k
-        choices = np.empty((steps, n), dtype=np.int32)
-        if num_groups:
-            block = _input_blocks(
-                tasks, self._num_inputs, num_groups,
-                np.min_scalar_type(self._flat_cumulative.size),
-            )
-            s0, s1 = _server_pairs(self.num_servers, (steps, num_groups), rng)
-            # Born-rule outcomes: each group descends its own block of
-            # the flat cumulative table (see born_outcomes).
-            uniform = rng.random((steps, num_groups))
-            _sample_routes(
-                choices, self._flat_cumulative, k, block, uniform, s0, s1
-            )
-        leftover = n - num_groups * k
-        if leftover:
-            choices[:, n - leftover :] = rng.integers(
-                0, self.num_servers, size=(steps, leftover), dtype=np.int32
-            )
-        return choices
-
-
 class GHZGroupAssignment(GroupAssignment):
     """Groups of ``k`` balancers measuring a shared GHZ state.
 
@@ -888,7 +792,6 @@ class GHZGroupAssignment(GroupAssignment):
             num_balancers,
             num_servers,
             _constant_behavior(_mermin_behavior, group_size),
-            group_size=group_size,
         )
 
 
@@ -915,7 +818,6 @@ class WGroupAssignment(GroupAssignment):
             num_balancers,
             num_servers,
             _constant_behavior(_w_state_behavior, group_size),
-            group_size=group_size,
         )
 
 
@@ -942,5 +844,4 @@ class ClassicalGroupAssignment(GroupAssignment):
             num_balancers,
             num_servers,
             _constant_behavior(_mermin_classical_behavior, group_size),
-            group_size=group_size,
         )

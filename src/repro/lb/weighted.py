@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from repro.games.quantum_value import tsirelson_strategy
 from repro.games.weighted import weighted_colocation_game
-from repro.lb.policies import GamePairedAssignment
+from repro.lb.policies import GroupAssignment
 
 __all__ = ["WeightedCHSHPairedAssignment"]
 
 
-class WeightedCHSHPairedAssignment(GamePairedAssignment):
+class WeightedCHSHPairedAssignment(GroupAssignment):
     """CHSH-style pairs with utility-weighted optimal operators.
 
     ``cc_weight`` is the relative utility of winning the both-type-C

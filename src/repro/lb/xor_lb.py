@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.games.graph_games import AffinityGraph, xor_game_from_graph
 from repro.games.quantum_value import tsirelson_strategy
 from repro.games.strategies import DeterministicStrategy
-from repro.lb.policies import GamePairedAssignment
+from repro.lb.policies import GroupAssignment
 from repro.net.packet import TaskType
 
 __all__ = ["XORPairedAssignment", "ClassicalGraphPairedAssignment"]
@@ -37,7 +37,7 @@ def _subtype_input(task) -> int:
     raise ConfigurationError(f"cannot derive game input from {task!r}")
 
 
-class XORPairedAssignment(GamePairedAssignment):
+class XORPairedAssignment(GroupAssignment):
     """Paired balancers playing the optimal quantum strategy of the
     affinity graph's XOR game.
 
@@ -71,7 +71,7 @@ class XORPairedAssignment(GamePairedAssignment):
         self.game = game
 
 
-class ClassicalGraphPairedAssignment(GamePairedAssignment):
+class ClassicalGraphPairedAssignment(GroupAssignment):
     """Classical counterpart: the best deterministic strategy of the same
     XOR game, with the same pairing and shared randomness."""
 

@@ -102,10 +102,10 @@ class TestBiasedPolicy:
     def test_policy_runs_and_colocates(self):
         import numpy as np
 
-        from repro.lb.biased import BiasedCHSHPairedAssignment
+        from repro.lb import GroupAssignment
         from repro.net.packet import TaskType
 
-        policy = BiasedCHSHPairedAssignment(2, 8, p_colocate=0.6)
+        policy = GroupAssignment(2, 8, matched_quantum_strategy(0.6))
         rng = np.random.default_rng(0)
         rounds = 2000
         same = sum(
@@ -119,7 +119,5 @@ class TestBiasedPolicy:
         assert same / rounds > 0.6
 
     def test_policy_validates_bias(self):
-        from repro.lb.biased import BiasedCHSHPairedAssignment
-
         with pytest.raises(GameError):
-            BiasedCHSHPairedAssignment(4, 4, p_colocate=1.0)
+            matched_quantum_strategy(1.0)

@@ -29,7 +29,6 @@ from repro.lb import (
     CHSHPairedAssignment,
     ClassicalGroupAssignment,
     ClassicalPairedAssignment,
-    GamePairedAssignment,
     GHZGroupAssignment,
     GroupAssignment,
     MultiClassPairedAssignment,
@@ -43,7 +42,7 @@ from repro.quantum.entangle import w_state
 
 
 def _fresh_classical_pairs(n, m):
-    return GamePairedAssignment(n, m, colocation_classical_strategy())
+    return GroupAssignment(n, m, colocation_classical_strategy())
 
 
 def _fresh_multi_class(n, m, mode):
@@ -52,7 +51,7 @@ def _fresh_multi_class(n, m, mode):
         strategy = tsirelson_strategy(game.to_xor_game())
     else:
         strategy = DeterministicStrategy(*game.best_classical_strategy())
-    return GamePairedAssignment(n, m, strategy)
+    return GroupAssignment(n, m, strategy)
 
 
 def _fresh_w(n, m, k):
@@ -68,7 +67,7 @@ def _multi_class_workload(n):
 CASES = {
     "chsh": (
         CHSHPairedAssignment,
-        lambda n, m: GamePairedAssignment(n, m, colocation_quantum_strategy()),
+        lambda n, m: GroupAssignment(n, m, colocation_quantum_strategy()),
         BernoulliTaskMix,
     ),
     "classical_pairs": (
@@ -76,7 +75,7 @@ CASES = {
     ),
     "same_type_pairs": (
         SameTypePairedAssignment,
-        lambda n, m: GamePairedAssignment(
+        lambda n, m: GroupAssignment(
             n, m, DeterministicStrategy((1, 0), (1, 0))
         ),
         BernoulliTaskMix,

@@ -27,8 +27,8 @@ from repro.lb import (
     ClassicalGroupAssignment,
     ClassicalPairedAssignment,
     DedicatedPoolAssignment,
-    GamePairedAssignment,
     GHZGroupAssignment,
+    GroupAssignment,
     MultiClassPairedAssignment,
     PowerOfTwoAssignment,
     RandomAssignment,
@@ -67,7 +67,7 @@ BUILT_IN_BATCH_POLICIES = {
     "chsh_pairs": (CHSHPairedAssignment, BernoulliTaskMix),
     "sticky_pairs": (
         partial(
-            GamePairedAssignment,
+            GroupAssignment,
             strategy=colocation_quantum_strategy(),
             sticky_servers=True,
         ),

@@ -64,10 +64,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match=">= 2 servers"):
             GroupAssignment(6, 1, _uniform_behavior(3))
 
-    def test_group_size_must_match_strategy(self):
-        with pytest.raises(ConfigurationError, match="does not match"):
-            GroupAssignment(6, 4, _uniform_behavior(3), group_size=4)
-
     @pytest.mark.parametrize(
         "cls", [GHZGroupAssignment, WGroupAssignment, ClassicalGroupAssignment]
     )

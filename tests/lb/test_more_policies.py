@@ -105,9 +105,9 @@ class TestExclusiveDiagonal:
 class TestStickyServerPairs:
     def make_policy(self, sticky):
         from repro.games.chsh import colocation_quantum_strategy
-        from repro.lb.policies import GamePairedAssignment
+        from repro.lb.policies import GroupAssignment
 
-        return GamePairedAssignment(
+        return GroupAssignment(
             4, 12, colocation_quantum_strategy(), sticky_servers=sticky
         )
 
@@ -129,16 +129,16 @@ class TestStickyServerPairs:
 
     def test_sticky_hurts_queueing(self):
         from repro.games.chsh import colocation_quantum_strategy
-        from repro.lb.policies import GamePairedAssignment
+        from repro.lb.policies import GroupAssignment
 
         strategy = colocation_quantum_strategy()
         fresh = run_timestep_simulation(
-            GamePairedAssignment(40, 32, strategy),
+            GroupAssignment(40, 32, strategy),
             timesteps=400,
             seed=3,
         )
         sticky = run_timestep_simulation(
-            GamePairedAssignment(40, 32, strategy, sticky_servers=True),
+            GroupAssignment(40, 32, strategy, sticky_servers=True),
             timesteps=400,
             seed=3,
         )
@@ -148,19 +148,19 @@ class TestStickyServerPairs:
 class TestDefaultTaskConversion:
     def test_ints_pass_through(self, rng):
         from repro.games.strategies import DeterministicStrategy
-        from repro.lb.policies import GamePairedAssignment
+        from repro.lb.policies import GroupAssignment
 
         strategy = DeterministicStrategy(outputs_a=(0, 1), outputs_b=(1, 0))
-        policy = GamePairedAssignment(2, 4, strategy)
+        policy = GroupAssignment(2, 4, strategy)
         a, b = policy.assign([0, 1], rng)
         assert 0 <= a < 4 and 0 <= b < 4
 
     def test_out_of_alphabet_input_rejected(self, rng):
         from repro.errors import StrategyError
         from repro.games.strategies import DeterministicStrategy
-        from repro.lb.policies import GamePairedAssignment
+        from repro.lb.policies import GroupAssignment
 
         strategy = DeterministicStrategy(outputs_a=(0, 1), outputs_b=(1, 0))
-        policy = GamePairedAssignment(2, 4, strategy)
+        policy = GroupAssignment(2, 4, strategy)
         with pytest.raises(StrategyError):
             policy.assign([5, 0], rng)

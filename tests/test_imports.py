@@ -200,7 +200,6 @@ TEST_ONLY_EXPORTS = {
         "win_probability_to_s_value",
     }),
     "repro.lb": frozenset({
-        "BiasedCHSHPairedAssignment",
         "MultiClassPairedAssignment",
         "PowerOfTwoAssignment",
         "RoundRobinAssignment",

@@ -27,7 +27,7 @@ from repro.hardware import (
 )
 from repro.lb import (
     CHSHPairedAssignment,
-    GamePairedAssignment,
+    GroupAssignment,
     RandomAssignment,
     run_timestep_simulation,
 )
@@ -78,7 +78,7 @@ class TestSDPToPolicyPipeline:
         game = xor_game_from_graph(graph)
         value = xor_quantum_value(game)
         strategy = tsirelson_strategy(game)
-        policy = GamePairedAssignment(2, 8, strategy)
+        policy = GroupAssignment(2, 8, strategy)
 
         # Empirical win rate of the deployed policy against the game's
         # own referee distribution.
