@@ -8,8 +8,9 @@ Workflow a systems designer would follow:
    values (the Tsirelson SDP says exactly how much entanglement buys).
 3. Extract the explicit optimal quantum strategy (measurement operators
    on a maximally entangled state).
-4. Drive paired load balancers with it and watch the colocation
-   selectivity beat every classical baseline.
+4. Drive paired load balancers with it next to the best classical
+   table of the same game, on a workload whose task mix differs from
+   the game's uniform referee.
 
 Run:  python examples/xor_game_designer.py
 """
@@ -71,16 +72,19 @@ def main() -> None:
     rng_tasks = np.random.default_rng(1)
     rng_policy = np.random.default_rng(2)
 
-    def colocation_stats(policy, uses_requests):
+    def game_inputs(requests):
+        # Each task is its vertex: 0 for type-E, 1 + subtype for type-C.
+        return [
+            0 if r.task_type is TaskType.EXCLUSIVE else 1 + r.subtype
+            for r in requests
+        ]
+
+    def colocation_stats(policy):
         good = bad = 0
         for _ in range(rounds):
             requests = mix.draw_requests(rng_tasks)
-            if uses_requests:
-                choices = policy.assign(requests, rng_policy)
-            else:
-                choices = policy.assign(
-                    [r.task_type for r in requests], rng_policy
-                )
+            tasks = np.array([game_inputs(requests)])
+            choices = policy.assign_batch(tasks, rng_policy)[0]
             by_server: dict[int, list[Request]] = {}
             for request, server in zip(requests, choices):
                 by_server.setdefault(server, []).append(request)
@@ -103,7 +107,7 @@ def main() -> None:
         ("classical graph pairs", classical_policy),
         ("quantum XOR pairs", quantum_policy),
     ):
-        good, bad = colocation_stats(policy, uses_requests=True)
+        good, bad = colocation_stats(policy)
         rows.append([name, good, bad, good / max(bad, 1e-9)])
     print()
     print(
@@ -116,9 +120,11 @@ def main() -> None:
         )
     )
     print(
-        "\nThe quantum pairs extract more compatible colocations per"
-        "\nconflict than any classical pairing — with zero communication"
-        "\nbetween balancers."
+        "\nBoth pairings see subtypes and need no communication. The"
+        "\n7/9 vs 5/6 advantage is the uniform game's: on this workload's"
+        "\nmix (E 1/2, C1 1/4, C2 1/4) the game's classical and quantum"
+        "\nvalues are both 7/8, so the classical table, which wins every"
+        "\nC-C input, colocates at least as selectively."
     )
 
 

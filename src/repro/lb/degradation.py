@@ -16,9 +16,8 @@ the :mod:`repro.hardware` plane through the queueing simulation:
   behavior table degraded by QNIC detector noise
   (:func:`repro.hardware.qnic.apply_measurement_flips`); lost, expired,
   or erased pairs fall back to the best classical paired strategy or to
-  uniform random routing. Both the per-step and the batched
-  (``assign_batch``) paths are implemented, so the vectorized engine
-  runs degraded sweeps at full speed.
+  uniform random routing. Its one batched path (``assign_batch``)
+  serves both engines, so they agree per seed, reports included.
 - :class:`DegradationReport` records the observability the run results
   carry: fallback fraction, effective quantum decision rate, and the
   deliverable win probability via :func:`repro.hardware.scheduler
@@ -66,8 +65,8 @@ class PairFaultModel:
 
     Implementations must draw all randomness from the ``rng`` they are
     handed (the policy stream), and :meth:`sample` must leave any model
-    state as if the steps had been drawn one at a time, so sequential
-    and batched runs can continue each other.
+    state as if the steps had been drawn one at a time, so consecutive
+    chunks continue each other.
     """
 
     def availability(self) -> float:
@@ -79,12 +78,6 @@ class PairFaultModel:
     ) -> np.ndarray:
         """A ``(steps, num_pairs)`` boolean liveness matrix."""
         raise NotImplementedError
-
-    def sample_step(
-        self, num_pairs: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One timestep's liveness vector."""
-        return self.sample(1, num_pairs, rng)[0]
 
 
 class BernoulliPairFaults(PairFaultModel):
@@ -284,10 +277,10 @@ class DegradedPolicy(GroupAssignment):
     fallback), and at ``availability=1`` with a perfect state it matches
     :class:`~repro.lb.policies.CHSHPairedAssignment`.
 
-    Engine parity is distributional (the batched path draws its
-    randomness in a different order), mirroring the rest of the
-    paired-policy family; ``tests/lb/test_degradation.py`` holds the
-    CIs.
+    Both engines draw through :meth:`assign_batch`, so a seed gives the
+    same run and the same :class:`DegradationReport` on either; a run
+    that stops early clamps the report to its executed steps
+    (:meth:`note_executed_steps`).
     """
 
     def __init__(
@@ -302,7 +295,6 @@ class DegradedPolicy(GroupAssignment):
         fallback: str | Strategy = "classical",
         measurement_error_a: float = 0.0,
         measurement_error_b: float = 0.0,
-        task_to_input=None,
     ) -> None:
         if not isinstance(faults, PairFaultModel):
             raise ConfigurationError(
@@ -321,12 +313,7 @@ class DegradedPolicy(GroupAssignment):
         quantum_behavior = apply_measurement_flips(
             strategy.behavior(), measurement_error_a, measurement_error_b
         )
-        super().__init__(
-            num_balancers,
-            num_servers,
-            quantum_behavior,
-            task_to_input=task_to_input,
-        )
+        super().__init__(num_balancers, num_servers, quantum_behavior)
         self._faults = faults
         self._fallback_random = False
         self._tables = self._flat_cumulative
@@ -342,16 +329,16 @@ class DegradedPolicy(GroupAssignment):
                     f"Strategy, got {fallback!r}"
                 )
             fallback_behavior = fallback.behavior()
-            fb_inputs, self._fallback_cumulative, fallback_flat = (
-                behavior_sampling_tables(fallback_behavior)
+            fb_inputs, fallback_flat = behavior_sampling_tables(
+                fallback_behavior
             )
             if fb_inputs != self._num_inputs:
                 raise StrategyError(
                     f"fallback input alphabet {fb_inputs} != quantum "
                     f"alphabet {self._num_inputs}"
                 )
-            # The batched path samples live pairs from the first half of
-            # these stacked tables and dead pairs from the second.
+            # Live pairs sample from the first half of these stacked
+            # tables and dead pairs from the second.
             self._tables = np.concatenate(
                 [self._flat_cumulative, fallback_flat]
             )
@@ -434,8 +421,8 @@ class DegradedPolicy(GroupAssignment):
         }
 
     def note_executed_steps(self, steps: int) -> None:
-        """Clamp the report to the steps a run actually executed (the
-        batched engine draws every step up front but may stop early)."""
+        """Clamp the report to the steps a run actually executed (both
+        engines draw a whole chunk up front but may stop inside it)."""
         self._executed_steps = int(steps)
 
     def degradation_report(self) -> DegradationReport:
@@ -457,39 +444,6 @@ class DegradedPolicy(GroupAssignment):
         )
 
     # -- assignment ---------------------------------------------------------
-
-    def assign(self, tasks, rng):
-        self._check(tasks)
-        choices: list[int] = [0] * len(tasks)
-        num_pairs = len(tasks) // 2
-        live = self._faults.sample_step(num_pairs, rng)
-        quantum = fallback = 0
-        for k in range(num_pairs):
-            i, j = 2 * k, 2 * k + 1
-            s0, s1 = self._server_pair(k, rng)
-            x, y = self._group_inputs(tasks, (i, j))
-            if not live[k] and self._fallback_random:
-                choices[i] = int(rng.integers(0, self.num_servers))
-                choices[j] = int(rng.integers(0, self.num_servers))
-                fallback += 1
-                continue
-            table = self._cumulative if live[k] else self._fallback_cumulative
-            u = rng.random()
-            index = int(np.searchsorted(table[x, y], u, side="right"))
-            index = min(index, 3)
-            a, b = divmod(index, 2)
-            pair = (s0, s1)
-            choices[i] = pair[a]
-            choices[j] = pair[b]
-            if live[k]:
-                quantum += 1
-            else:
-                fallback += 1
-        if len(tasks) % 2 == 1:
-            choices[-1] = int(rng.integers(0, self.num_servers))
-        self._quantum_per_step.append(quantum)
-        self._fallback_per_step.append(fallback)
-        return choices
 
     def assign_batch(self, tasks, rng):
         tasks = self._check_batch(tasks)

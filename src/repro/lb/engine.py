@@ -1,20 +1,21 @@
-"""Chunked streaming engine for the Fig 4 timestep simulation.
+"""Chunk draws and the streaming engine for the Fig 4 timestep simulation.
 
-The reference engine in :mod:`repro.lb.simulation` interprets every
-timestep in Python: per-balancer policy draws, per-server tuple-deques,
-and O(queue) ``_find`` scans that go quadratic once the system is
-overloaded. This module replaces that inner loop for the policy /
-discipline / workload combinations that vectorize:
+Both engines of :func:`repro.lb.simulation.run_timestep_simulation`
+take their timesteps in chunks of :func:`resolve_chunk_steps` steps,
+and both draw each chunk the same way, in :func:`draw_chunk`: the
+workload's ``(chunk, N)`` task matrix (``draw_batch``), then the
+policy's server choices for it in one shot (``assign_batch``; the
+built-in policies return int32 choices), validated once. So a seed
+gives both engines the same tasks and the same choices, and they differ
+only in how they serve them. The reference engine appends each chunk to
+per-server deques and serves it task by task. This module's vectorized
+engine serves the same chunk from counts:
 
-1. **Chunked batched workload** — the run is split into chunks of
-   ``chunk_steps`` timesteps. Each chunk draws its ``(chunk, N)`` task
-   matrix (``draw_batch``), maps it to server choices in one shot
-   (``assign_batch``; the built-in policies return int32 choices), and
-   pre-aggregates per-(step, server) arrival counts by type with a
-   ``bincount`` over the ``(step, type, server)`` cells of each block
-   of steps, written straight into the window. Feedback policies (e.g.
-   power-of-two choices) cannot batch and fall back to the reference
-   loop under ``engine="auto"``.
+1. **Chunked arrival counts** — each chunk's per-(step, server) arrival
+   counts by type come from a ``bincount`` over the ``(step, type,
+   server)`` cells of each block of steps, written straight into the
+   window; the task and choice matrices are freed before the chunk is
+   served.
 2. **Count-only server model** — which server serves how many tasks of
    which type each step depends only on its queued counts:
    ``take_c = min(queued_c, 2)`` (1 under "serial") and
@@ -47,21 +48,30 @@ discipline / workload combinations that vectorize:
 Metric equivalence: for a fixed task and choice matrix the count-only
 model serves the same number of tasks of each type per server each
 step as the deques, and the FIFO-rank identity gives the same wait
-total, so ``SimulationResult`` is bit-identical to the reference
-engine. Policies whose batched draws consume the RNG exactly
-like their sequential draws (uniform random, round robin, Bernoulli
-and multi-class workloads — all row-major per step) are additionally
-per-seed identical across engines *and* chunk sizes; the group
-policies (pairs included) and the dedicated pool draw per-chunk in a
-different order and match in distribution instead (see
-``docs/reproducing.md``). Task matrices are *integer class* matrices:
-0 is type-E and any nonzero value a type-C class, so the ``(2,)*k``
-group-output and multi-class-input policies stream through the same
-``draw_batch -> assign_batch -> bincount`` path as the binary ones.
-The default chunk of :data:`DEFAULT_CHUNK_STEPS` steps keeps runs up
-to 2048 steps — including every paper-scale Fig 4 point — in a single
-chunk, where even the group policies reproduce the pre-chunking
-per-seed values.
+total. So under the two disciplines it runs, ``SimulationResult`` — a
+degraded policy's report included — is bit-identical across engines for
+every policy, seed and chunk size.
+
+Two cases still need the reference loop, which ``engine="auto"`` picks
+(:func:`vectorization_unsupported_reason`):
+
+- the ``"fifo"`` discipline serves strictly by head of line, so which
+  task a server takes depends on the order of types in its queue, not
+  only on its counts;
+- a policy that reads queue feedback (``observe_queues``, e.g.
+  power-of-two choices) must see the queues after every step, so its
+  chunks are one step long and the engine serves each before the next
+  is drawn.
+
+Task matrices are *integer class* matrices: 0 is type-E and any nonzero
+value a type-C class, so the ``(2,)*k`` group-output and
+multi-class-input policies stream through the same ``draw_batch ->
+assign_batch`` path as the binary ones. Per-seed values depend on the
+chunk size for the group, dedicated-pool and degraded policies (they
+draw each kind of number a chunk at a time); uniform random and round
+robin draw the same numbers under any chunking. The default chunk of
+:data:`DEFAULT_CHUNK_STEPS` steps keeps runs up to 2048 steps —
+including every paper-scale Fig 4 point — in a single chunk.
 """
 
 from __future__ import annotations
@@ -78,6 +88,8 @@ from repro.obs.spans import span
 __all__ = [
     "DEFAULT_CHUNK_STEPS",
     "VECTORIZED_DISCIPLINES",
+    "draw_chunk",
+    "resolve_chunk_steps",
     "run_vectorized",
     "vectorization_unsupported_reason",
 ]
@@ -86,8 +98,7 @@ __all__ = [
 VECTORIZED_DISCIPLINES = ("paper", "serial")
 
 #: Default timesteps per chunk. Chosen so paper-scale runs (≤ 2000
-#: steps) execute as a single chunk — preserving historical per-seed
-#: values for every policy — while production-scale runs stream.
+#: steps) execute as a single chunk while production-scale runs stream.
 DEFAULT_CHUNK_STEPS = 2048
 
 #: Cap on ``chunk * max(N, M)`` cells for the *default* chunk size, so
@@ -96,8 +107,8 @@ DEFAULT_CHUNK_STEPS = 2048
 CHUNK_CELL_BUDGET = 1 << 22
 
 
-def vectorization_unsupported_reason(policy, workload, discipline) -> str | None:
-    """Why this (policy, workload, discipline) cannot vectorize, or None.
+def vectorization_unsupported_reason(policy, discipline) -> str | None:
+    """Why this (policy, discipline) needs the reference loop, or None.
 
     ``engine="auto"`` falls back to the reference loop whenever this
     returns a reason; ``engine="vectorized"`` raises it.
@@ -107,10 +118,6 @@ def vectorization_unsupported_reason(policy, workload, discipline) -> str | None
             f"discipline {discipline!r} interleaves task types at the head "
             f"of line; vectorized supports {VECTORIZED_DISCIPLINES}"
         )
-    if not hasattr(workload, "draw_batch"):
-        return f"workload {type(workload).__name__} has no draw_batch"
-    if not policy.supports_batch():
-        return f"policy {type(policy).__name__} has no assign_batch"
     if policy.needs_queue_feedback():
         return (
             f"policy {type(policy).__name__} consumes per-step queue "
@@ -122,13 +129,14 @@ def vectorization_unsupported_reason(policy, workload, discipline) -> str | None
 def resolve_chunk_steps(
     chunk_steps: int | None, timesteps: int, num_balancers: int, num_servers: int
 ) -> int:
-    """The chunk size a run will use.
+    """The chunk size a run will use, on either engine.
 
     An explicit ``chunk_steps`` wins verbatim (tests use tiny chunks to
     force window compaction). The default is
     :data:`DEFAULT_CHUNK_STEPS`, shrunk for very wide systems so the
     per-chunk draw/arrival matrices stay within
-    :data:`CHUNK_CELL_BUDGET` cells.
+    :data:`CHUNK_CELL_BUDGET` cells. The reference loop draws a policy
+    that reads queue feedback one step at a time instead.
     """
     if chunk_steps is not None:
         if chunk_steps < 1:
@@ -224,6 +232,32 @@ def _compact_and_fit(window, queued, base, start, end):
     return window, base
 
 
+def draw_chunk(policy, workload, workload_rng, policy_rng, steps):
+    """Draw one chunk: its ``(steps, N)`` task and choice matrices.
+
+    The one draw step of both engines: ``workload.draw_batch``, then
+    ``policy.assign_batch`` on those tasks, with the shapes and the
+    server range checked once per chunk.
+    """
+    tasks = np.asarray(workload.draw_batch(workload_rng, steps))
+    if tasks.shape != (steps, policy.num_balancers):
+        raise ConfigurationError(
+            f"workload batch shape {tasks.shape} != "
+            f"({steps}, {policy.num_balancers})"
+        )
+    choices = np.asarray(policy.assign_batch(tasks, policy_rng))
+    if choices.shape != tasks.shape:
+        raise ConfigurationError(
+            f"policy batch shape {choices.shape} != {tasks.shape}"
+        )
+    if choices.min() < 0 or choices.max() >= policy.num_servers:
+        bad = choices[(choices < 0) | (choices >= policy.num_servers)]
+        raise ConfigurationError(
+            f"policy chose invalid server {int(bad.ravel()[0])}"
+        )
+    return tasks, choices
+
+
 def _draw_arrivals(rows, policy, workload, workload_rng, policy_rng):
     """Draw one chunk and write its arrival counts into ``rows``.
 
@@ -237,23 +271,9 @@ def _draw_arrivals(rows, policy, workload, workload_rng, policy_rng):
     reads without a copy.
     """
     steps, _, num_servers = rows.shape
-    task_bits = np.asarray(workload.draw_batch(workload_rng, steps))
-    if task_bits.shape != (steps, policy.num_balancers):
-        raise ConfigurationError(
-            f"workload batch shape {task_bits.shape} != "
-            f"({steps}, {policy.num_balancers})"
-        )
-    choices = np.asarray(policy.assign_batch(task_bits, policy_rng))
-    if choices.shape != task_bits.shape:
-        raise ConfigurationError(
-            f"policy batch shape {choices.shape} != {task_bits.shape}"
-        )
-    if choices.min() < 0 or choices.max() >= num_servers:
-        bad = choices[(choices < 0) | (choices >= num_servers)]
-        raise ConfigurationError(
-            f"policy chose invalid server {int(bad.ravel()[0])}"
-        )
-
+    task_bits, choices = draw_chunk(
+        policy, workload, workload_rng, policy_rng, steps
+    )
     bins = 2 * num_servers
     block = block_rows(max(choices.shape[1], bins))
     offsets = bins * np.arange(min(block, steps), dtype=np.intp)[:, None]
@@ -371,8 +391,8 @@ def run_vectorized(
         wait_sum = served_step_sum - arrival_step_sum
 
     # Degraded policies drew liveness for the chunked steps up front;
-    # tell them how many steps actually executed so their reports match
-    # the sequential path when max_total_queue stops a run early.
+    # tell them how many steps actually executed, as the reference loop
+    # does, when max_total_queue stops a run early.
     if hasattr(policy, "note_executed_steps"):
         policy.note_executed_steps(executed)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lb.policies import AssignmentPolicy
-from repro.net.packet import TaskType
 
 __all__ = ["OmniscientAssignment"]
 
@@ -26,14 +25,16 @@ class OmniscientAssignment(AssignmentPolicy):
 
     Greedy coordinated heuristic per round:
 
-    1. Pair up the type-C tasks; send each pair to the currently
-       least-loaded server (they will be served together).
+    1. Pair up the type-C tasks (any nonzero task class, as both engines
+       read it); send each pair to the currently least-loaded server
+       (they will be served together).
     2. A leftover single C goes to the next least-loaded server.
     3. Type-E tasks go one each to the least-loaded remaining servers.
 
     Load accounting uses the observed queue lengths plus the work
     assigned so far this round (type-E counts one slot, a C-pair one
-    slot, a lone C one slot).
+    slot, a lone C one slot). The engines hand it one-step chunks; every
+    row of a longer chunk would start from the same observation.
     """
 
     def __init__(self, num_balancers: int, num_servers: int) -> None:
@@ -47,29 +48,24 @@ class OmniscientAssignment(AssignmentPolicy):
             raise ConfigurationError("queue observation size mismatch")
         self._queues = np.asarray(queue_lengths, dtype=float)
 
-    def assign(self, tasks, rng):
-        self._check(tasks)
-        load = self._queues.copy()
-        choices = [0] * len(tasks)
-        c_indices = [
-            i for i, t in enumerate(tasks) if t is TaskType.COLOCATE
-        ]
-        e_indices = [
-            i for i, t in enumerate(tasks) if t is not TaskType.COLOCATE
-        ]
-        # C pairs first: each pair consumes one service slot.
-        for k in range(0, len(c_indices) - 1, 2):
-            server = int(np.argmin(load))
-            choices[c_indices[k]] = server
-            choices[c_indices[k + 1]] = server
-            load[server] += 1.0
-        if len(c_indices) % 2 == 1:
-            server = int(np.argmin(load))
-            choices[c_indices[-1]] = server
-            load[server] += 1.0
-        # E tasks spread across the least-loaded servers.
-        for index in e_indices:
-            server = int(np.argmin(load))
-            choices[index] = server
-            load[server] += 1.0
+    def assign_batch(self, tasks, rng):
+        tasks = self._check_batch(tasks)
+        choices = np.empty(tasks.shape, dtype=np.int32)
+        for row, out in zip(tasks, choices):
+            load = self._queues.copy()
+            c_indices = np.flatnonzero(row)
+            # C pairs first: each pair consumes one service slot.
+            for k in range(0, len(c_indices) - 1, 2):
+                server = int(np.argmin(load))
+                out[c_indices[k : k + 2]] = server
+                load[server] += 1.0
+            if len(c_indices) % 2 == 1:
+                server = int(np.argmin(load))
+                out[c_indices[-1]] = server
+                load[server] += 1.0
+            # E tasks spread across the least-loaded servers.
+            for index in np.flatnonzero(row == 0):
+                server = int(np.argmin(load))
+                out[index] = server
+                load[server] += 1.0
         return choices

@@ -1,11 +1,15 @@
 """Assignment policies for the Fig 4 timestep simulation.
 
-A policy maps the vector of tasks received this timestep (one per load
-balancer) to a vector of server choices. The no-communication constraint
-of the paper is enforced structurally: each balancer's choice depends
-only on its *own* task, pre-agreed shared randomness (the per-round
-server-pair draw), and — for the quantum policies — the outcome of
-measuring its share of a pre-distributed entangled state.
+A policy maps a chunk of timesteps' tasks — a ``(steps, N)`` integer
+matrix, one column per load balancer, 0 for type-E and nonzero for a
+type-C class — to a matrix of server choices (:meth:`AssignmentPolicy
+.assign_batch`). That one mapping serves both engines of
+:func:`repro.lb.simulation.run_timestep_simulation`, so a policy draws
+the same numbers whichever engine runs it. The no-communication
+constraint of the paper is enforced structurally: each balancer's choice
+depends only on its *own* task, pre-agreed shared randomness (the
+per-round server-pair draw), and — for the quantum policies — the
+outcome of measuring its share of a pre-distributed entangled state.
 
 Policies:
 
@@ -46,7 +50,6 @@ from repro.games.chsh import (
 )
 from repro.games.strategies import DeterministicStrategy
 from repro.lb.engine import block_rows
-from repro.net.packet import TaskType
 from repro.quantum.state import DensityMatrix, StateVector
 
 __all__ = [
@@ -68,7 +71,7 @@ __all__ = [
 
 
 class AssignmentPolicy:
-    """Interface: map one timestep's tasks to server indices."""
+    """Interface: map a chunk of timesteps' tasks to server indices."""
 
     def __init__(self, num_balancers: int, num_servers: int) -> None:
         if num_balancers < 1:
@@ -78,37 +81,23 @@ class AssignmentPolicy:
         self.num_balancers = num_balancers
         self.num_servers = num_servers
 
-    def assign(
-        self, tasks: Sequence[TaskType], rng: np.random.Generator
-    ) -> list[int]:
-        """Return a server index per task. Must not inspect other tasks
-        except through the structured pair protocols."""
-        raise NotImplementedError
-
     def assign_batch(
         self, tasks: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Batched :meth:`assign`: map a ``(steps, N)`` integer task
-        matrix (``TaskType.bit`` encoding, or game inputs for subtype
-        workloads) to a ``(steps, N)`` server-index matrix.
+        """Map a ``(steps, N)`` integer task matrix (``TaskType.bit``
+        encoding, or game inputs for subtype workloads) to a ``(steps,
+        N)`` server-index matrix.
 
-        The base class has no batched form; the vectorized engine treats
-        that as "unsupported" and falls back to the per-step loop.
-        Implementations must draw all their randomness from ``rng`` up
-        front and leave any policy state as if ``steps`` sequential
-        :meth:`assign` calls had run, so runs can be continued by either
-        path. Per-seed equality with the sequential path is only
-        guaranteed where documented (see ``docs/reproducing.md``);
-        elsewhere the batched draw order differs and parity is
-        distributional.
+        Row ``t`` holds step ``t``'s tasks, and a balancer's choice must
+        not read another balancer's task except through the structured
+        group protocols. Implementations draw all their randomness from
+        ``rng``. Both engines call this once per chunk; a policy that
+        reads queue feedback is called with one-step chunks, so it sees
+        the queues after every step.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no batched assignment"
         )
-
-    def supports_batch(self) -> bool:
-        """Whether :meth:`assign_batch` has a vectorized implementation."""
-        return type(self).assign_batch is not AssignmentPolicy.assign_batch
 
     def observe_queues(self, queue_lengths: Sequence[int]) -> None:
         """Feedback hook; most policies ignore it."""
@@ -116,12 +105,6 @@ class AssignmentPolicy:
     def needs_queue_feedback(self) -> bool:
         """Whether :meth:`observe_queues` is overridden (feedback policy)."""
         return type(self).observe_queues is not AssignmentPolicy.observe_queues
-
-    def _check(self, tasks: Sequence[TaskType]) -> None:
-        if len(tasks) != self.num_balancers:
-            raise ConfigurationError(
-                f"{len(tasks)} tasks for {self.num_balancers} balancers"
-            )
 
     def _check_batch(self, tasks: np.ndarray) -> np.ndarray:
         tasks = np.asarray(tasks)
@@ -136,16 +119,12 @@ class AssignmentPolicy:
 class RandomAssignment(AssignmentPolicy):
     """Each balancer picks a uniformly random server (paper baseline)."""
 
-    def assign(self, tasks, rng):
-        self._check(tasks)
-        return list(rng.integers(0, self.num_servers, size=len(tasks)))
-
     def assign_batch(self, tasks, rng):
         tasks = self._check_batch(tasks)
         # One bounded-integer fill consumes the bit stream exactly like
-        # per-step draws, so this is per-seed identical to assign(). An
-        # int32 draw gives the int64 draw's values and leaves the
-        # generator in the same state (below 2**31 servers).
+        # one fill per step, so the choices do not depend on the chunk
+        # size. An int32 draw gives the int64 draw's values and leaves
+        # the generator in the same state (below 2**31 servers).
         return rng.integers(
             0, self.num_servers, size=tasks.shape, dtype=np.int32
         )
@@ -158,22 +137,14 @@ class RoundRobinAssignment(AssignmentPolicy):
         super().__init__(num_balancers, num_servers)
         self._next = None
 
-    def assign(self, tasks, rng):
-        self._check(tasks)
-        if self._next is None:
-            self._next = rng.integers(0, self.num_servers, size=self.num_balancers)
-        choices = [int(c) for c in self._next]
-        self._next = (self._next + 1) % self.num_servers
-        return choices
-
     def assign_batch(self, tasks, rng):
         tasks = self._check_batch(tasks)
         steps = tasks.shape[0]
         if self._next is None:
             self._next = rng.integers(0, self.num_servers, size=self.num_balancers)
-        # Deterministic after the start-offset draw, so per-seed
-        # identical to the sequential path. Both terms lie below M, so
-        # their int32 sum is exact below 2**30 servers.
+        # Deterministic after the start-offset draw, so the choices do
+        # not depend on the chunk size. Both terms lie below M, so their
+        # int32 sum is exact below 2**30 servers.
         offset = (np.arange(steps) % self.num_servers).astype(np.int32)
         choices = np.add.outer(offset, self._next.astype(np.int32))
         choices %= self.num_servers
@@ -186,7 +157,9 @@ class PowerOfTwoAssignment(AssignmentPolicy):
 
     Queue observations arrive via :meth:`observe_queues` at the end of
     each timestep, so choices use slightly stale state — the standard
-    power-of-two-choices setup [44].
+    power-of-two-choices setup [44]. The engines hand it one-step
+    chunks; every row of a longer chunk would read the same
+    observation.
     """
 
     def __init__(self, num_balancers: int, num_servers: int) -> None:
@@ -198,14 +171,14 @@ class PowerOfTwoAssignment(AssignmentPolicy):
             raise ConfigurationError("queue observation size mismatch")
         self._queues = np.asarray(queue_lengths, dtype=float)
 
-    def assign(self, tasks, rng):
-        self._check(tasks)
-        first = rng.integers(0, self.num_servers, size=len(tasks))
-        second = rng.integers(0, self.num_servers, size=len(tasks))
-        return [
-            int(f) if self._queues[f] <= self._queues[s] else int(s)
-            for f, s in zip(first, second)
-        ]
+    def assign_batch(self, tasks, rng):
+        tasks = self._check_batch(tasks)
+        m = self.num_servers
+        first = rng.integers(0, m, size=tasks.shape, dtype=np.int32)
+        second = rng.integers(0, m, size=tasks.shape, dtype=np.int32)
+        return np.where(
+            self._queues[first] <= self._queues[second], first, second
+        )
 
 
 class DedicatedPoolAssignment(AssignmentPolicy):
@@ -222,9 +195,8 @@ class DedicatedPoolAssignment(AssignmentPolicy):
         super().__init__(num_balancers, num_servers)
         if num_servers < 2:
             # With one server there is no room for both a pool and a
-            # remainder: assign() would raise an opaque ValueError from
-            # rng.integers(1, 1) while assign_batch() silently emitted
-            # the invalid server index 1. Reject at construction.
+            # remainder: assign_batch() would emit the invalid server
+            # index 1. Reject at construction.
             raise ConfigurationError(
                 "DedicatedPoolAssignment needs >= 2 servers (one for the "
                 "type-C pool, one for the remainder)"
@@ -235,35 +207,15 @@ class DedicatedPoolAssignment(AssignmentPolicy):
             )
         self.pool_size = max(1, min(num_servers - 1, round(num_servers * pool_fraction)))
 
-    def assign(self, tasks, rng):
-        self._check(tasks)
-        choices = []
-        for task in tasks:
-            if task is TaskType.COLOCATE:
-                choices.append(int(rng.integers(0, self.pool_size)))
-            else:
-                choices.append(int(rng.integers(self.pool_size, self.num_servers)))
-        return choices
-
     def assign_batch(self, tasks, rng):
         tasks = self._check_batch(tasks)
         # One uniform draw per task, scaled into the pool for type-C
-        # (nonzero input) and into the remainder for type-E. The draw
-        # order differs from assign()'s conditional scalar draws, so
-        # parity with the sequential path is distributional.
+        # (nonzero input) and into the remainder for type-E.
         uniform = rng.random(tasks.shape)
         pool = self.pool_size
         in_pool = (uniform * pool).astype(np.int32)
         outside = pool + (uniform * (self.num_servers - pool)).astype(np.int32)
         return np.where(tasks != 0, in_pool, outside)
-
-
-def _default_task_to_input(task) -> int:
-    """Map a task to a game input: ints pass through, TaskType uses
-    the paper's bit encoding (1 = type-C)."""
-    if isinstance(task, (int, np.integer)):
-        return int(task)
-    return task.bit
 
 
 @functools.cache
@@ -341,7 +293,7 @@ def _mermin_classical_behavior(group_size: int) -> np.ndarray:
 
 def behavior_sampling_tables(
     behavior: np.ndarray,
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+) -> tuple[tuple[int, ...], np.ndarray]:
     """Precompute Born-sampling tables for a binary-output behavior.
 
     ``behavior`` holds ``p(outputs | inputs)`` for a ``k``-party
@@ -349,16 +301,13 @@ def behavior_sampling_tables(
     output axes — ``(nx, ny, 2, 2)`` for the paired policies,
     ``(n_1, ..., n_k) + (2,) * k`` for the group policies.
 
-    Returns ``(num_inputs, cumulative, flat_cumulative)``:
-
-    - ``cumulative`` flattens the ``2**k`` joint outputs into a per-input
-      cumulative table for fast per-group sampling (output tuples in
-      C order, so player 0 owns the most significant outcome bit).
-    - ``flat_cumulative`` concatenates every input block's cumulative
-      table, offsetting block ``i``'s entries by ``i``, so
-      :func:`born_outcomes` resolves all groups at once from ``block +
-      u``. Clipping each block at its offset + 1 keeps the flat table
-      sorted even when float error pushes a cumsum above 1.
+    Returns ``(num_inputs, flat_cumulative)``. ``flat_cumulative``
+    holds, for each input block in C order, the cumulative sum over the
+    ``2**k`` joint outputs (output tuples in C order, so player 0 owns
+    the most significant outcome bit), with block ``i``'s entries
+    offset by ``i``, so :func:`born_outcomes` resolves all groups at
+    once from ``block + u``. Clipping each block at its offset + 1 keeps
+    the flat table sorted even when float error pushes a cumsum above 1.
 
     Shared by :class:`GroupAssignment` and the degraded policies in
     :mod:`repro.lb.degradation`, which sample from two tables (live
@@ -383,7 +332,7 @@ def behavior_sampling_tables(
         np.arange(num_blocks)[:, None]
         + np.minimum(cumulative.reshape(num_blocks, width), 1.0)
     ).ravel()
-    return num_inputs, cumulative, flat_cumulative
+    return num_inputs, flat_cumulative
 
 
 def born_outcomes(flat_cumulative, width, block, uniform, row=None):
@@ -393,7 +342,7 @@ def born_outcomes(flat_cumulative, width, block, uniform, row=None):
     with ``width`` (``2**k``) entries per input block, ``block`` the
     flat input index of each draw and ``uniform`` its ``[0, 1)``
     double. Returns, element for element and in ``block``'s dtype, the
-    serial path's right-bisect outcome::
+    right-bisect outcome::
 
         min(searchsorted(flat, block + uniform, "right") - width * block,
             width - 1)
@@ -540,14 +489,13 @@ class GroupAssignment(AssignmentPolicy):
     draws a fresh server pair every round; with ``sticky_servers`` it
     keeps its first draw forever, concentrating its load.
 
-    The batched path resolves every group of every timestep with
+    :meth:`assign_batch` draws a ``(steps, groups)`` block of ``s0``,
+    then of ``s1``, then of uniforms, and then the leftover balancers'
+    servers. It resolves every group of every timestep with
     :func:`born_outcomes` (``k`` branch-free probes into each group's
-    own block of the flat cumulative table, equal to the sequential
-    path's bisect), a block of steps at a time, and returns int32
-    server choices. :meth:`assign` draws each group's ``s0``, ``s1``
-    and uniform in turn; :meth:`assign_batch` draws a ``(steps,
-    groups)`` block of each in that order. Both then draw the leftover
-    balancers' servers.
+    own block of the flat cumulative table, equal to a bisect of the
+    group's cumulative row), a block of steps at a time, and returns
+    int32 server choices.
     """
 
     def __init__(
@@ -556,7 +504,6 @@ class GroupAssignment(AssignmentPolicy):
         num_servers: int,
         strategy,
         *,
-        task_to_input=None,
         sticky_servers: bool = False,
     ) -> None:
         super().__init__(num_balancers, num_servers)
@@ -565,30 +512,12 @@ class GroupAssignment(AssignmentPolicy):
         if not isinstance(strategy, np.ndarray):
             strategy = strategy.behavior()
         self._behavior = strategy
-        (
-            self._num_inputs,
-            self._cumulative,
-            self._flat_cumulative,
-        ) = behavior_sampling_tables(strategy)
+        self._num_inputs, self._flat_cumulative = behavior_sampling_tables(
+            strategy
+        )
         self.group_size = len(self._num_inputs)
-        self._width = 1 << self.group_size
-        self._task_to_input = task_to_input or _default_task_to_input
         self._sticky = sticky_servers
         self._sticky_servers: dict[int, tuple[int, int]] = {}
-
-    def _server_pair(
-        self, group: int, rng: np.random.Generator
-    ) -> tuple[int, int]:
-        """Group ``group``'s ``(s0, s1)`` server draw for one round."""
-        if self._sticky and group in self._sticky_servers:
-            return self._sticky_servers[group]
-        s0 = int(rng.integers(0, self.num_servers))
-        s1 = int(rng.integers(0, self.num_servers - 1))
-        if s1 >= s0:
-            s1 += 1
-        if self._sticky:
-            self._sticky_servers[group] = (s0, s1)
-        return s0, s1
 
     def _server_pair_batch(
         self, steps: int, num_groups: int, rng: np.random.Generator
@@ -612,37 +541,6 @@ class GroupAssignment(AssignmentPolicy):
             s1 = np.broadcast_to(fixed[:, 1], (steps, num_groups))
             return s0, s1
         return _server_pairs(self.num_servers, (steps, num_groups), rng)
-
-    def _group_inputs(self, tasks, members) -> tuple[int, ...]:
-        """The game inputs of one group's members; raises
-        :class:`StrategyError` outside the strategy's alphabet."""
-        inputs = tuple(self._task_to_input(tasks[i]) for i in members)
-        if any(not 0 <= x < n for x, n in zip(inputs, self._num_inputs)):
-            raise StrategyError(
-                f"task inputs {inputs} outside the strategy's alphabet"
-            )
-        return inputs
-
-    def assign(self, tasks, rng):
-        self._check(tasks)
-        k = self.group_size
-        choices: list[int] = [0] * len(tasks)
-        num_groups = len(tasks) // k
-        for g in range(num_groups):
-            members = range(g * k, (g + 1) * k)
-            s0, s1 = self._server_pair(g, rng)
-            inputs = self._group_inputs(tasks, members)
-            u = rng.random()
-            index = int(
-                np.searchsorted(self._cumulative[inputs], u, side="right")
-            )
-            index = min(index, self._width - 1)
-            pair = (s0, s1)
-            for j, i in enumerate(members):
-                choices[i] = pair[(index >> (k - 1 - j)) & 1]
-        for i in range(num_groups * k, len(tasks)):
-            choices[i] = int(rng.integers(0, self.num_servers))
-        return choices
 
     def assign_batch(self, tasks, rng):
         tasks = self._check_batch(tasks)

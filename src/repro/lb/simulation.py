@@ -8,6 +8,11 @@ simultaneously first, otherwise one type-E request (footnote 2 offers
 alternative disciplines; several are implemented for the robustness
 ablation). The reported metric is the time-averaged queue length as a
 function of load ``N/M``.
+
+Two engines run it from the same chunk draws
+(:func:`repro.lb.engine.draw_chunk`): the reference engine here, which
+queues each task in a per-server deque and serves it by the discipline
+rule, and the vectorized engine of :mod:`repro.lb.engine`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.lb.degradation import DegradationReport
 from repro.lb.policies import AssignmentPolicy
-from repro.net.packet import TaskType
 from repro.net.workload import BernoulliTaskMix
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
@@ -40,7 +44,7 @@ __all__ = [
 #: Engine selectors for :func:`run_timestep_simulation`. "reference" is
 #: the interpreted deque loop (the oracle), "vectorized" the batched
 #: numpy engine in :mod:`repro.lb.engine`, and "auto" picks vectorized
-#: whenever the (policy, workload, discipline) combination supports it.
+#: whenever the (policy, discipline) combination supports it.
 SIMULATION_ENGINES = ("auto", "reference", "vectorized")
 
 
@@ -77,25 +81,16 @@ class SimulationResult:
     )
 
 
-def _is_colocate(task) -> bool:
-    """Type-C test across task encodings.
-
-    Tasks are :class:`TaskType` members in the classic workloads and
-    integer class labels in the multi-class ones (0 = type-E, >= 1 = a
-    type-C subtype). The service disciplines are deliberately
-    subtype-blind — batching mixed subtypes is exactly the §4.1 failure
-    the *policies* must avoid — matching the vectorized engine's
-    ``task_bits != 0`` test.
-    """
-    if isinstance(task, TaskType):
-        return task is TaskType.COLOCATE
-    return int(task) != 0
+# A queue entry is ``(colocate, arrival_step)``: ``colocate`` is True for
+# any type-C class. The disciplines are deliberately subtype-blind —
+# batching mixed subtypes is exactly the §4.1 failure the *policies*
+# must avoid — matching the vectorized engine's ``tasks != 0`` test.
 
 
 def _serve_paper(queue: deque, now: int, waits: list[int]) -> int:
     """Up to two type-C requests in parallel, else one type-E (paper rule)."""
     served = 0
-    if any(_is_colocate(task) for task, _ in queue):
+    if any(colocate for colocate, _ in queue):
         for _ in range(2):
             index = _find_colocate(queue)
             if index is None:
@@ -113,12 +108,12 @@ def _serve_fifo(queue: deque, now: int, waits: list[int]) -> int:
     immediately behind the first."""
     if not queue:
         return 0
-    head_type, arrival = queue.popleft()
+    head_colocate, arrival = queue.popleft()
     waits.append(now - arrival)
     served = 1
-    if _is_colocate(head_type) and queue:
-        next_type, next_arrival = queue[0]
-        if _is_colocate(next_type):
+    if head_colocate and queue:
+        next_colocate, next_arrival = queue[0]
+        if next_colocate:
             queue.popleft()
             waits.append(now - next_arrival)
             served = 2
@@ -147,8 +142,8 @@ ServiceDiscipline = str
 
 
 def _find_colocate(queue: deque) -> int | None:
-    for i, (task, _) in enumerate(queue):
-        if _is_colocate(task):
+    for i, (colocate, _) in enumerate(queue):
+        if colocate:
             return i
     return None
 
@@ -211,16 +206,18 @@ def run_timestep_simulation(
         max_total_queue: optional safety valve — stop early if the system
             is so overloaded the total queue exceeds this (the averages
             then reflect a clearly-unstable system).
-        workload: optional draw-compatible workload (e.g. a
+        workload: optional workload with a ``draw_batch`` (e.g. a
             :class:`~repro.net.trace.TraceReplayer`) replacing the
             Bernoulli mix; must cover the policy's balancer count.
         engine: one of :data:`SIMULATION_ENGINES`. "auto" (default) uses
-            the batched numpy engine when the policy, workload, and
-            discipline all support it, else the reference deque loop;
-            see :mod:`repro.lb.engine` for the support matrix and
+            the batched numpy engine when the policy and discipline
+            support it, else the reference deque loop; see
+            :mod:`repro.lb.engine` for the support matrix and
             docs/reproducing.md for how per-seed values relate.
-        chunk_steps: timesteps per streamed chunk for the vectorized
-            engine; ``None`` picks the adaptive default.
+        chunk_steps: timesteps per drawn chunk, on either engine;
+            ``None`` picks the adaptive default (see
+            :func:`repro.lb.engine.resolve_chunk_steps`). A policy that
+            reads queue feedback draws one step at a time.
     """
     from repro.lb import engine as _engine_mod
 
@@ -230,8 +227,6 @@ def run_timestep_simulation(
         warmup_fraction=warmup_fraction,
         engine=engine,
     )
-    serve = SERVICE_DISCIPLINES[discipline]
-    num_servers = policy.num_servers
     if workload is None:
         workload = BernoulliTaskMix(policy.num_balancers, p_colocate)
     elif getattr(workload, "num_balancers", None) != policy.num_balancers:
@@ -239,62 +234,83 @@ def run_timestep_simulation(
             f"workload covers {getattr(workload, 'num_balancers', '?')} "
             f"balancers, policy needs {policy.num_balancers}"
         )
-    streams = RandomStreams(seed)
-    workload_rng = streams.stream("workload")
-    policy_rng = streams.stream("policy")
-    warmup = int(timesteps * warmup_fraction)
-
-    reason = _engine_mod.vectorization_unsupported_reason(
-        policy, workload, discipline
-    )
+    reason = _engine_mod.vectorization_unsupported_reason(policy, discipline)
     if engine == "vectorized" and reason is not None:
         raise ConfigurationError(f"vectorized engine unsupported: {reason}")
+    vectorized = engine != "reference" and reason is None
+    engine = "vectorized" if vectorized else "reference"
+    run_engine = _engine_mod.run_vectorized if vectorized else _run_reference
+    streams = RandomStreams(seed)
     start = time.perf_counter()
-    if engine != "reference" and reason is None:
-        with _spans.span("engine.vectorized", steps=timesteps):
-            result = _engine_mod.run_vectorized(
-                policy,
-                workload,
-                workload_rng,
-                policy_rng,
-                timesteps=timesteps,
-                discipline=discipline,
-                warmup=warmup,
-                max_total_queue=max_total_queue,
-                chunk_steps=chunk_steps,
-            )
-        return _finalize(
+    with _spans.span(f"engine.{engine}", steps=timesteps):
+        result = run_engine(
             policy,
-            result,
-            engine="vectorized",
-            seed=seed,
-            wall=time.perf_counter() - start,
+            workload,
+            streams.stream("workload"),
+            streams.stream("policy"),
             timesteps=timesteps,
             discipline=discipline,
-            p_colocate=p_colocate,
+            warmup=int(timesteps * warmup_fraction),
+            max_total_queue=max_total_queue,
+            chunk_steps=chunk_steps,
         )
+    return _finalize(
+        policy,
+        result,
+        engine=engine,
+        seed=seed,
+        wall=time.perf_counter() - start,
+        timesteps=timesteps,
+        discipline=discipline,
+        p_colocate=p_colocate,
+    )
 
-    with _spans.span("engine.reference", steps=timesteps):
-        queues: list[deque] = [deque() for _ in range(num_servers)]
-        queue_length_sum = 0.0
-        waits: list[int] = []
-        served = 0
-        arrived = 0
-        measured_steps = 0
-        wants_feedback = policy.needs_queue_feedback()
 
-        for step in range(timesteps):
+def _run_reference(
+    policy,
+    workload,
+    workload_rng,
+    policy_rng,
+    *,
+    timesteps: int,
+    discipline: str,
+    warmup: int,
+    max_total_queue: float,
+    chunk_steps: int | None,
+) -> SimulationResult:
+    """The reference engine: per-server deques served task by task.
+
+    Each chunk comes from :func:`repro.lb.engine.draw_chunk`, as in the
+    vectorized engine, and is appended and served one step at a time.
+    A policy that reads queue feedback draws one-step chunks and
+    observes the queues after each step.
+    """
+    from repro.lb.engine import draw_chunk, resolve_chunk_steps
+
+    serve = SERVICE_DISCIPLINES[discipline]
+    num_servers = policy.num_servers
+    wants_feedback = policy.needs_queue_feedback()
+    chunk = 1 if wants_feedback else resolve_chunk_steps(
+        chunk_steps, timesteps, policy.num_balancers, num_servers
+    )
+    queues: list[deque] = [deque() for _ in range(num_servers)]
+    queue_length_sum = 0.0
+    waits: list[int] = []
+    served = 0
+    step = 0
+    stopped = False
+    while step < timesteps and not stopped:
+        tasks, choices = draw_chunk(
+            policy, workload, workload_rng, policy_rng,
+            min(chunk, timesteps - step),
+        )
+        colocate = tasks != 0
+        for offset in range(len(tasks)):
+            for is_c, server in zip(
+                colocate[offset].tolist(), choices[offset].tolist()
+            ):
+                queues[server].append((is_c, step))
             measuring = step >= warmup
-            tasks = workload.draw(workload_rng)
-            choices = policy.assign(tasks, policy_rng)
-            for task, server in zip(tasks, choices):
-                if not 0 <= server < num_servers:
-                    raise ConfigurationError(
-                        f"policy chose invalid server {server}"
-                    )
-                queues[server].append((task, step))
-            if measuring:
-                arrived += len(tasks)
             step_waits: list[int] = []
             for queue in queues:
                 served_here = serve(queue, step, step_waits)
@@ -304,31 +320,25 @@ def run_timestep_simulation(
             if measuring:
                 waits.extend(step_waits)
                 queue_length_sum += total_queued / num_servers
-                measured_steps += 1
             if wants_feedback:
                 policy.observe_queues([len(q) for q in queues])
+            step += 1
             if total_queued > max_total_queue:
+                stopped = True
                 break
 
-        mean_queue = queue_length_sum / max(1, measured_steps)
-        mean_wait = float(np.mean(waits)) if waits else 0.0
-        result = SimulationResult(
-            mean_queue_length=mean_queue,
-            mean_queueing_delay=mean_wait,
-            served=served,
-            arrived=arrived,
-            timesteps=measured_steps,
-            load=policy.num_balancers / num_servers,
-        )
-    return _finalize(
-        policy,
-        result,
-        engine="reference",
-        seed=seed,
-        wall=time.perf_counter() - start,
-        timesteps=timesteps,
-        discipline=discipline,
-        p_colocate=p_colocate,
+    # Like the vectorized engine, tell a degraded policy how many of
+    # the steps it drew actually executed.
+    if hasattr(policy, "note_executed_steps"):
+        policy.note_executed_steps(step)
+    measured_steps = max(0, step - warmup)
+    return SimulationResult(
+        mean_queue_length=queue_length_sum / max(1, measured_steps),
+        mean_queueing_delay=float(np.mean(waits)) if waits else 0.0,
+        served=served,
+        arrived=policy.num_balancers * measured_steps,
+        timesteps=measured_steps,
+        load=policy.num_balancers / num_servers,
     )
 
 

@@ -4,7 +4,8 @@ When tasks come in more than two classes, the affinity structure is an
 :class:`~repro.games.graph_games.AffinityGraph`; the induced XOR game's
 optimal quantum strategy (Tsirelson construction) drives a paired
 assignment policy exactly like the CHSH case, but with one input symbol
-per task type.
+per task type: each task is its vertex index, so a task matrix holds 0
+for the exclusive class and ``1 + subtype`` for a colocatable subtype.
 
 The main limitation the paper notes — binary outputs, so only two
 candidate servers per round — carries over verbatim.
@@ -12,29 +13,12 @@ candidate servers per round — carries over verbatim.
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
 from repro.games.graph_games import AffinityGraph, xor_game_from_graph
 from repro.games.quantum_value import tsirelson_strategy
 from repro.games.strategies import DeterministicStrategy
 from repro.lb.policies import GroupAssignment
-from repro.net.packet import TaskType
 
 __all__ = ["XORPairedAssignment", "ClassicalGraphPairedAssignment"]
-
-
-def _subtype_input(task) -> int:
-    """Map a request-like object to its game input (the task's type index).
-
-    Accepts :class:`~repro.net.packet.Request` objects (uses ``subtype``
-    for type-C, reserving input 0 for type-E) or plain integers.
-    """
-    if isinstance(task, int):
-        return task
-    if hasattr(task, "task_type"):
-        if task.task_type is TaskType.EXCLUSIVE:
-            return 0
-        return 1 + task.subtype
-    raise ConfigurationError(f"cannot derive game input from {task!r}")
 
 
 class XORPairedAssignment(GroupAssignment):
@@ -61,12 +45,7 @@ class XORPairedAssignment(GroupAssignment):
             exclusive_diagonal=exclusive_diagonal,
         )
         strategy = tsirelson_strategy(game)
-        super().__init__(
-            num_balancers,
-            num_servers,
-            strategy,
-            task_to_input=_subtype_input,
-        )
+        super().__init__(num_balancers, num_servers, strategy)
         self.affinity = affinity
         self.game = game
 
@@ -93,11 +72,6 @@ class ClassicalGraphPairedAssignment(GroupAssignment):
         alice = tuple(0 if s > 0 else 1 for s in alice_signs)
         bob = tuple(0 if s > 0 else 1 for s in bob_signs)
         strategy = DeterministicStrategy(outputs_a=alice, outputs_b=bob)
-        super().__init__(
-            num_balancers,
-            num_servers,
-            strategy,
-            task_to_input=_subtype_input,
-        )
+        super().__init__(num_balancers, num_servers, strategy)
         self.affinity = affinity
         self.game = game

@@ -12,6 +12,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "metrics": ("DelayStats", "FleetMetrics"),
     "packet": ("Packet", "Request", "TaskType"),
     "server": ("Server",),
-    "trace": ("Trace", "record_bernoulli_trace"),
+    "trace": ("Trace",),
     "workload": ("BernoulliTaskMix", "PoissonArrivals", "SubtypedTaskMix"),
 })

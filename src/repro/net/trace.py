@@ -17,9 +17,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.packet import TaskType
-from repro.net.workload import BernoulliTaskMix
 
-__all__ = ["Trace", "record_bernoulli_trace"]
+__all__ = ["Trace"]
 
 
 @dataclass
@@ -60,7 +59,7 @@ class Trace:
         self.rounds.append(list(tasks))
 
     def replayer(self, *, cycle: bool = False) -> "TraceReplayer":
-        """A draw-compatible workload that replays this trace."""
+        """A workload (``draw_batch``) that replays this trace."""
         return TraceReplayer(self, cycle=cycle)
 
     def colocate_fraction(self) -> float:
@@ -136,72 +135,43 @@ class Trace:
 class TraceReplayer:
     """Workload adapter replaying a :class:`Trace` round by round.
 
-    Implements the same ``draw(rng) -> list[TaskType]`` interface as
+    Implements the same ``draw_batch(rng, steps)`` interface as
     :class:`~repro.net.workload.BernoulliTaskMix` (the rng is unused —
-    the trace is deterministic).
+    the trace is deterministic). It replays the rounds the trace held
+    when the replayer was made.
     """
 
     def __init__(self, trace: Trace, *, cycle: bool = False) -> None:
         if trace.num_rounds == 0:
             raise ConfigurationError("cannot replay an empty trace")
-        self._trace = trace
+        self._bits = np.array(
+            [[t.bit for t in r] for r in trace.rounds], dtype=np.uint8
+        )
+        self._bits.setflags(write=False)
         self._cycle = cycle
         self._cursor = 0
         self.num_balancers = trace.num_balancers
-
-    def draw(self, rng: np.random.Generator) -> list[TaskType]:
-        """Next round's tasks; cycles or raises at exhaustion."""
-        if self._cursor >= self._trace.num_rounds:
-            if not self._cycle:
-                raise ConfigurationError(
-                    f"trace exhausted after {self._trace.num_rounds} rounds"
-                )
-            self._cursor = 0
-        tasks = self._trace.rounds[self._cursor]
-        self._cursor += 1
-        return list(tasks)
 
     def draw_batch(self, rng: np.random.Generator, steps: int) -> np.ndarray:
         """The next ``steps`` rounds as a ``(steps, N)`` bit matrix.
 
         Bit encoding follows :attr:`~repro.net.packet.TaskType.bit`
-        (1 = type-C). Advances the replay cursor by ``steps`` so batched
-        and per-step replays interleave consistently; cycling wraps
-        around exactly like repeated :meth:`draw` calls, and a
-        non-cycling replayer raises when the trace cannot cover the
-        batch.
+        (1 = type-C). Advances the replay cursor by ``steps``, so
+        consecutive batches continue each other; cycling wraps around to
+        round 0, and a non-cycling replayer raises when the trace cannot
+        cover the batch.
         """
         if steps < 1:
             raise ConfigurationError("need at least one timestep")
-        num_rounds = self._trace.num_rounds
-        bits = np.array(
-            [[t.bit for t in r] for r in self._trace.rounds], dtype=np.uint8
-        )
+        num_rounds = len(self._bits)
         if self._cycle:
             index = (self._cursor + np.arange(steps)) % num_rounds
             self._cursor = int((self._cursor + steps) % num_rounds)
-            return bits[index]
+            return self._bits[index]
         if self._cursor + steps > num_rounds:
             raise ConfigurationError(
                 f"trace exhausted after {num_rounds} rounds"
             )
         start = self._cursor
         self._cursor += steps
-        return bits[start : start + steps]
-
-
-def record_bernoulli_trace(
-    num_balancers: int,
-    num_rounds: int,
-    rng: np.random.Generator,
-    *,
-    p_colocate: float = 0.5,
-) -> Trace:
-    """Record a Bernoulli workload into a replayable trace."""
-    if num_rounds < 1:
-        raise ConfigurationError("need at least one round")
-    mix = BernoulliTaskMix(num_balancers, p_colocate)
-    trace = Trace()
-    for _ in range(num_rounds):
-        trace.append(mix.draw(rng))
-    return trace
+        return self._bits[start : start + steps]

@@ -35,18 +35,12 @@ class BernoulliTaskMix:
         self.num_balancers = num_balancers
         self.p_colocate = p_colocate
 
-    def draw(self, rng: np.random.Generator) -> list[TaskType]:
-        """One timestep's tasks, one per balancer."""
-        bits = rng.random(self.num_balancers) < self.p_colocate
-        return [TaskType.COLOCATE if b else TaskType.EXCLUSIVE for b in bits]
-
     def draw_batch(self, rng: np.random.Generator, steps: int) -> np.ndarray:
         """``steps`` timesteps of tasks as a ``(steps, N)`` bit matrix.
 
         Entries use the :attr:`~repro.net.packet.TaskType.bit` encoding
-        (1 = type-C). The batch consumes ``rng`` exactly like ``steps``
-        successive :meth:`draw` calls (uniform doubles fill row-major),
-        so batched and per-step workloads see identical task streams.
+        (1 = type-C). Uniform doubles fill the matrix row-major, so
+        ``steps`` one-step batches draw the same tasks as one batch.
         """
         if steps < 1:
             raise ConfigurationError("need at least one timestep")
@@ -56,10 +50,12 @@ class BernoulliTaskMix:
     def draw_requests(
         self, rng: np.random.Generator, time: float = 0.0
     ) -> list[Request]:
-        """Same, wrapped as :class:`Request` objects."""
+        """One timestep's tasks (one :meth:`draw_batch` row), wrapped as
+        :class:`Request` objects."""
+        bits = self.draw_batch(rng, 1)[0]
         return [
-            Request(task_type=t, arrival_time=time, source=i)
-            for i, t in enumerate(self.draw(rng))
+            Request(task_type=TaskType.from_bit(b), arrival_time=time, source=i)
+            for i, b in enumerate(bits)
         ]
 
 
@@ -101,17 +97,11 @@ class MultiClassTaskMix:
         classes = np.searchsorted(self._cumulative, uniform, side="right")
         return np.minimum(classes, self.num_classes - 1).astype(np.uint8)
 
-    def draw(self, rng: np.random.Generator) -> list[int]:
-        """One timestep's task classes, one per balancer."""
-        uniform = rng.random(self.num_balancers)
-        return [int(c) for c in self._classes_from_uniform(uniform)]
-
     def draw_batch(self, rng: np.random.Generator, steps: int) -> np.ndarray:
         """``steps`` timesteps of classes as a ``(steps, N)`` int matrix.
 
-        Consumes ``rng`` exactly like ``steps`` successive :meth:`draw`
-        calls (uniform doubles fill row-major), so batched and per-step
-        workloads see identical task streams.
+        Uniform doubles fill the matrix row-major, so ``steps`` one-step
+        batches draw the same classes as one batch.
         """
         if steps < 1:
             raise ConfigurationError("need at least one timestep")

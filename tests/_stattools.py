@@ -7,16 +7,12 @@ methodological choices (and fix them in one place):
 - :func:`run_pair` / :func:`seeds_mean_queue` — cross-engine and
   multi-seed drivers for the Fig 4 simulation.
 - :func:`confidence_interval` / :func:`assert_ci_overlap` — the
-  normal-approximation CI overlap check the distributional parity
-  suites use.
+  normal-approximation CI overlap check for claims that two policies
+  or two chunk sizes agree in distribution.
 - :func:`bootstrap_ci` / :func:`assert_bootstrap_dominates` —
   seeded percentile-bootstrap CIs (via
   :func:`repro.analysis.stats.bootstrap_mean_ci`) and a paired
   dominance assertion for "policy A beats policy B across seeds".
-- :func:`two_proportion_z_test` / :func:`assert_proportions_match` —
-  pooled two-proportion z-test with a Bonferroni multiple-comparison
-  guard, for comparing realized rates (e.g. quantum-decision counts
-  across engines).
 
 Unit tests live in ``tests/obs/test_stattools.py``.
 """
@@ -38,8 +34,6 @@ __all__ = [
     "assert_ci_overlap",
     "bootstrap_ci",
     "assert_bootstrap_dominates",
-    "two_proportion_z_test",
-    "assert_proportions_match",
 ]
 
 
@@ -141,58 +135,4 @@ def assert_bootstrap_dominates(
         f"{label}: paired difference CI [{low:.4f}, {high:.4f}] "
         f"(mean {mean:.4f}) is not entirely below 0 — "
         f"'smaller' does not dominate at factor {factor}"
-    )
-
-
-# -- proportion tests --------------------------------------------------------
-
-
-def two_proportion_z_test(successes_a, trials_a, successes_b, trials_b):
-    """Pooled two-proportion z-test; returns ``(z, p_value)`` two-sided.
-
-    Tests H0: the two success probabilities are equal. Uses the pooled
-    standard error and the normal tail via ``erfc`` — no scipy needed.
-    """
-    if trials_a <= 0 or trials_b <= 0:
-        raise ValueError("trial counts must be positive")
-    if not 0 <= successes_a <= trials_a or not 0 <= successes_b <= trials_b:
-        raise ValueError("successes must lie in [0, trials]")
-    p_a = successes_a / trials_a
-    p_b = successes_b / trials_b
-    pooled = (successes_a + successes_b) / (trials_a + trials_b)
-    variance = pooled * (1.0 - pooled) * (1.0 / trials_a + 1.0 / trials_b)
-    if variance == 0.0:
-        # All successes or all failures on both sides: identical rates.
-        return 0.0, 1.0
-    z = (p_a - p_b) / math.sqrt(variance)
-    p_value = math.erfc(abs(z) / math.sqrt(2.0))
-    return z, p_value
-
-
-def assert_proportions_match(
-    successes_a,
-    trials_a,
-    successes_b,
-    trials_b,
-    label="",
-    *,
-    alpha=0.05,
-    comparisons=1,
-):
-    """Assert two proportions are statistically indistinguishable.
-
-    ``comparisons`` is the Bonferroni guard: when a test makes ``k``
-    such comparisons, pass ``comparisons=k`` so the family-wise false
-    alarm rate stays at ``alpha``.
-    """
-    if comparisons < 1:
-        raise ValueError("comparisons must be at least 1")
-    z, p_value = two_proportion_z_test(
-        successes_a, trials_a, successes_b, trials_b
-    )
-    threshold = alpha / comparisons
-    assert p_value >= threshold, (
-        f"{label}: proportions {successes_a}/{trials_a} vs "
-        f"{successes_b}/{trials_b} differ (z={z:.3f}, p={p_value:.5f} "
-        f"< {threshold:.5f} after Bonferroni over {comparisons})"
     )

@@ -162,17 +162,17 @@ class TestJainFairness:
 
         rng = np.random.default_rng(0)
         m = 10
-        tasks = [TaskType.EXCLUSIVE] * 20
+        tasks = np.full((300, 20), TaskType.EXCLUSIVE.bit, dtype=np.uint8)
         scores = {}
         for name, policy in (
             ("random", RandomAssignment(20, m)),
             ("split", ClassicalPairedAssignment(20, m)),
             ("quantum", CHSHPairedAssignment(20, m)),
         ):
-            fairness = []
-            for _ in range(300):
-                counts = np.bincount(policy.assign(tasks, rng), minlength=m)
-                fairness.append(jain_fairness(counts))
+            fairness = [
+                jain_fairness(np.bincount(row, minlength=m))
+                for row in policy.assign_batch(tasks, rng)
+            ]
             scores[name] = float(np.mean(fairness))
         assert scores["split"] > scores["random"]
         assert scores["quantum"] == pytest.approx(scores["random"], abs=0.03)

@@ -89,7 +89,7 @@ def _draw_grid(flat, width, seed):
 @settings(max_examples=150, deadline=None)
 @given(behavior=behaviors(), seed=st.integers(0, 2**32 - 1))
 def test_descent_equals_right_bisect(behavior, seed):
-    _, _, flat = behavior_sampling_tables(behavior)
+    _, flat = behavior_sampling_tables(behavior)
     width = 1 << (behavior.ndim // 2)
     block, uniform = _draw_grid(flat, width, seed)
     outcome = born_outcomes(flat, width, block, uniform)
@@ -106,8 +106,8 @@ def test_row_selects_each_draws_table(data, seed):
     each draw matches the bisect over its own table."""
     live = data.draw(behaviors())
     fallback = data.draw(behaviors(sizes=live.shape[: live.ndim // 2]))
-    _, _, live_flat = behavior_sampling_tables(live)
-    _, _, fallback_flat = behavior_sampling_tables(fallback)
+    _, live_flat = behavior_sampling_tables(live)
+    _, fallback_flat = behavior_sampling_tables(fallback)
     width = 1 << (live.ndim // 2)
     tables = np.concatenate([live_flat, fallback_flat])
     block, uniform = _draw_grid(live_flat, width, seed)

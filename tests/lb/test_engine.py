@@ -1,14 +1,14 @@
 """Parity suite: the vectorized engine vs the reference deque loop.
 
-Two grades of parity, matching the engines' contract:
-
-- **Exact** — policies whose batched draws consume the RNG identically
-  to their sequential draws (uniform random, round robin) must produce
-  bit-identical ``SimulationResult`` values, including early stops and
-  trace replays.
-- **Distributional** — the paired-game and dedicated-pool policies draw
-  in a different order when batched; across seeds their per-metric 95%
-  confidence intervals must overlap the reference engine's.
+Both engines draw every chunk through the same ``draw_batch`` and
+``assign_batch`` calls, so for every batched policy — uniform random,
+round robin, the dedicated pool, every group and paired policy, and the
+degraded policies — they must produce bit-identical ``SimulationResult``
+values, degradation reports included: under the paper and serial
+disciplines, at any chunk size, with odd balancer counts, early stops
+and trace replays. Uniform random and round robin also draw the same
+numbers under any chunking, so their runs do not depend on the chunk
+size either.
 """
 
 from __future__ import annotations
@@ -21,43 +21,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.games import AffinityGraph
 from repro.games.chsh import colocation_quantum_strategy
 from repro.lb import (
     CHSHPairedAssignment,
+    ClassicalGraphPairedAssignment,
     ClassicalGroupAssignment,
     ClassicalPairedAssignment,
     DedicatedPoolAssignment,
     GHZGroupAssignment,
     GroupAssignment,
     MultiClassPairedAssignment,
+    OmniscientAssignment,
     PowerOfTwoAssignment,
     RandomAssignment,
     RoundRobinAssignment,
     SameTypePairedAssignment,
     SIMULATION_ENGINES,
+    WeightedCHSHPairedAssignment,
     WGroupAssignment,
+    XORPairedAssignment,
     make_degraded_chsh,
     run_timestep_simulation,
     vectorization_unsupported_reason,
 )
-from repro.net.trace import record_bernoulli_trace
+from repro.lb.policies import AssignmentPolicy
 from repro.net.workload import BernoulliTaskMix, MultiClassTaskMix
 
-from tests._stattools import assert_ci_overlap, run_pair
+from tests._stattools import run_pair
+from tests._traces import record_bernoulli_trace
 
 EXACT_POLICIES = [RandomAssignment, RoundRobinAssignment]
-STOCHASTIC_POLICIES = [
-    DedicatedPoolAssignment,
-    ClassicalPairedAssignment,
-    SameTypePairedAssignment,
-    CHSHPairedAssignment,
-]
 VEC_DISCIPLINES = ["paper", "serial"]
 
 _three_classes = partial(
     MultiClassTaskMix, class_probabilities=(0.4, 0.3, 0.3)
 )
-#: name -> (policy factory (N, M), workload factory (N)).
+#: Vertex 0 exclusive, vertices 1 and 2 two C subtypes that do not mix.
+_TRIANGLE = AffinityGraph.complete(3, {(0, 1), (0, 2), (1, 2)})
+#: Every batched policy family: name -> (policy factory (N, M),
+#: workload factory (N)).
 BUILT_IN_BATCH_POLICIES = {
     "random": (RandomAssignment, BernoulliTaskMix),
     "round_robin": (RoundRobinAssignment, BernoulliTaskMix),
@@ -74,9 +77,18 @@ BUILT_IN_BATCH_POLICIES = {
         BernoulliTaskMix,
     ),
     "ghz3": (GHZGroupAssignment, BernoulliTaskMix),
+    "ghz4": (partial(GHZGroupAssignment, group_size=4), BernoulliTaskMix),
     "w3": (WGroupAssignment, BernoulliTaskMix),
     "classical_group3": (ClassicalGroupAssignment, BernoulliTaskMix),
     "multi_class3": (MultiClassPairedAssignment, _three_classes),
+    "xor_graph_pairs": (
+        partial(XORPairedAssignment, affinity=_TRIANGLE), _three_classes
+    ),
+    "classical_graph_pairs": (
+        partial(ClassicalGraphPairedAssignment, affinity=_TRIANGLE),
+        _three_classes,
+    ),
+    "weighted_pairs": (WeightedCHSHPairedAssignment, BernoulliTaskMix),
     "degraded": (
         partial(make_degraded_chsh, availability=0.6), BernoulliTaskMix
     ),
@@ -84,7 +96,30 @@ BUILT_IN_BATCH_POLICIES = {
         partial(make_degraded_chsh, availability=0.6, fallback="random"),
         BernoulliTaskMix,
     ),
+    "degraded_outage": (
+        partial(make_degraded_chsh, availability=0.7, mean_outage_steps=3.0),
+        BernoulliTaskMix,
+    ),
+    "degraded_measurement_error": (
+        partial(
+            make_degraded_chsh, fidelity=0.95, availability=0.8,
+            measurement_error=0.05,
+        ),
+        BernoulliTaskMix,
+    ),
 }
+
+
+def run_engines(make_policy, make_workload, *, n, m, **kwargs):
+    """One run on each engine, each with a fresh policy and workload;
+    returns ``(reference, vectorized)``."""
+    return tuple(
+        run_timestep_simulation(
+            make_policy(n, m), workload=make_workload(n), engine=engine,
+            **kwargs,
+        )
+        for engine in ("reference", "vectorized")
+    )
 
 
 class TestExactParity:
@@ -208,53 +243,40 @@ class TestExactParity:
         assert window_bytes > first_window
 
 
-class TestDistributionalParity:
-    @pytest.mark.parametrize("policy_factory", STOCHASTIC_POLICIES)
+class TestPolicyParity:
+    """Every batched policy, bit for bit across engines."""
+
     @pytest.mark.parametrize("discipline", VEC_DISCIPLINES)
-    def test_confidence_intervals_overlap(self, policy_factory, discipline):
-        metrics = {"reference": [], "vectorized": []}
-        for seed in range(20):
-            reference, vectorized = run_pair(
-                policy_factory, discipline=discipline, seed=seed,
-                timesteps=200,
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_BATCH_POLICIES))
+    def test_bit_identical_at_every_chunk_size(self, name, discipline):
+        """23 balancers leave an odd balancer and group leftovers."""
+        for chunk_steps in (None, 1, 7):
+            reference, vectorized = run_engines(
+                *BUILT_IN_BATCH_POLICIES[name], n=23, m=19, timesteps=60, seed=3,
+                discipline=discipline, chunk_steps=chunk_steps,
             )
-            metrics["reference"].append(reference.mean_queue_length)
-            metrics["vectorized"].append(vectorized.mean_queue_length)
-        assert_ci_overlap(
-            metrics["reference"],
-            metrics["vectorized"],
-            f"{policy_factory.__name__}/{discipline}",
+            assert reference == vectorized, chunk_steps
+
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_BATCH_POLICIES))
+    def test_early_stop(self, name):
+        """Load 3 stops the run a few chunks in, after the warmup."""
+        reference, vectorized = run_engines(
+            *BUILT_IN_BATCH_POLICIES[name], n=36, m=12, timesteps=300, seed=5,
+            max_total_queue=1500.0, chunk_steps=7,
         )
+        assert reference == vectorized
+        assert 0 < vectorized.timesteps < 240
 
-    def test_odd_balancers_paired_policy(self):
-        ref_values, vec_values = [], []
-        for seed in range(20):
-            reference, vectorized = run_pair(
-                CHSHPairedAssignment, n=15, m=9, timesteps=200, seed=seed
-            )
-            ref_values.append(reference.mean_queue_length)
-            vec_values.append(vectorized.mean_queue_length)
-        assert_ci_overlap(ref_values, vec_values, "odd balancers paired")
-
-    def test_sticky_pairs_stay_fixed_in_batch(self):
-        policy = CHSHPairedAssignment(12, 8)
-        policy._sticky = True
-        tasks = BernoulliTaskMix(12).draw_batch(np.random.default_rng(0), 50)
-        choices = policy.assign_batch(tasks, np.random.default_rng(1))
-        for pair in range(6):
-            used = set(choices[:, 2 * pair]) | set(choices[:, 2 * pair + 1])
-            assert used == set(policy._sticky_servers[pair])
-
-    def test_batch_outcomes_match_behavior_table(self):
-        """Born sampling via the flat searchsorted reproduces p(a,b|x,y)."""
-        policy = CHSHPairedAssignment(2, 2)
-        rng = np.random.default_rng(5)
-        tasks = np.ones((4000, 2), dtype=np.uint8)  # both type-C: x=y=1
-        choices = policy.assign_batch(tasks, rng)
-        colocated = (choices[:, 0] == choices[:, 1]).mean()
-        behavior = policy._cumulative[1, 1]
-        p_same = behavior[0] + (behavior[3] - behavior[2])  # p00 + p11
-        assert colocated == pytest.approx(p_same, abs=0.03)
+    @pytest.mark.parametrize(
+        "name", ["chsh_pairs", "dedicated_pool", "degraded", "ghz3"]
+    )
+    def test_trace_workload(self, name):
+        trace = record_bernoulli_trace(15, 200, np.random.default_rng(7))
+        reference, vectorized = run_engines(
+            BUILT_IN_BATCH_POLICIES[name][0], lambda n: trace.replayer(),
+            n=15, m=8, timesteps=200, seed=1, chunk_steps=7,
+        )
+        assert reference == vectorized
 
 
 class TestEngineSelection:
@@ -278,7 +300,7 @@ class TestEngineSelection:
         assert auto == reference
 
     def test_feedback_policy_vectorized_raises(self):
-        with pytest.raises(ConfigurationError, match="assign_batch"):
+        with pytest.raises(ConfigurationError, match="queue feedback"):
             run_timestep_simulation(
                 PowerOfTwoAssignment(12, 8), timesteps=120,
                 engine="vectorized",
@@ -303,15 +325,14 @@ class TestEngineSelection:
         assert auto == reference
 
     def test_unsupported_reason_reporting(self):
-        mix = BernoulliTaskMix(8)
         assert vectorization_unsupported_reason(
-            RandomAssignment(8, 4), mix, "paper"
+            RandomAssignment(8, 4), "paper"
         ) is None
         assert "fifo" in vectorization_unsupported_reason(
-            RandomAssignment(8, 4), mix, "fifo"
+            RandomAssignment(8, 4), "fifo"
         )
-        assert "assign_batch" in vectorization_unsupported_reason(
-            PowerOfTwoAssignment(8, 4), mix, "paper"
+        assert "queue feedback" in vectorization_unsupported_reason(
+            PowerOfTwoAssignment(8, 4), "paper"
         )
 
     def test_feedback_policy_still_observes_queues(self):
@@ -327,14 +348,29 @@ class TestEngineSelection:
         assert len(calls) == 25
         assert all(len(c) == 4 for c in calls)
 
+    @pytest.mark.parametrize(
+        "policy_factory", [PowerOfTwoAssignment, OmniscientAssignment]
+    )
+    def test_feedback_policy_draws_one_step_chunks(self, policy_factory):
+        """The chunk size cannot change what a feedback policy sees."""
+        runs = [
+            run_timestep_simulation(
+                policy_factory(12, 8), timesteps=60, seed=2,
+                chunk_steps=chunk_steps,
+            )
+            for chunk_steps in (None, 1, 7)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
 
 class TestBatchedWorkloads:
     def test_bernoulli_batch_matches_sequential(self):
+        """25 one-step batches draw the same tasks as one batch."""
         mix = BernoulliTaskMix(11, 0.4)
         batch = mix.draw_batch(np.random.default_rng(3), 25)
         sequential_rng = np.random.default_rng(3)
-        sequential = np.array(
-            [[t.bit for t in mix.draw(sequential_rng)] for _ in range(25)]
+        sequential = np.concatenate(
+            [mix.draw_batch(sequential_rng, 1) for _ in range(25)]
         )
         assert np.array_equal(batch, sequential)
 
@@ -350,11 +386,9 @@ class TestBatchedWorkloads:
         first = replayer.draw_batch(rng, 10)
         second = replayer.draw_batch(rng, 10)
         assert not np.array_equal(first, second)
-        # Interleaving a per-step draw continues from the cursor.
-        tasks = replayer.draw(rng)
-        assert [t.bit for t in tasks] == list(
-            np.array([t.bit for t in trace.rounds[20]])
-        )
+        # A one-step batch continues from the cursor.
+        tasks = replayer.draw_batch(rng, 1)
+        assert tasks[0].tolist() == [t.bit for t in trace.rounds[20]]
 
 
 class TestBatchedPolicies:
@@ -365,23 +399,55 @@ class TestBatchedPolicies:
                                 np.random.default_rng(0))
 
     def test_base_policy_reports_no_batch(self):
-        assert not PowerOfTwoAssignment(4, 4).supports_batch()
-        assert RandomAssignment(4, 4).supports_batch()
+        with pytest.raises(NotImplementedError, match="no batched"):
+            AssignmentPolicy(4, 4).assign_batch(
+                np.zeros((1, 4), dtype=np.uint8), np.random.default_rng(0)
+            )
         assert PowerOfTwoAssignment(4, 4).needs_queue_feedback()
+        assert OmniscientAssignment(4, 4).needs_queue_feedback()
         assert not RandomAssignment(4, 4).needs_queue_feedback()
 
     def test_round_robin_batch_continues_sequential_state(self):
+        """One 6-step batch equals six one-step batches."""
         a, b = RoundRobinAssignment(5, 7), RoundRobinAssignment(5, 7)
         rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
         tasks = BernoulliTaskMix(5).draw_batch(np.random.default_rng(1), 6)
         batch = a.assign_batch(tasks, rng_a)
         for step in range(6):
-            sequential = b.assign(
-                [int(x) for x in tasks[step]], rng_b
-            )
-            assert list(batch[step]) == sequential
+            sequential = b.assign_batch(tasks[step : step + 1], rng_b)
+            assert np.array_equal(batch[step], sequential[0])
         # both policies now agree on the next rotation
         assert np.array_equal(a._next, b._next)
+
+    def test_sticky_pairs_stay_fixed_in_batch(self):
+        policy = CHSHPairedAssignment(12, 8)
+        policy._sticky = True
+        tasks = BernoulliTaskMix(12).draw_batch(np.random.default_rng(0), 50)
+        choices = policy.assign_batch(tasks, np.random.default_rng(1))
+        for pair in range(6):
+            used = set(choices[:, 2 * pair]) | set(choices[:, 2 * pair + 1])
+            assert used == set(policy._sticky_servers[pair])
+
+    def test_batch_outcomes_match_behavior_table(self):
+        """Born sampling via the flat table reproduces p(a,b|x,y)."""
+        policy = CHSHPairedAssignment(2, 2)
+        rng = np.random.default_rng(5)
+        tasks = np.ones((4000, 2), dtype=np.uint8)  # both type-C: x=y=1
+        choices = policy.assign_batch(tasks, rng)
+        colocated = (choices[:, 0] == choices[:, 1]).mean()
+        p_same = policy._behavior[1, 1, 0, 0] + policy._behavior[1, 1, 1, 1]
+        assert colocated == pytest.approx(p_same, abs=0.03)
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_invalid_choices_rejected_by_both_engines(self, engine):
+        class OffByOne(RandomAssignment):
+            def assign_batch(self, tasks, rng):
+                return super().assign_batch(tasks, rng) + 1
+
+        with pytest.raises(ConfigurationError, match="invalid server 4"):
+            run_timestep_simulation(
+                OffByOne(8, 4), timesteps=50, seed=0, engine=engine
+            )
 
     def test_paired_batch_rejects_alien_inputs(self):
         from repro.errors import StrategyError

@@ -1,14 +1,13 @@
 """Per-seed golden values for every batched correlated policy.
 
-The engine parity suites compare the paired, group and degraded policies
-with the reference engine only in distribution, so a change that alters
-their ``assign_batch`` output bit for bit would pass unnoticed there.
-This module pins, for each policy, the exact ``SimulationResult`` of a
-small vectorized run (stored as ``float.hex``) at an even and an odd
-balancer count, three chunk sizes and both vectorized disciplines, plus
-a digest of one raw ``assign_batch`` matrix and the policy stream's next
-draw after it. The same runs on the reference engine, under every
-discipline, pin the scalar ``assign`` loops.
+Pins, for each policy, the exact ``SimulationResult`` of a small
+vectorized run (stored as ``float.hex``) at an even and an odd balancer
+count, three chunk sizes and both vectorized disciplines, plus a digest
+of one raw ``assign_batch`` matrix and the policy stream's next draw
+after it. The same runs on the reference engine, under every
+discipline, pin the deque loop; it draws the same chunks, so under the
+paper and serial disciplines it must equal the default-chunk vectorized
+runs.
 
 A change that alters the draw order on purpose regenerates the file::
 
@@ -189,6 +188,19 @@ def test_golden_file_covers_every_policy():
 @pytest.mark.parametrize("name", sorted(POLICIES))
 def test_policy_values_match_golden(name):
     assert policy_values(name) == _golden()[name]
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_reference_entries_equal_vectorized(name):
+    """Both engines draw the same chunks, so the reference runs under
+    the vectorized disciplines are the default-chunk vectorized runs."""
+    golden = _golden()[name]
+    for n in SYSTEMS:
+        for discipline in DISCIPLINES:
+            assert (
+                golden[f"N={n}/reference/{discipline}"]
+                == golden[f"N={n}/chunk=None/{discipline}"]
+            )
 
 
 if __name__ == "__main__":

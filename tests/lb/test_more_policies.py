@@ -22,27 +22,28 @@ C = TaskType.COLOCATE
 E = TaskType.EXCLUSIVE
 
 
+def tasks_of(*rows):
+    """A task matrix with one row of ``TaskType.bit`` values per step."""
+    return np.array([[t.bit for t in row] for row in rows], dtype=np.uint8)
+
+
 class TestSameTypePaired:
     def test_cc_always_colocated(self, rng):
         policy = SameTypePairedAssignment(2, 10)
-        for _ in range(100):
-            a, b = policy.assign([C, C], rng)
-            assert a == b
+        choices = policy.assign_batch(tasks_of(*[[C, C]] * 100), rng)
+        assert (choices[:, 0] == choices[:, 1]).all()
 
     def test_ee_always_colocated(self, rng):
         # The documented price: EE pairs collide with certainty.
         policy = SameTypePairedAssignment(2, 10)
-        for _ in range(100):
-            a, b = policy.assign([E, E], rng)
-            assert a == b
+        choices = policy.assign_batch(tasks_of(*[[E, E]] * 100), rng)
+        assert (choices[:, 0] == choices[:, 1]).all()
 
     def test_mixed_always_split(self, rng):
-        policy = SameTypePairedAssignment(2, 10)
-        for _ in range(100):
-            a, b = policy.assign([C, E], rng)
-            assert a != b
-            a, b = policy.assign([E, C], rng)
-            assert a != b
+        policy = SameTypePairedAssignment(4, 10)
+        choices = policy.assign_batch(tasks_of(*[[C, E, E, C]] * 100), rng)
+        assert (choices[:, 0] != choices[:, 1]).all()
+        assert (choices[:, 2] != choices[:, 3]).all()
 
     def test_beats_random_in_overload(self):
         n, m = 80, 64  # load 1.25
@@ -113,18 +114,17 @@ class TestStickyServerPairs:
 
     def test_sticky_pairs_reuse_servers(self, rng):
         policy = self.make_policy(sticky=True)
-        policy.assign([C, C, C, C], rng)
-        for _ in range(20):
-            again = policy.assign([C, C, C, C], rng)
+        policy.assign_batch(tasks_of([C, C, C, C]), rng)
+        for again in policy.assign_batch(tasks_of(*[[C, C, C, C]] * 20), rng):
             # Each pair stays inside its original two servers forever.
             assert set(again[0:2]) <= set(policy._sticky_servers[0])
             assert set(again[2:4]) <= set(policy._sticky_servers[1])
 
     def test_fresh_pairs_roam(self, rng):
         policy = self.make_policy(sticky=False)
-        seen = set()
-        for _ in range(50):
-            seen.update(policy.assign([C, C, C, C], rng))
+        seen = set(
+            policy.assign_batch(tasks_of(*[[C, C, C, C]] * 50), rng).ravel()
+        )
         assert len(seen) > 4  # visits far more servers than sticky would
 
     def test_sticky_hurts_queueing(self):
@@ -152,7 +152,7 @@ class TestDefaultTaskConversion:
 
         strategy = DeterministicStrategy(outputs_a=(0, 1), outputs_b=(1, 0))
         policy = GroupAssignment(2, 4, strategy)
-        a, b = policy.assign([0, 1], rng)
+        a, b = policy.assign_batch(np.array([[0, 1]]), rng)[0]
         assert 0 <= a < 4 and 0 <= b < 4
 
     def test_out_of_alphabet_input_rejected(self, rng):
@@ -163,4 +163,4 @@ class TestDefaultTaskConversion:
         strategy = DeterministicStrategy(outputs_a=(0, 1), outputs_b=(1, 0))
         policy = GroupAssignment(2, 4, strategy)
         with pytest.raises(StrategyError):
-            policy.assign([5, 0], rng)
+            policy.assign_batch(np.array([[5, 0]]), rng)

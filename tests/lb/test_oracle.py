@@ -18,10 +18,16 @@ C = TaskType.COLOCATE
 E = TaskType.EXCLUSIVE
 
 
+def assign_one_step(policy, tasks, rng):
+    """The policy's choices for one step of ``TaskType`` tasks."""
+    bits = np.array([[t.bit for t in tasks]], dtype=np.uint8)
+    return policy.assign_batch(bits, rng)[0].tolist()
+
+
 class TestOmniscient:
     def test_pairs_of_cs_share_servers(self, rng):
         policy = OmniscientAssignment(4, 8)
-        choices = policy.assign([C, C, C, C], rng)
+        choices = assign_one_step(policy, [C, C, C, C], rng)
         # Two pairs, each pair on one server, pairs on different servers.
         assert choices[0] == choices[1]
         assert choices[2] == choices[3]
@@ -29,12 +35,12 @@ class TestOmniscient:
 
     def test_es_spread_out(self, rng):
         policy = OmniscientAssignment(4, 8)
-        choices = policy.assign([E, E, E, E], rng)
+        choices = assign_one_step(policy, [E, E, E, E], rng)
         assert len(set(choices)) == 4
 
     def test_mixed_never_wastes_slots(self, rng):
         policy = OmniscientAssignment(3, 4)
-        choices = policy.assign([C, E, C], rng)
+        choices = assign_one_step(policy, [C, E, C], rng)
         # The two C's batch together; E gets its own server.
         assert choices[0] == choices[2]
         assert choices[1] != choices[0]
@@ -42,8 +48,41 @@ class TestOmniscient:
     def test_uses_queue_observations(self, rng):
         policy = OmniscientAssignment(1, 3)
         policy.observe_queues([5, 0, 5])
-        choices = policy.assign([E], rng)
+        choices = assign_one_step(policy, [E], rng)
         assert choices == [1]
+
+    def test_integer_task_classes_route_like_task_bits(self, rng):
+        """Any nonzero class is type-C, as both engines read it: C
+        subtypes 1 and 2 pair up exactly like two ``TaskType`` C's."""
+        bits = OmniscientAssignment(6, 8).assign_batch(
+            np.array([[1, 0, 1, 1, 0, 0]], dtype=np.uint8), rng
+        )
+        classes = OmniscientAssignment(6, 8).assign_batch(
+            np.array([[2, 0, 1, 2, 0, 0]], dtype=np.int64), rng
+        )
+        assert np.array_equal(classes, bits)
+        assert classes[0, 0] == classes[0, 2]
+
+    def test_integer_task_classes_run_like_task_bits(self):
+        """A run on integer classes equals the run on a trace of the
+        same tasks as ``TaskType`` members."""
+        from repro.net.trace import Trace
+        from repro.net.workload import MultiClassTaskMix
+        from repro.sim.rng import RandomStreams
+
+        mix = MultiClassTaskMix(12, (0.5, 0.5))
+        classes = mix.draw_batch(RandomStreams(4).stream("workload"), 120)
+        trace = Trace(
+            rounds=[[TaskType.from_bit(c) for c in row] for row in classes]
+        )
+        kwargs = dict(timesteps=120, seed=4)
+        by_class = run_timestep_simulation(
+            OmniscientAssignment(12, 10), workload=mix, **kwargs
+        )
+        by_type = run_timestep_simulation(
+            OmniscientAssignment(12, 10), workload=trace.replayer(), **kwargs
+        )
+        assert by_class == by_type
 
     def test_observation_size_checked(self):
         policy = OmniscientAssignment(2, 3)

@@ -22,7 +22,7 @@ from repro.lb import (
 )
 from repro.lb.simulation import SERVICE_DISCIPLINES
 from repro.games import AffinityGraph
-from repro.net.packet import Request, TaskType
+from repro.net.packet import TaskType
 
 C = TaskType.COLOCATE
 E = TaskType.EXCLUSIVE
@@ -30,10 +30,11 @@ E = TaskType.EXCLUSIVE
 
 class TestServiceDisciplines:
     def run_discipline(self, name, items):
-        queue = deque((t, 0) for t in items)
+        # Queue entries are (colocate, arrival step).
+        queue = deque((t is C, 0) for t in items)
         waits = []
         served = SERVICE_DISCIPLINES[name](queue, 1, waits)
-        return served, [t for t, _ in queue]
+        return served, [C if colocate else E for colocate, _ in queue]
 
     def test_paper_serves_two_cs(self):
         served, rest = self.run_discipline("paper", [E, C, C, E])
@@ -75,7 +76,7 @@ class TestServiceDisciplines:
         assert rest == [E]
 
     def test_waits_recorded(self):
-        queue = deque([(C, 0), (C, 2)])
+        queue = deque([(True, 0), (True, 2)])
         waits = []
         SERVICE_DISCIPLINES["paper"](queue, 5, waits)
         assert sorted(waits) == [3, 5]
@@ -262,25 +263,21 @@ class TestXORPolicies:
 
     def test_xor_policy_runs(self, rng):
         policy = XORPairedAssignment(10, 6, self.make_affinity())
-        requests = [
-            Request(task_type=C, subtype=i % 2) if i % 3 else
-            Request(task_type=E)
-            for i in range(10)
-        ]
-        choices = policy.assign(requests, rng)
-        assert len(choices) == 10
-        assert all(0 <= c < 6 for c in choices)
+        # Inputs are vertices: 0 for type-E, 1 + subtype for type-C.
+        tasks = np.array([[1 + i % 2 if i % 3 else 0 for i in range(10)]])
+        choices = policy.assign_batch(tasks, rng)
+        assert choices.shape == (1, 10)
+        assert ((0 <= choices) & (choices < 6)).all()
 
     def test_classical_graph_policy_runs(self, rng):
         policy = ClassicalGraphPairedAssignment(4, 6, self.make_affinity())
-        requests = [Request(task_type=E) for _ in range(4)]
-        choices = policy.assign(requests, rng)
-        assert all(0 <= c < 6 for c in choices)
+        choices = policy.assign_batch(np.zeros((1, 4), dtype=np.uint8), rng)
+        assert ((0 <= choices) & (choices < 6)).all()
 
     def test_integer_inputs_accepted(self, rng):
         policy = XORPairedAssignment(2, 4, self.make_affinity())
-        choices = policy.assign([0, 2], rng)
-        assert len(choices) == 2
+        choices = policy.assign_batch(np.array([[0, 2]]), rng)
+        assert choices.shape == (1, 2)
 
 
 class TestDESAdapter:

@@ -37,13 +37,9 @@ class TestWeightedPolicy:
             ("plain", CHSHPairedAssignment(2, 10)),
             ("weighted", WeightedCHSHPairedAssignment(2, 10, cc_weight=6.0)),
         ):
-            same = sum(
-                a == b
-                for a, b in (
-                    policy.assign([C, C], rng) for _ in range(rounds)
-                )
-            )
-            rates[name] = same / rounds
+            tasks = np.full((rounds, 2), C.bit, dtype=np.uint8)
+            choices = policy.assign_batch(tasks, rng)
+            rates[name] = (choices[:, 0] == choices[:, 1]).mean()
         assert rates["weighted"] > rates["plain"]
 
     def test_pays_with_ee_accuracy(self):
@@ -55,13 +51,9 @@ class TestWeightedPolicy:
             ("plain", CHSHPairedAssignment(2, 10)),
             ("weighted", WeightedCHSHPairedAssignment(2, 10, cc_weight=6.0)),
         ):
-            diff = sum(
-                a != b
-                for a, b in (
-                    policy.assign([E, E], rng) for _ in range(rounds)
-                )
-            )
-            rates[name] = diff / rounds
+            tasks = np.full((rounds, 2), E.bit, dtype=np.uint8)
+            choices = policy.assign_batch(tasks, rng)
+            rates[name] = (choices[:, 0] != choices[:, 1]).mean()
         assert rates["weighted"] < rates["plain"]
 
     def test_beats_plain_chsh_at_knee(self):

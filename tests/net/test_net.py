@@ -166,27 +166,32 @@ class TestServer:
 class TestWorkloads:
     def test_bernoulli_draw_shape(self, rng):
         mix = BernoulliTaskMix(10, 0.5)
-        tasks = mix.draw(rng)
-        assert len(tasks) == 10
-        assert all(isinstance(t, TaskType) for t in tasks)
+        tasks = mix.draw_batch(rng, 3)
+        assert tasks.shape == (3, 10)
+        assert set(np.unique(tasks)) <= {0, 1}
 
     def test_bernoulli_extremes(self, rng):
-        all_c = BernoulliTaskMix(20, 1.0).draw(rng)
-        assert all(t is TaskType.COLOCATE for t in all_c)
-        all_e = BernoulliTaskMix(20, 0.0).draw(rng)
-        assert all(t is TaskType.EXCLUSIVE for t in all_e)
+        all_c = BernoulliTaskMix(20, 1.0).draw_batch(rng, 2)
+        assert (all_c == TaskType.COLOCATE.bit).all()
+        all_e = BernoulliTaskMix(20, 0.0).draw_batch(rng, 2)
+        assert (all_e == TaskType.EXCLUSIVE.bit).all()
 
     def test_bernoulli_fraction(self):
         rng = np.random.default_rng(0)
         mix = BernoulliTaskMix(4000, 0.3)
-        tasks = mix.draw(rng)
-        fraction = sum(t is TaskType.COLOCATE for t in tasks) / len(tasks)
-        assert fraction == pytest.approx(0.3, abs=0.03)
+        tasks = mix.draw_batch(rng, 1)
+        assert tasks.mean() == pytest.approx(0.3, abs=0.03)
 
     def test_bernoulli_requests_carry_sources(self, rng):
         requests = BernoulliTaskMix(5).draw_requests(rng, time=3.0)
         assert [r.source for r in requests] == [0, 1, 2, 3, 4]
         assert all(r.arrival_time == 3.0 for r in requests)
+
+    def test_bernoulli_requests_are_one_batch_row(self):
+        mix = BernoulliTaskMix(9, 0.4)
+        requests = mix.draw_requests(np.random.default_rng(3))
+        row = mix.draw_batch(np.random.default_rng(3), 1)[0]
+        assert [r.task_type.bit for r in requests] == row.tolist()
 
     def test_bernoulli_validation(self):
         with pytest.raises(ConfigurationError):

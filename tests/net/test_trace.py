@@ -8,7 +8,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.lb import RandomAssignment, run_timestep_simulation
 from repro.net.packet import TaskType
-from repro.net.trace import Trace, record_bernoulli_trace
+from repro.net.trace import Trace
+from tests._traces import record_bernoulli_trace
 
 C = TaskType.COLOCATE
 E = TaskType.EXCLUSIVE
@@ -87,19 +88,19 @@ class TestReplayer:
     def test_replays_in_order(self, rng):
         trace = Trace(rounds=[[C, E], [E, E]])
         replayer = trace.replayer()
-        assert replayer.draw(rng) == [C, E]
-        assert replayer.draw(rng) == [E, E]
+        assert replayer.draw_batch(rng, 1).tolist() == [[1, 0]]
+        assert replayer.draw_batch(rng, 1).tolist() == [[0, 0]]
 
     def test_exhaustion_raises(self, rng):
         replayer = Trace(rounds=[[C]]).replayer()
-        replayer.draw(rng)
+        replayer.draw_batch(rng, 1)
         with pytest.raises(ConfigurationError):
-            replayer.draw(rng)
+            replayer.draw_batch(rng, 1)
 
     def test_cycle_mode(self, rng):
         replayer = Trace(rounds=[[C], [E]]).replayer(cycle=True)
-        seen = [replayer.draw(rng)[0] for _ in range(4)]
-        assert seen == [C, E, C, E]
+        seen = [replayer.draw_batch(rng, 1)[0, 0] for _ in range(4)]
+        assert seen == [1, 0, 1, 0]
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -8,10 +8,8 @@ import pytest
 from tests._stattools import (
     assert_bootstrap_dominates,
     assert_ci_overlap,
-    assert_proportions_match,
     bootstrap_ci,
     confidence_interval,
-    two_proportion_z_test,
 )
 
 
@@ -85,53 +83,3 @@ class TestBootstrap:
     def test_dominates_requires_paired_samples(self):
         with pytest.raises(ValueError, match="shape"):
             assert_bootstrap_dominates([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-class TestProportions:
-    def test_identical_counts_give_p_one(self):
-        z, p = two_proportion_z_test(50, 100, 50, 100)
-        assert z == 0.0
-        assert p == pytest.approx(1.0)
-
-    def test_degenerate_all_successes(self):
-        z, p = two_proportion_z_test(10, 10, 20, 20)
-        assert (z, p) == (0.0, 1.0)
-
-    def test_clear_difference_rejects(self):
-        z, p = two_proportion_z_test(90, 100, 10, 100)
-        assert abs(z) > 5.0
-        assert p < 1e-6
-
-    def test_p_value_matches_normal_tail(self):
-        # z=1.96 two-sided should give p ~= 0.05.
-        n = 10_000
-        # Construct counts realizing a z close to 1.96.
-        z, p = two_proportion_z_test(5139, n, 5000, n)
-        assert z == pytest.approx(1.96, abs=0.02)
-        assert p == pytest.approx(0.05, abs=0.003)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            two_proportion_z_test(1, 0, 1, 2)
-        with pytest.raises(ValueError):
-            two_proportion_z_test(3, 2, 1, 2)
-        with pytest.raises(ValueError):
-            assert_proportions_match(1, 2, 1, 2, comparisons=0)
-
-    def test_assert_match_passes_for_same_rate(self):
-        assert_proportions_match(480, 1000, 500, 1000, "same-ish")
-
-    def test_assert_match_fails_for_different_rate(self):
-        with pytest.raises(AssertionError, match="different"):
-            assert_proportions_match(900, 1000, 500, 1000, "different")
-
-    def test_bonferroni_guard_tightens_threshold(self):
-        # A borderline p ~= 0.02 fails alone but passes under a
-        # 10-comparison Bonferroni correction (threshold 0.005).
-        z, p = two_proportion_z_test(5164, 10_000, 5000, 10_000)
-        assert 0.005 < p < 0.05
-        with pytest.raises(AssertionError):
-            assert_proportions_match(5164, 10_000, 5000, 10_000)
-        assert_proportions_match(
-            5164, 10_000, 5000, 10_000, comparisons=10
-        )

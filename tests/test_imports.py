@@ -205,7 +205,7 @@ TEST_ONLY_EXPORTS = {
         "RoundRobinAssignment",
         "WGroupAssignment",
     }),
-    "repro.net": frozenset({"record_bernoulli_trace"}),
+    "repro.net": frozenset(),
     "repro.obs": frozenset({"current_span", "timed", "use_registry"}),
     "repro.quantum": frozenset({
         "amplitude_damping",

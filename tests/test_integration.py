@@ -46,18 +46,13 @@ class TestGameToSimulationPipeline:
         game = chsh_colocation_game()
         rng = np.random.default_rng(0)
         policy = CHSHPairedAssignment(2, 6)
-        wins = 0
         rounds = 3000
-        for _ in range(rounds):
-            x = int(rng.random() < 0.5)
-            y = int(rng.random() < 0.5)
-            a, b = policy.assign(
-                [TaskType.from_bit(x), TaskType.from_bit(y)], rng
-            )
-            same = a == b
-            want_same = bool(x & y)
-            wins += same == want_same
-        assert wins / rounds == pytest.approx(CHSH_QUANTUM_VALUE, abs=0.025)
+        tasks = (rng.random((rounds, 2)) < 0.5).view(np.uint8)
+        choices = policy.assign_batch(tasks, rng)
+        same = choices[:, 0] == choices[:, 1]
+        want_same = (tasks[:, 0] & tasks[:, 1]).astype(bool)
+        wins = (same == want_same).mean()
+        assert wins == pytest.approx(CHSH_QUANTUM_VALUE, abs=0.025)
 
     def test_end_to_end_queueing_advantage(self):
         classical = run_timestep_simulation(
@@ -83,17 +78,15 @@ class TestSDPToPolicyPipeline:
         # Empirical win rate of the deployed policy against the game's
         # own referee distribution.
         flat = game.distribution.reshape(-1)
-        ny = game.num_inputs_b
-        wins = 0
         rounds = 3000
-        for _ in range(rounds):
-            idx = int(rng.choice(flat.size, p=flat))
-            x, y = divmod(idx, ny)
-            a, b = policy.assign([x, y], rng)
-            same = a == b
-            want_same = game.targets[x, y] == 0
-            wins += same == want_same
-        assert wins / rounds == pytest.approx(value.quantum_value, abs=0.03)
+        x, y = np.divmod(
+            rng.choice(flat.size, size=rounds, p=flat), game.num_inputs_b
+        )
+        choices = policy.assign_batch(np.stack([x, y], axis=1), rng)
+        same = choices[:, 0] == choices[:, 1]
+        want_same = game.targets[x, y] == 0
+        wins = (same == want_same).mean()
+        assert wins == pytest.approx(value.quantum_value, abs=0.03)
 
 
 class TestHardwareToPolicyPipeline:
@@ -113,16 +106,11 @@ class TestHardwareToPolicyPipeline:
         policy = CHSHPairedAssignment(2, 8, state=state)
         rng = np.random.default_rng(9)
         rounds = 3000
-        wins = 0
-        for _ in range(rounds):
-            x, y = int(rng.random() < 0.5), int(rng.random() < 0.5)
-            a, b = policy.assign(
-                [TaskType.from_bit(x), TaskType.from_bit(y)], rng
-            )
-            wins += (a == b) == bool(x & y)
-        assert wins / rounds == pytest.approx(
-            budget.chsh_win_probability, abs=0.03
-        )
+        tasks = (rng.random((rounds, 2)) < 0.5).view(np.uint8)
+        choices = policy.assign_batch(tasks, rng)
+        same = choices[:, 0] == choices[:, 1]
+        wins = (same == (tasks[:, 0] & tasks[:, 1]).astype(bool)).mean()
+        assert wins == pytest.approx(budget.chsh_win_probability, abs=0.03)
 
     def test_noise_shrinks_but_does_not_erase_queueing_benefit(self):
         """Below the CHSH *game* threshold (F ~ 0.78) the pair no longer
