@@ -20,14 +20,16 @@ pairs, alternating which goes first, so a drift in machine load hits
 both alike rather than only the arm timed later.
 
 The full-scale gates (the 5x speedup and the overhead budget) arm only
-at ``REPRO_BENCH_SCALE >= 1``, which CI does not run: at this load-2
-point the reference loop takes 4.5-9 s a run on a 2-vCPU container, and
-a full-scale run of this bench about 2 minutes.
+at ``REPRO_BENCH_SCALE >= 1``: at this load-2 point the reference loop
+takes 4.5-7 s a run on a 2-vCPU container, and a full-scale run of this
+bench about 45 s. CI runs it there as well as at smoke scale.
 
 The streaming scale-up section runs the chunked engine at the shared
 scale ladder's ``stream_*`` point (``production``: N=10^4 balancers,
 10^6 timesteps) and gates the peak sliding window below
-:data:`WINDOW_BYTES_BUDGET`.
+:data:`WINDOW_BYTES_BUDGET`. When the point streams more than one chunk
+(the ``paper`` and ``production`` rungs), it also gates the window below
+a quarter of full materialization at the window's own cell type.
 
 A trajectory file (``BENCH_engine.json``, override via
 ``REPRO_BENCH_ENGINE_JSON``) records per-repeat wall-clock times and
@@ -49,7 +51,7 @@ from repro.lb import (
     RandomAssignment,
     run_timestep_simulation,
 )
-from repro.lb.engine import resolve_chunk_steps
+from repro.lb.engine import resolve_chunk_steps, window_dtype
 from repro.obs import disabled
 from repro.obs.metrics import capture
 
@@ -205,7 +207,7 @@ def bench_engine_speed(benchmark):
         f"streaming window peaked at {window_bytes / 2**20:.0f} MiB, over "
         f"the {WINDOW_BYTES_BUDGET / 2**20:.0f} MiB budget"
     )
-    full_bytes = 2 * stream_m * stream_steps * np.dtype(np.int32).itemsize
+    full_bytes = 2 * stream_m * stream_steps * window_dtype(stream_n).itemsize
     if stream_steps > stream_chunk:
         assert window_bytes < full_bytes / 4, (
             "sliding window did not stay below full materialization"

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._blocks import uniform_blocks
 from repro.errors import ConfigurationError, HardwareError, StrategyError
 from repro.games.chsh import (
     chsh_colocation_game,
@@ -102,7 +103,11 @@ class BernoulliPairFaults(PairFaultModel):
     def sample(self, steps, num_pairs, rng):
         if steps < 1 or num_pairs < 0:
             raise ConfigurationError("need steps >= 1 and num_pairs >= 0")
-        return rng.random((steps, num_pairs)) < self._availability
+        # The uniforms of one (steps, num_pairs) draw, a block at a time.
+        live = np.empty((steps, num_pairs), dtype=bool)
+        for part, uniform in uniform_blocks(rng, steps, num_pairs):
+            np.less(uniform, self._availability, out=live[part])
+        return live
 
     @classmethod
     def from_supply(
@@ -457,9 +462,8 @@ class DegradedPolicy(GroupAssignment):
                 np.min_scalar_type(self._tables.size),
             )
             s0, s1 = self._server_pair_batch(steps, num_pairs, rng)
-            uniform = rng.random((steps, num_pairs))
             if self._fallback_random:
-                _sample_routes(choices, self._tables, 2, block, uniform, s0, s1)
+                _sample_routes(choices, self._tables, 2, block, rng, s0, s1)
                 dead = np.logical_not(live)
                 for j in range(2):
                     fallback = rng.integers(
@@ -471,7 +475,7 @@ class DegradedPolicy(GroupAssignment):
             else:
                 # Dead pairs read the fallback half of the stacked tables.
                 _sample_routes(
-                    choices, self._tables, 2, block, uniform, s0, s1, live
+                    choices, self._tables, 2, block, rng, s0, s1, live
                 )
         if n % 2 == 1:
             choices[:, -1] = rng.integers(

@@ -29,21 +29,32 @@ engine serves the same chunk from counts:
    ``sum_t t*served_t - (N * sum_t t - Q(E) + Q(W-1))``. The engine
    keeps per-step arrival counts in a sliding *window* (row ``j`` is
    arrival step ``base + j``; counts are never decremented) and reads
-   ``Q`` from it twice per run. The window's dead prefix — rows older
-   than every queued task — is compacted away when a chunk does not
-   fit, so peak memory is ``O(M * (queue-age span + chunk))`` instead
-   of ``O(M * timesteps)`` (the ``engine.window_bytes`` gauge records
-   the peak). Chunks are split at the warmup step, so ``Q(W-1)`` is
-   read between two kernel calls. Every pass over a chunk after its
-   draws — the bincount, the window scan, and the paired, group and
-   degraded policies' Born sampling — walks it in blocks of at most
-   :data:`SCAN_BLOCK_CELLS` cells (:func:`block_rows`), so beyond the
-   window and the chunk's draw and choice arrays a pass holds
-   ``O(block)`` scratch, not ``O(chunk * width)``.
+   ``Q`` from it twice per run. No cell exceeds a step's ``N``
+   arrivals, so the window holds them in the narrowest signed integer
+   type that holds ``N`` (:func:`window_dtype`: int16 at 10^4
+   balancers). The window's dead prefix — rows older than every queued
+   task — is compacted away when a chunk does not fit, so peak memory
+   is ``O(M * (queue-age span + chunk))`` instead of ``O(M *
+   timesteps)`` (the ``engine.window_bytes`` gauge records the peak).
+   Chunks are split at the warmup step, so ``Q(W-1)`` is read between
+   two kernel calls.
 4. **One kernel table** — the per-chunk serve loop is the
    ``serve_chunk`` kernel of the table :func:`repro.backend.get_backend`
    returns, looked up once per run, so a table the benchmark suite's
    tracer puts in place is the one that runs.
+
+Memory: every pass over a chunk — the workload's and the policies'
+float64 uniform draws, the bincount, the window scan, and the paired,
+group and degraded policies' Born sampling — walks it in blocks of at
+most :data:`~repro._blocks.SCAN_BLOCK_CELLS` cells
+(:func:`~repro._blocks.block_rows`). Each uniform block goes straight
+into its narrow result (task bits or classes, liveness, choices), and
+consecutive blocks draw the doubles of one whole-chunk call. So a chunk
+holds only the window, its narrow draws, its choices and ``O(block)``
+scratch, not ``O(chunk * width)``. The narrow draws are chunk-wide
+because a later draw comes between them and their use: a group policy
+draws all of a chunk's ``s0``, then all its ``s1``, then its uniforms,
+and routes each block with all three.
 
 Metric equivalence: for a fixed task and choice matrix the count-only
 model serves the same number of tasks of each type per server each
@@ -80,6 +91,7 @@ import time
 
 import numpy as np
 
+from repro._blocks import block_rows
 from repro.backend import get_backend
 from repro.errors import ConfigurationError
 from repro.obs.metrics import get_registry
@@ -92,6 +104,7 @@ __all__ = [
     "resolve_chunk_steps",
     "run_vectorized",
     "vectorization_unsupported_reason",
+    "window_dtype",
 ]
 
 #: Service disciplines the array server model reproduces exactly.
@@ -147,15 +160,17 @@ def resolve_chunk_steps(
     return min(DEFAULT_CHUNK_STEPS, budgeted, timesteps)
 
 
-#: Cells per block when a pass walks the window or a chunk (bounds the
-#: pass's scratch).
-SCAN_BLOCK_CELLS = 1 << 18
+def window_dtype(num_balancers: int) -> np.dtype:
+    """The window's cell type: the narrowest signed integer that holds N.
 
-
-def block_rows(width: int) -> int:
-    """Rows of ``width`` cells in one block: at most
-    :data:`SCAN_BLOCK_CELLS` cells, and never less than one row."""
-    return max(1, SCAN_BLOCK_CELLS // width)
+    A cell counts one step's arrivals of one type at one server, so it
+    never exceeds the ``num_balancers`` tasks of a step: int8 up to 127
+    balancers, int16 up to 32,767, int32 up to 2**31 - 1.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if num_balancers <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _queued_arrivals(window, queued, rows):
@@ -266,8 +281,8 @@ def _draw_arrivals(rows, policy, workload, workload_rng, policy_rng):
     the chunk is served and the next one drawn. Each block of steps is
     one bincount over its (step, type, server) cells, cell
     ``(2 * step + is_e) * M + choice``, written straight into its rows,
-    so the cells and bins take O(:data:`SCAN_BLOCK_CELLS`) memory
-    whatever the chunk. The cells are intp, the index type bincount
+    so the cells and bins take O(:data:`~repro._blocks.SCAN_BLOCK_CELLS`)
+    memory whatever the chunk. The cells are intp, the index type bincount
     reads without a copy.
     """
     steps, _, num_servers = rows.shape
@@ -319,7 +334,9 @@ def run_vectorized(
     # Count-only server model: row j of the window holds step base + j's
     # per-server arrival counts (type-C, type-E); queued holds the
     # per-server queued counts (row 0 type-C, row 1 type-E).
-    window = np.zeros((chunk, 2, num_servers), dtype=np.int32)
+    window = np.zeros(
+        (chunk, 2, num_servers), dtype=window_dtype(num_balancers)
+    )
     queued = np.zeros((2, num_servers), dtype=np.int64)
     base = 0
 

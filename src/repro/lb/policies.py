@@ -43,13 +43,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro._blocks import block_rows, uniform_blocks
 from repro.errors import ConfigurationError, StrategyError
 from repro.games.chsh import (
     colocation_classical_strategy,
     colocation_quantum_strategy,
 )
 from repro.games.strategies import DeterministicStrategy
-from repro.lb.engine import block_rows
 from repro.quantum.state import DensityMatrix, StateVector
 
 __all__ = [
@@ -210,12 +210,17 @@ class DedicatedPoolAssignment(AssignmentPolicy):
     def assign_batch(self, tasks, rng):
         tasks = self._check_batch(tasks)
         # One uniform draw per task, scaled into the pool for type-C
-        # (nonzero input) and into the remainder for type-E.
-        uniform = rng.random(tasks.shape)
+        # (nonzero input) and into the remainder for type-E, a block of
+        # steps at a time.
         pool = self.pool_size
-        in_pool = (uniform * pool).astype(np.int32)
-        outside = pool + (uniform * (self.num_servers - pool)).astype(np.int32)
-        return np.where(tasks != 0, in_pool, outside)
+        choices = np.empty(tasks.shape, dtype=np.int32)
+        for part, uniform in uniform_blocks(rng, *tasks.shape):
+            choices[part] = np.where(
+                tasks[part] != 0,
+                (uniform * pool).astype(np.int32),
+                (uniform * (self.num_servers - pool)).astype(np.int32) + pool,
+            )
+        return choices
 
 
 @functools.cache
@@ -435,14 +440,19 @@ def _route_members(choices, outcome, k, s0, s1):
         choices[:, j : k * num_groups : k] = s0 + bit * spread
 
 
-def _sample_routes(choices, table, k, block, uniform, s0, s1, live=None):
-    """Born-sample every group's outcome and route its members.
+def _sample_routes(choices, table, k, block, rng, s0, s1, live=None):
+    """Draw every group's uniform, Born-sample its outcome and route its
+    members.
 
-    :func:`born_outcomes` then :func:`_route_members`, walked in blocks
-    of steps of at most :data:`~repro.lb.engine.SCAN_BLOCK_CELLS` choice
-    cells each, so their temporaries take O(block) memory while the
-    ``(steps, groups)`` draws stay whole-chunk. Both passes are
-    elementwise, so the choices equal one whole-chunk pass bit for bit.
+    The ``(steps, groups)`` uniforms (:func:`~repro._blocks
+    .uniform_blocks`), :func:`born_outcomes` and :func:`_route_members`
+    walk the chunk in blocks of steps of at most
+    :data:`~repro._blocks.SCAN_BLOCK_CELLS` choice cells each, so the
+    uniforms and temporaries take O(block) memory; only the input
+    ``block`` indices, ``s0``, ``s1``, ``live`` and the choices are
+    chunk-wide. The blocks draw the uniforms of one whole-chunk draw, and
+    both passes are elementwise, so the choices equal one whole-chunk
+    pass bit for bit.
 
     ``table`` holds ``2**k`` entries per input block. With ``live``, it
     stacks two tables of one shape, and a group whose ``live`` entry is
@@ -450,14 +460,14 @@ def _sample_routes(choices, table, k, block, uniform, s0, s1, live=None):
     number of blocks.
     """
     width = 1 << k
+    steps, num_groups = block.shape
     rows = block_rows(choices.shape[1])
-    for lo in range(0, block.shape[0], rows):
-        part = slice(lo, lo + rows)
+    for part, uniform in uniform_blocks(rng, steps, num_groups, rows):
         row = None
         if live is not None:
             dead_row = block[part] + table.size // (2 * width)
             row = np.where(live[part], block[part], dead_row)
-        outcome = born_outcomes(table, width, block[part], uniform[part], row)
+        outcome = born_outcomes(table, width, block[part], uniform, row)
         _route_members(choices[part], outcome, k, s0[part], s1[part])
 
 
@@ -489,13 +499,13 @@ class GroupAssignment(AssignmentPolicy):
     draws a fresh server pair every round; with ``sticky_servers`` it
     keeps its first draw forever, concentrating its load.
 
-    :meth:`assign_batch` draws a ``(steps, groups)`` block of ``s0``,
-    then of ``s1``, then of uniforms, and then the leftover balancers'
-    servers. It resolves every group of every timestep with
-    :func:`born_outcomes` (``k`` branch-free probes into each group's
-    own block of the flat cumulative table, equal to a bisect of the
-    group's cumulative row), a block of steps at a time, and returns
-    int32 server choices.
+    :meth:`assign_batch` draws a ``(steps, groups)`` matrix of ``s0``,
+    then of ``s1``, then the uniforms of a ``(steps, groups)`` matrix (a
+    block of steps at a time), and then the leftover balancers' servers.
+    It resolves every group of every timestep with :func:`born_outcomes`
+    (``k`` branch-free probes into each group's own block of the flat
+    cumulative table, equal to a bisect of the group's cumulative row),
+    a block of steps at a time, and returns int32 server choices.
     """
 
     def __init__(
@@ -556,9 +566,8 @@ class GroupAssignment(AssignmentPolicy):
             s0, s1 = self._server_pair_batch(steps, num_groups, rng)
             # Born-rule outcomes: each group descends its own block of
             # the flat cumulative table (see born_outcomes).
-            uniform = rng.random((steps, num_groups))
             _sample_routes(
-                choices, self._flat_cumulative, k, block, uniform, s0, s1
+                choices, self._flat_cumulative, k, block, rng, s0, s1
             )
         leftover = n - num_groups * k
         if leftover:

@@ -13,6 +13,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
+from repro._blocks import uniform_blocks
 from repro.errors import ConfigurationError
 from repro.net.packet import Request, TaskType
 
@@ -40,11 +41,16 @@ class BernoulliTaskMix:
 
         Entries use the :attr:`~repro.net.packet.TaskType.bit` encoding
         (1 = type-C). Uniform doubles fill the matrix row-major, so
-        ``steps`` one-step batches draw the same tasks as one batch.
+        ``steps`` one-step batches draw the same tasks as one batch. They
+        are drawn and compared a block of steps at a time
+        (:func:`~repro._blocks.uniform_blocks`), so the only chunk-wide
+        array is the result.
         """
         if steps < 1:
             raise ConfigurationError("need at least one timestep")
-        bits = rng.random((steps, self.num_balancers)) < self.p_colocate
+        bits = np.empty((steps, self.num_balancers), dtype=bool)
+        for part, uniform in uniform_blocks(rng, steps, self.num_balancers):
+            np.less(uniform, self.p_colocate, out=bits[part])
         return bits.view(np.uint8)
 
     def draw_requests(
@@ -87,6 +93,8 @@ class MultiClassTaskMix:
         self.num_balancers = num_balancers
         self.class_probabilities = tuple(float(p) for p in probs)
         self._cumulative = np.minimum(probs.cumsum(), 1.0)
+        # The narrowest unsigned type that holds the largest class.
+        self._class_dtype = np.min_scalar_type(probs.size - 1)
 
     @property
     def num_classes(self) -> int:
@@ -95,18 +103,24 @@ class MultiClassTaskMix:
 
     def _classes_from_uniform(self, uniform: np.ndarray) -> np.ndarray:
         classes = np.searchsorted(self._cumulative, uniform, side="right")
-        return np.minimum(classes, self.num_classes - 1).astype(np.uint8)
+        return np.minimum(classes, self.num_classes - 1, out=classes)
 
     def draw_batch(self, rng: np.random.Generator, steps: int) -> np.ndarray:
         """``steps`` timesteps of classes as a ``(steps, N)`` int matrix.
 
-        Uniform doubles fill the matrix row-major, so ``steps`` one-step
-        batches draw the same classes as one batch.
+        The classes are unsigned, uint8 up to 256 classes and wider past
+        that. Uniform doubles fill the matrix row-major, so ``steps``
+        one-step batches draw the same classes as one batch. They are
+        drawn and bisected a block of steps at a time
+        (:func:`~repro._blocks.uniform_blocks`), so the only chunk-wide
+        array is the result.
         """
         if steps < 1:
             raise ConfigurationError("need at least one timestep")
-        uniform = rng.random((steps, self.num_balancers))
-        return self._classes_from_uniform(uniform)
+        classes = np.empty((steps, self.num_balancers), dtype=self._class_dtype)
+        for part, uniform in uniform_blocks(rng, steps, self.num_balancers):
+            classes[part] = self._classes_from_uniform(uniform)
+        return classes
 
 
 class SubtypedTaskMix:

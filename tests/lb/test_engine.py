@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._blocks import SCAN_BLOCK_CELLS
 from repro.errors import ConfigurationError
 from repro.games import AffinityGraph
 from repro.games.chsh import colocation_quantum_strategy
@@ -45,6 +46,7 @@ from repro.lb import (
     run_timestep_simulation,
     vectorization_unsupported_reason,
 )
+from repro.lb.engine import window_dtype
 from repro.lb.policies import AssignmentPolicy
 from repro.net.workload import BernoulliTaskMix, MultiClassTaskMix
 
@@ -239,8 +241,28 @@ class TestExactParity:
             )
             window_bytes = registry.snapshot()["gauges"]["engine.window_bytes"]
         assert reference == vectorized
-        first_window = 4 * 2 * 12 * np.dtype(np.int32).itemsize
+        first_window = 4 * 2 * 12 * window_dtype(24).itemsize
         assert window_bytes > first_window
+
+    @pytest.mark.parametrize(
+        "n, itemsize", [(127, 1), (128, 2), (32_767, 2), (32_768, 4)]
+    )
+    def test_window_cells_hold_a_whole_step(self, n, itemsize):
+        """One server and only type-C tasks: each step's one cell counts
+        all N arrivals, the most a cell can hold. The window takes the
+        narrowest signed type that holds N, on each side of the int8 and
+        int16 limits; a narrower one would wrap the count."""
+        from repro.obs.metrics import capture
+
+        with capture() as registry:
+            reference, vectorized = run_pair(
+                RandomAssignment, n=n, m=1, timesteps=4, seed=1,
+                p_colocate=1.0,
+            )
+            window_bytes = registry.snapshot()["gauges"]["engine.window_bytes"]
+        assert reference == vectorized
+        assert window_dtype(n).itemsize == itemsize
+        assert window_bytes == 4 * 2 * 1 * itemsize
 
 
 class TestPolicyParity:
@@ -520,7 +542,7 @@ class TestChunkedStreaming:
         # The sliding window stays far below full materialization:
         # the pre-chunking engine held M x timesteps cells per type.
         window_bytes = snapshot["gauges"]["engine.window_bytes"]
-        full_bytes = 2 * 16 * 500 * np.dtype(np.int32).itemsize
+        full_bytes = 2 * 16 * 500 * window_dtype(20).itemsize
         assert 0 < window_bytes < full_bytes / 2
         assert snapshot["gauges"]["engine.steps_per_sec"] > 0
 
@@ -540,43 +562,98 @@ class TestChunkedStreaming:
         assert single == tiny
 
 
+#: A wide chunk of 1.2M cells, over four blocks of SCAN_BLOCK_CELLS.
+WIDE_N, WIDE_STEPS = 4000, 300
+#: Traced bytes allowed beyond the arrays: Python objects, not arrays.
+TRACE_SLACK = 1 << 16
+
+
+def traced_peak(call):
+    """``(call(), peak)``: the ``tracemalloc`` peak of the call, which
+    counts only what it allocates."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestTransientMemory:
+    """Wide chunks peak at their narrow results and one block of scratch:
+    no draw or pass builds a chunk-wide float64 or other temporary."""
+
     def test_chunk_passes_allocate_one_block_of_scratch(self):
         """A wide CHSH-paired chunk peaks at its window, its draw and
-        choice arrays, and one block of scratch: the bincount and the
-        Born sampling build no chunk-wide temporaries."""
-        import tracemalloc
-
-        from repro.lb.engine import SCAN_BLOCK_CELLS
+        choice arrays, and one block of scratch: the uniform draws, the
+        bincount and the Born sampling build no chunk-wide temporaries."""
         from repro.obs.metrics import capture
 
-        n, m, steps = 4000, 4000, 300
+        n, m, steps = WIDE_N, WIDE_N, WIDE_STEPS
         # Warm up: imports and the process-wide behavior table.
         run_timestep_simulation(
             CHSHPairedAssignment(20, 20), timesteps=20, seed=1,
             engine="vectorized",
         )
         with capture() as registry:
-            tracemalloc.start()
-            try:
-                run_timestep_simulation(
+            _, peak = traced_peak(
+                lambda: run_timestep_simulation(
                     CHSHPairedAssignment(n, m), timesteps=steps, seed=3,
                     engine="vectorized", chunk_steps=steps,
                 )
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            )
             window = registry.snapshot()["gauges"]["engine.window_bytes"]
-        # The workload's float64 uniforms (9 bytes a cell with the
-        # compare) die before the policy draws, which weigh more.
         cells, pair_cells = steps * n, steps * (n // 2)
         arrays = (
             cells * (1 + 4)  # uint8 task bits, int32 choices
-            # int32 s0 and s1, float64 uniforms, uint8 input blocks
-            + pair_cells * (4 + 4 + 8 + 1)
+            + pair_cells * (4 + 4 + 1)  # int32 s0 and s1, uint8 input blocks
         )
         one_block = 32 * SCAN_BLOCK_CELLS  # 32 bytes of scratch a cell
         assert peak < window + arrays + one_block
+
+    def test_bernoulli_draw_holds_one_block_of_uniforms(self):
+        mix = BernoulliTaskMix(WIDE_N)
+        bits, peak = traced_peak(
+            lambda: mix.draw_batch(np.random.default_rng(1), WIDE_STEPS)
+        )
+        # One float64 uniform a cell of one block, compared into the bits.
+        assert peak < bits.nbytes + 8 * SCAN_BLOCK_CELLS + TRACE_SLACK
+
+    def test_multi_class_draw_holds_one_block_of_uniforms(self):
+        mix = MultiClassTaskMix(WIDE_N)
+        classes, peak = traced_peak(
+            lambda: mix.draw_batch(np.random.default_rng(1), WIDE_STEPS)
+        )
+        # A block's float64 uniforms and its intp bisect results.
+        assert peak < classes.nbytes + 16 * SCAN_BLOCK_CELLS + TRACE_SLACK
+
+    def test_dedicated_pool_assign_holds_one_block(self):
+        tasks = BernoulliTaskMix(WIDE_N).draw_batch(
+            np.random.default_rng(0), WIDE_STEPS
+        )
+        policy = DedicatedPoolAssignment(WIDE_N, WIDE_N)
+        choices, peak = traced_peak(
+            lambda: policy.assign_batch(tasks, np.random.default_rng(1))
+        )
+        # A block's uniforms, its two scaled copies and the selection.
+        assert peak < choices.nbytes + 32 * SCAN_BLOCK_CELLS + TRACE_SLACK
+
+    def test_degraded_assign_holds_its_integer_draws_and_one_block(self):
+        tasks = BernoulliTaskMix(WIDE_N).draw_batch(
+            np.random.default_rng(0), WIDE_STEPS
+        )
+        policy = make_degraded_chsh(WIDE_N, WIDE_N, availability=0.6)
+        choices, peak = traced_peak(
+            lambda: policy.assign_batch(tasks, np.random.default_rng(1))
+        )
+        pair_cells = WIDE_STEPS * (WIDE_N // 2)
+        # Bool liveness, int32 s0 and s1, uint8 input blocks; the
+        # liveness and Born uniforms are drawn a block at a time.
+        arrays = choices.nbytes + pair_cells * (1 + 4 + 4 + 1)
+        assert peak < arrays + 32 * SCAN_BLOCK_CELLS + TRACE_SLACK
 
 
 class TestResolveChunkSteps:

@@ -181,6 +181,14 @@ class TestMultiClassWorkload:
         freqs = np.bincount(batch.ravel(), minlength=3) / batch.size
         assert np.allclose(freqs, [0.5, 0.25, 0.25], atol=0.02)
 
+    def test_classes_past_255_do_not_wrap(self):
+        # 300 equiprobable classes: a uint8 draw would alias class 256
+        # to class 0 and never show a class above 255.
+        mix = MultiClassTaskMix(50, np.full(300, 1 / 300))
+        batch = mix.draw_batch(np.random.default_rng(0), 2000)
+        assert (batch >= 256).any()
+        assert batch.max() < 300
+
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="two task classes"):
             MultiClassTaskMix(4, (1.0,))
