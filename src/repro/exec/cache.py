@@ -13,6 +13,19 @@ A sweep point is identified by *what would be computed*. Its key hashes:
   simulator helper deep in an import chain included — invalidates every
   entry at once.
 
+The key is one sha256 over the material
+``v<CACHE_VERSION>|repro-src:<source digest>|<code token>|<config>|seed:<seed>``,
+where ``<config>`` is :func:`stable_fingerprint`'s text: ``none``,
+``bool:True``, ``int:7``, ``float:<float.hex()>``, ``str:<len>:<text>``,
+``seq[a,b]`` for lists and tuples, ``map{k=v,...}`` with its items in
+sorted order, ``set{...}``, and tagged forms for dataclasses, arrays
+and callables. Every string carries its length, so no text, however
+it spells a delimiter (``,``, ``=``, ``}``, ``:``, ``|``) or another
+node's encoding, can move a boundary between two nodes.
+
+Entries live at ``<root>/<key[:2]>/<key>.pkl``; a warm sweep builds one
+such path and makes one read per point.
+
 The key does **not** cover code outside ``repro`` that the work
 function reaches through imports (a helper module next to a benchmark
 script, or a third-party library such as NumPy): after editing such
@@ -106,19 +119,74 @@ def _callable_fingerprint(fn, seen: set[int]) -> str:
     return "callable(" + ",".join(parts) + ")"
 
 
+# Containers can be self-referential: ``seen`` holds the ids of the
+# containers and callables on the path from the root, and a node that
+# is its own ancestor encodes as ``cycle``.
+
+
+def _map(obj, seen: set[int]) -> str:
+    if id(obj) in seen:
+        return "cycle"
+    seen.add(id(obj))
+    items = [
+        f"{_fingerprint(k, seen)}={_fingerprint(v, seen)}"
+        for k, v in obj.items()
+    ]
+    items.sort()
+    seen.remove(id(obj))
+    return "map{" + ",".join(items) + "}"
+
+
+def _set(obj, seen: set[int]) -> str:
+    if id(obj) in seen:
+        return "cycle"
+    seen.add(id(obj))
+    items = [_fingerprint(v, seen) for v in obj]
+    items.sort()
+    seen.remove(id(obj))
+    return "set{" + ",".join(items) + "}"
+
+
+def _seq(obj, seen: set[int]) -> str:
+    if id(obj) in seen:
+        return "cycle"
+    seen.add(id(obj))
+    items = [_fingerprint(v, seen) for v in obj]
+    seen.remove(id(obj))
+    return "seq[" + ",".join(items) + "]"
+
+
 def _fingerprint(obj, seen: set[int]) -> str:
+    # Plain data by exact type first: configs are mostly dicts of
+    # strings and numbers, and the isinstance chain below (ABC checks
+    # included) would cost more than the encoding itself.
+    cls = type(obj)
+    if cls is str:
+        # Length-prefixed, so text that spells a delimiter or another
+        # node's encoding cannot shift a boundary.
+        return f"str:{len(obj)}:{obj}"
+    if cls is int:
+        return f"int:{obj}"
+    if cls is dict:
+        return _map(obj, seen)
+    if cls is float:
+        return f"float:{obj.hex()}"
+    if cls is list or cls is tuple:
+        return _seq(obj, seen)
+    if cls is bool:
+        return f"bool:{obj}"
     if obj is None:
         return "none"
-    if isinstance(obj, bool):
-        return f"bool:{obj}"
-    if isinstance(obj, int):
-        return f"int:{obj}"
+    # Subclasses of the plain scalars (IntEnum members, NumPy's float64
+    # and str_) encode as their plain value.
+    if isinstance(obj, int):  # bool has no subclasses
+        return _fingerprint(int.__int__(obj), seen)
     if isinstance(obj, float):
-        return f"float:{obj.hex()}"
+        return _fingerprint(float.__float__(obj), seen)
+    if isinstance(obj, str):
+        return _fingerprint(str.__str__(obj), seen)
     if isinstance(obj, complex):
         return f"complex:{obj.real.hex()},{obj.imag.hex()}"
-    if isinstance(obj, str):
-        return "str:" + hashlib.sha256(obj.encode("utf-8")).hexdigest()[:32]
     if isinstance(obj, bytes):
         return "bytes:" + hashlib.sha256(obj).hexdigest()[:32]
     if isinstance(obj, (np.integer, np.floating, np.bool_)):
@@ -127,36 +195,34 @@ def _fingerprint(obj, seen: set[int]) -> str:
         return "ndarray:" + hashlib.sha256(
             repr(obj.shape).encode() + obj.tobytes()
         ).hexdigest()[:32]
-    # Containers and callables can be self-referential; guard on identity.
+    if isinstance(obj, Mapping):
+        return _map(obj, seen)
+    if isinstance(obj, Set):
+        return _set(obj, seen)
+    if isinstance(obj, Sequence):
+        return _seq(obj, seen)
     if id(obj) in seen:
         return "cycle"
-    seen = seen | {id(obj)}
-    if isinstance(obj, Mapping):
-        items = sorted(
-            (_fingerprint(k, seen), _fingerprint(v, seen))
-            for k, v in obj.items()
-        )
-        return "map{" + ",".join(f"{k}={v}" for k, v in items) + "}"
-    if isinstance(obj, Set):
-        return "set{" + ",".join(sorted(_fingerprint(v, seen) for v in obj)) + "}"
-    if isinstance(obj, Sequence):
-        return "seq[" + ",".join(_fingerprint(v, seen) for v in obj) + "]"
+    seen.add(id(obj))
     if is_dataclass(obj) and not isinstance(obj, type):
         body = {f.name: getattr(obj, f.name) for f in fields(obj)}
-        return (
+        text = (
             "dataclass("
             + _fingerprint(type(obj), seen)
             + ","
-            + _fingerprint(body, seen)
+            + _map(body, seen)
             + ")"
         )
-    if callable(obj):
-        return _callable_fingerprint(obj, seen)
-    raise ConfigurationError(
-        f"cannot build a stable cache fingerprint for {type(obj).__name__!r}; "
-        "use plain data (numbers, strings, dicts, lists), dataclasses, or "
-        "importable callables in sweep configs"
-    )
+    elif callable(obj):
+        text = _callable_fingerprint(obj, seen)
+    else:
+        raise ConfigurationError(
+            f"cannot build a stable cache fingerprint for {type(obj).__name__!r}; "
+            "use plain data (numbers, strings, dicts, lists), dataclasses, or "
+            "importable callables in sweep configs"
+        )
+    seen.remove(id(obj))
+    return text
 
 
 def stable_fingerprint(obj) -> str:
@@ -197,14 +263,9 @@ def cache_key(config, seed: int, *, code_token: str = "") -> str:
     :func:`stable_fingerprint`); :func:`source_digest` stands for the
     package code that function reaches.
     """
-    material = "|".join(
-        [
-            f"v{CACHE_VERSION}",
-            f"repro-src:{source_digest()}",
-            code_token,
-            stable_fingerprint(config),
-            f"seed:{int(seed)}",
-        ]
+    material = (
+        f"v{CACHE_VERSION}|repro-src:{source_digest()}|{code_token}|"
+        f"{stable_fingerprint(config)}|seed:{int(seed)}"
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -219,6 +280,27 @@ _HEADER = struct.Struct(">4sI")
 def _frame_entry(value) -> bytes:
     payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     return _HEADER.pack(_MAGIC, binascii.crc32(payload) & 0xFFFFFFFF) + payload
+
+
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+
+#: Bytes asked for by an entry's first read. Sweep entries fit (a Fig 4
+#: point's is under 1 KiB), so a warm read makes no ``fstat`` call.
+_FIRST_READ = 1 << 16
+
+
+def _read(path: str) -> bytes:
+    """The bytes of the file at ``path``, read unbuffered: one read for
+    an entry that fits :data:`_FIRST_READ`, one more for the rest of a
+    larger one."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        data = os.read(fd, _FIRST_READ)
+        if len(data) == _FIRST_READ:
+            data += os.read(fd, max(os.fstat(fd).st_size - _FIRST_READ, 0))
+        return data
+    finally:
+        os.close(fd)
 
 
 class CorruptEntryError(Exception):
@@ -254,10 +336,18 @@ class ResultCache:
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         root = root or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-        self.root = Path(root)
+        self._root = os.fspath(root)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+    @property
+    def root(self) -> Path:
+        """The cache directory."""
+        return Path(self._root)
+
+    def _path(self, key: str) -> str:
+        """``<root>/<key[:2]>/<key>.pkl``, in one string join: a warm
+        sweep builds one per point, and a :class:`~pathlib.Path` costs
+        more than the read."""
+        return f"{self._root}/{key[:2]}/{key}.pkl"
 
     def get(self, key: str) -> tuple[bool, object]:
         """Return ``(hit, value)``; corrupt or missing entries miss.
@@ -273,9 +363,8 @@ class ResultCache:
         disk damage. Either way ``cache.stale`` also tallies "entry
         present but unloadable" as the umbrella count.
         """
-        path = self._path(key)
         try:
-            raw = path.read_bytes()
+            raw = _read(self._path(key))
         except OSError:
             get_registry().counter("cache.miss").inc()
             return False, None
@@ -300,11 +389,12 @@ class ResultCache:
         get_registry().counter("cache.hit").inc()
         return True, value
 
-    def _write_tmp(self, path: Path, value) -> str:
+    def _write_tmp(self, path: str, value) -> str:
         """Frame and write ``value`` to a temp file next to ``path``;
         return its name."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(_frame_entry(value))
@@ -361,10 +451,10 @@ class ResultCache:
         get_registry().counter("cache.put").inc()
         return True
 
-    def _is_complete(self, path: Path) -> bool:
+    def _is_complete(self, path: str) -> bool:
         """Whether ``path`` holds an entry that passes its frame check."""
         try:
-            _unframe_entry(path.read_bytes())
+            _unframe_entry(_read(path))
         except (OSError, CorruptEntryError):
             return False
         return True

@@ -3,7 +3,13 @@
 A :class:`SweepJournal` records one line per finished sweep point in
 ``<journal_dir>/<run_key>.jsonl``. Every line is a frame::
 
-    <crc32 of payload, 8 hex digits> <payload JSON>\\n
+    <crc32, 8 hex digits> <key> <record JSON>\\n
+
+``<key>`` is the point's result-cache key (:func:`repro.exec.cache.cache_key`),
+or ``-`` on the header frame, and the CRC covers everything after the
+CRC's own space: key, space and JSON. The first frame is the header
+(run key, label, declared size, format version); every later one is a
+point record.
 
 :meth:`SweepJournal.append` writes and flushes each frame, and
 :meth:`SweepJournal.commit` fsyncs every frame written since the last
@@ -23,12 +29,17 @@ replays to a correct prefix of the sweep, which is exactly the property
 resume needs (and which ``tests/exec/test_resume.py`` property-tests
 with hypothesis).
 
-Records are content-addressed: each ``point`` record carries the
-point's result-cache key (:func:`repro.exec.cache.cache_key`), so a
-re-invocation only skips a journaled point when the *same computation*
-— config, seed and work-function code — produced it. Values
-ride inline as base64 pickles, so resume works even with the result
-cache disabled.
+Replay CRC-checks every frame and indexes the point frames by their
+key, but decodes only the header's JSON. A point record is decoded when
+it is used: when a run resumes that point, or when ``python -m repro
+resume`` tallies the journal. A re-run whose points all hit the result
+cache decodes no record at all. A CRC-valid record whose JSON does not
+decode counts under ``journal.corrupt``, and its point recomputes.
+
+Records are content-addressed: a re-invocation only skips a journaled
+point when the *same computation* (config, seed and work-function
+code) produced it. Values ride inline as base64 pickles, so resume
+works even with the result cache disabled.
 
 Only the sweep *parent* appends (workers ship results back first), so
 there is never multi-process write contention on one journal file.
@@ -41,6 +52,7 @@ import binascii
 import json
 import os
 import pickle
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,8 +66,12 @@ __all__ = [
 ]
 
 #: Bump when the frame or record layout changes; mismatched journals
-#: are ignored (treated as empty) rather than misread.
-JOURNAL_FORMAT_VERSION = 1
+#: are ignored (treated as empty) rather than misread. v2 put the
+#: record's key in front of its JSON.
+JOURNAL_FORMAT_VERSION = 2
+
+#: The key field of the header frame.
+_HEADER_KEY = "-"
 
 
 def default_journal_dir(cache_root: str | os.PathLike | None = None) -> Path:
@@ -70,29 +86,71 @@ def default_journal_dir(cache_root: str | os.PathLike | None = None) -> Path:
     return Path(root) / "journal"
 
 
-def _frame(payload: dict) -> bytes:
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    data = body.encode("utf-8")
-    return b"%08x %s\n" % (binascii.crc32(data) & 0xFFFFFFFF, data)
+def _frame(record: dict) -> bytes:
+    """One frame: ``<crc> <key> <json>`` and a newline. The record's
+    ``key`` moves in front of its JSON (``-`` for a record without one,
+    the header), and the CRC covers both."""
+    body = dict(record)
+    key = body.pop("key", _HEADER_KEY)
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    data = f"{key} {text}".encode("utf-8")
+    return b"%08x %s\n" % (binascii.crc32(data), data)
 
 
-def _unframe(line: bytes) -> dict | None:
-    """Decode one journal line; ``None`` for torn/corrupt frames."""
-    line = line.rstrip(b"\n")
-    if len(line) < 10 or line[8:9] != b" ":
-        return None
-    try:
-        crc = int(line[:8], 16)
-    except ValueError:
+def _unframe(line: bytes) -> tuple[str, bytes] | None:
+    """Check one frame (without its newline): its ``(key, record JSON)``,
+    or ``None`` when the CRC fails (a torn or corrupt frame)."""
+    if line[8:9] != b" ":
         return None
     data = line[9:]
-    if binascii.crc32(data) & 0xFFFFFFFF != crc:
-        return None
     try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        if binascii.crc32(data) != int(line[:8], 16):
+            return None
+    except ValueError:
         return None
-    return payload if isinstance(payload, dict) else None
+    key, _, body = data.partition(b" ")
+    return key.decode("utf-8", "replace"), body
+
+
+def _loads(body: bytes) -> dict | None:
+    """A record's JSON as a dict, or ``None`` when it does not decode."""
+    try:
+        record = json.loads(body)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        return None
+    return record if isinstance(record, dict) else None
+
+
+class _Records(Mapping):
+    """Point records by key, each decoded from its frame's JSON the
+    first time it is read.
+
+    A record whose JSON does not decode reads as ``{}``: it has no
+    status, so its point recomputes, and it counts once under
+    ``journal.corrupt``.
+    """
+
+    def __init__(self, frames: dict[str, bytes]) -> None:
+        self._records: dict[str, bytes | dict] = frames
+
+    def __getitem__(self, key: str) -> dict:
+        record = self._records[key]
+        if isinstance(record, bytes):
+            record = _loads(record)
+            if record is None:
+                get_registry().counter("journal.corrupt").inc()
+                record = {}
+            self._records[key] = record
+        return record
+
+    def __contains__(self, key) -> bool:
+        return key in self._records
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
 
 
 def encode_value(value) -> str:
@@ -114,9 +172,10 @@ class JournalState:
     Attributes:
         header: the ``header`` record (run metadata), or ``None`` when
             the journal has no valid first line.
-        points: point records keyed by the point's cache key — the last
-            record per key wins, so a point retried after a recorded
-            failure is looked up by its final status.
+        points: point records keyed by the point's cache key, each
+            decoded on first read. The last record per key wins, so a
+            point retried after a recorded failure is looked up by its
+            final status.
         valid_bytes: byte length of the longest valid frame prefix
             (``None`` when unknown, e.g. a foreign format version).
             :meth:`SweepJournal.repair` truncates a torn tail to this
@@ -124,7 +183,7 @@ class JournalState:
     """
 
     header: dict | None
-    points: dict[str, dict]
+    points: Mapping[str, dict]
     valid_bytes: int | None = None
 
     @property
@@ -252,7 +311,13 @@ class SweepJournal:
         retries: int = 0,
         error: str | None = None,
     ) -> None:
-        """Journal one finished point (``status`` is ``done``/``failed``)."""
+        """Journal one finished point (``status`` is ``done``/``failed``).
+
+        ``key`` names the point in the frame: one token, no whitespace,
+        and not the header's ``-``.
+        """
+        if key == _HEADER_KEY or key.split() != [key]:
+            raise ValueError(f"not a journal key: {key!r}")
         record = {
             "kind": "point",
             "key": key,
@@ -282,52 +347,59 @@ class SweepJournal:
     def replay(self) -> JournalState:
         """Read the longest valid prefix of the journal.
 
-        The first corrupt frame ends the replay: everything after a torn
-        line was written later and cannot be trusted to be in sync with
-        the (possibly also torn) cache. Corrupt frames count under the
-        ``journal.corrupt`` metric; a journal whose header declares an
-        unknown format version replays as empty.
+        Every frame's CRC is checked and every point frame is indexed by
+        its key; only the header's JSON is decoded here. The first
+        corrupt frame ends the replay: everything after a torn line was
+        written later and cannot be trusted to be in sync with the
+        (possibly also torn) cache. Corrupt frames count under the
+        ``journal.corrupt`` metric. A journal whose first frame is not a
+        header of this format version (one written by an older build
+        included) replays as empty, and :meth:`repair` leaves it alone.
         """
         header: dict | None = None
-        points: dict[str, dict] = {}
+        frames: dict[str, bytes] = {}
         try:
             raw = self.path.read_bytes()
         except OSError:
-            return JournalState(header=None, points={}, valid_bytes=0)
+            return JournalState(header=None, points=_Records({}), valid_bytes=0)
         pos = 0
         valid = 0
         for line in raw.split(b"\n"):
             end = pos + len(line)
-            has_newline = end < len(raw)
             next_pos = end + 1
             if not line:
                 pos = next_pos
                 valid = min(next_pos, len(raw))
                 continue
-            record = _unframe(line)
-            if record is None:
+            frame = _unframe(line)
+            if frame is None or end == len(raw):
+                # A CRC failure, or frame data that survived without its
+                # terminator: torn either way, and a resumed append would
+                # glue onto the latter.
                 get_registry().counter("journal.corrupt").inc()
                 break
-            if not has_newline:
-                # Frame data survived but its terminator didn't: treat
-                # as torn, or a resumed append would glue onto it.
-                get_registry().counter("journal.corrupt").inc()
-                break
-            kind = record.get("kind")
-            if kind == "header":
-                if record.get("format") != JOURNAL_FORMAT_VERSION:
+            key, body = frame
+            if header is None:
+                record = _loads(body) if key == _HEADER_KEY else None
+                if (
+                    record is None
+                    or record.get("kind") != "header"
+                    or record.get("format") != JOURNAL_FORMAT_VERSION
+                ):
                     get_registry().counter("journal.corrupt").inc()
                     # Foreign format: don't claim a valid prefix — a
                     # repair must not truncate someone else's journal.
                     return JournalState(
-                        header=None, points={}, valid_bytes=None
+                        header=None, points=_Records({}), valid_bytes=None
                     )
                 header = record
-            elif kind == "point" and isinstance(record.get("key"), str):
-                points[record["key"]] = record
+            elif key != _HEADER_KEY:
+                frames[key] = body
             pos = next_pos
             valid = next_pos
-        return JournalState(header=header, points=points, valid_bytes=valid)
+        return JournalState(
+            header=header, points=_Records(frames), valid_bytes=valid
+        )
 
     def repair(self, state: JournalState) -> None:
         """Truncate a torn tail so new appends land on a frame boundary.

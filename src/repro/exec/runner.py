@@ -534,10 +534,6 @@ class SweepRunner:
         """The result cache in use, if any."""
         return self._cache
 
-    def _emit(self, message: str) -> None:
-        if self._progress is not None:
-            self._progress(message)
-
     def _key(self, config, seed: int) -> str:
         if self._code_token is None:
             self._code_token = stable_fingerprint(self._fn)
@@ -583,6 +579,7 @@ class SweepRunner:
             raise ConfigurationError("need at least one sweep point")
         start = time.perf_counter()
         total = len(submitted)
+        progress = self._progress  # progress text is built only for a sink
         outcomes: list[PointResult | None] = [None] * total
         failures: list[PointFailure] = []
         pending: list[tuple[int, object, int, int]] = []
@@ -640,10 +637,11 @@ class SweepRunner:
                                     status="done",
                                     value=value,
                                 )
-                            self._emit(
-                                f"[sweep:{self.label}] point "
-                                f"{index + 1}/{total} seed={seed} cached"
-                            )
+                            if progress is not None:
+                                progress(
+                                    f"[sweep:{self.label}] point "
+                                    f"{index + 1}/{total} seed={seed} cached"
+                                )
                             continue
                     if resume and key in journaled:
                         replayed = _replay_point(journaled[key], config, seed)
@@ -656,11 +654,12 @@ class SweepRunner:
                                 # the value: repopulate (cache cleared
                                 # or torn between crash and resume).
                                 self._cache.put_if_absent(key, replayed.value)
-                            self._emit(
-                                f"[sweep:{self.label}] point "
-                                f"{index + 1}/{total} seed={seed} "
-                                "resumed from journal"
-                            )
+                            if progress is not None:
+                                progress(
+                                    f"[sweep:{self.label}] point "
+                                    f"{index + 1}/{total} seed={seed} "
+                                    "resumed from journal"
+                                )
                             continue
                     pending.append((index, config, seed, 0))
                 if journal is not None:
@@ -726,7 +725,8 @@ class SweepRunner:
             report.worker_utilization
         )
         registry.gauge("sweep.cache_hit_rate").set(report.cache_hit_rate)
-        self._emit(report.summary())
+        if progress is not None:
+            progress(report.summary())
         return report
 
     def _run_serial(self, pending, sink: "_RecordSink") -> None:
@@ -811,10 +811,11 @@ class SweepRunner:
             if not broken:  # pragma: no cover - queue empties with pool up
                 return
             registry.counter("exec.pool.rebuilds").inc()
-            self._emit(
-                f"[sweep:{self.label}] worker pool died; rebuilding and "
-                f"requeuing {len(queue)} point(s)"
-            )
+            if self._progress is not None:
+                self._progress(
+                    f"[sweep:{self.label}] worker pool died; rebuilding and "
+                    f"requeuing {len(queue)} point(s)"
+                )
             # The points that were in flight share the blame: each
             # requeue consumes one retry from their budget.
             exhausted = []
@@ -908,15 +909,11 @@ class _RecordSink:
                     wall_seconds=wall,
                 )
             )
-            status = f"FAILED after {retries} retries: {error}"
         else:
             registry.counter("sweep.points.computed").inc()
             registry.timer("sweep.point").observe(wall)
             if self.runner._cache is not None:
                 self.runner._cache.put_if_absent(self.keys[index], value)
-            status = f"{wall:.3f}s"
-            if retries:
-                status += f" ({retries} retries)"
         if self.journal is not None:
             self.journal.record_point(
                 key=self.keys[index],
@@ -929,7 +926,16 @@ class _RecordSink:
                 error=error,
             )
         self.done += 1
-        self.runner._emit(
+        progress = self.runner._progress
+        if progress is None:
+            return
+        if failed:
+            status = f"FAILED after {retries} retries: {error}"
+        else:
+            status = f"{wall:.3f}s"
+            if retries:
+                status += f" ({retries} retries)"
+        progress(
             f"[sweep:{self.runner.label}] point {self.done}/"
             f"{len(self.outcomes)} seed={seed} {status}"
         )

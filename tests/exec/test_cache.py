@@ -123,6 +123,68 @@ class TestStableFingerprint:
         with pytest.raises(ConfigurationError):
             stable_fingerprint(object())
 
+    def test_subclasses_match_their_plain_types(self):
+        """Exact-type dispatch must not split a subclass from its base:
+        the isinstance fallback encodes it as the plain value."""
+        import enum
+        from collections import OrderedDict, namedtuple
+
+        class Level(enum.IntEnum):
+            HIGH = 7
+
+        class Name(str):
+            pass
+
+        Pair = namedtuple("Pair", "left right")
+        assert stable_fingerprint(Level.HIGH) == stable_fingerprint(7)
+        assert stable_fingerprint(Name("x")) == stable_fingerprint("x")
+        assert stable_fingerprint(np.str_("x")) == stable_fingerprint("x")
+        assert stable_fingerprint(Pair(1, "a")) == stable_fingerprint((1, "a"))
+        assert stable_fingerprint(OrderedDict(b=2, a=1)) == stable_fingerprint(
+            {"a": 1, "b": 2}
+        )
+
+    def test_cycles_encode_without_recursing(self):
+        loop = [1]
+        loop.append(loop)
+        assert stable_fingerprint(loop) == "seq[int:1,cycle]"
+        shared = [2]
+        # A shared child that is not its own ancestor is encoded in full.
+        assert stable_fingerprint([shared, shared]) == stable_fingerprint(
+            [[2], [2]]
+        )
+
+
+class TestKeyEncoding:
+    """Strings enter the key material as ``str:<len>:<text>``. Without
+    the length, each pair below would encode to the same text: a string
+    that spells a delimiter and the nodes around it would shift a
+    boundary."""
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (["a", "b"], ["a,str:b"]),
+            ({"a": "b=str:c"}, {"a=str:b": "c"}),
+            ([{"a": "b"}, {"c": "d"}], [{"a": "b},map{str:c=str:d"}]),
+            (["a", 1], ["a,int:1"]),
+            ({"a": "b", "c": "d"}, {"a": "b,str:c=str:d"}),
+        ],
+        ids=["comma", "equals", "brace", "colon", "value-spells-a-field"],
+    )
+    def test_delimiters_in_strings_stay_distinct(self, left, right):
+        assert stable_fingerprint(left) != stable_fingerprint(right)
+
+    def test_pipe_cannot_move_the_config_boundary(self):
+        """``|`` separates the parts of a key's material; a config
+        string cannot claim part of the code token's place."""
+        assert cache_key("a|seed:0|str:b", 0, code_token="t") != cache_key(
+            "b", 0, code_token="t|str:a|seed:0"
+        )
+
+    def test_int_and_str_keys_differ(self):
+        assert stable_fingerprint({1: "x"}) != stable_fingerprint({"1": "x"})
+
 
 class TestCacheKey:
     def test_seed_and_config_and_code_matter(self):
@@ -168,11 +230,21 @@ class TestResultCache:
         assert hit and value == {"value": 42}
         assert len(cache) == 1
 
+    def test_entry_larger_than_the_first_read_roundtrips(self, tmp_path):
+        from repro.exec.cache import _FIRST_READ
+
+        cache = ResultCache(tmp_path)
+        key = cache_key({"x": "large"}, 5)
+        value = bytes(range(256)) * (_FIRST_READ // 128)
+        cache.put(key, value)
+        assert Path(cache._path(key)).stat().st_size > _FIRST_READ
+        assert cache.get(key) == (True, value)
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key({"x": 1}, 5)
         cache.put(key, "fine")
-        path = cache._path(key)
+        path = Path(cache._path(key))
         path.write_bytes(b"not a pickle")
         hit, _ = cache.get(key)
         assert not hit
@@ -192,7 +264,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = cache_key({"orphan": 1}, 0)
         cache.put(key, "entry")
-        orphan = cache._path(key).parent / "abc123.tmp"
+        orphan = Path(cache._path(key)).parent / "abc123.tmp"
         orphan.write_bytes(b"half a frame")
         assert cache.clear() == 1
         assert list(tmp_path.glob("*/*")) == []
@@ -239,7 +311,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = cache_key({"x": 2}, 0)
         cache.put(key, {"payload": list(range(100))})
-        path = cache._path(key)
+        path = Path(cache._path(key))
         path.write_bytes(path.read_bytes()[:20])
         with use_registry(MetricsRegistry()) as registry:
             assert cache.get(key) == (False, None)
@@ -264,7 +336,7 @@ class TestCrashSafety:
         cache = ResultCache(tmp_path)
         key = cache_key({"x": 9}, 0)
         cache.put(key, value)
-        return cache, key, cache._path(key)
+        return cache, key, Path(cache._path(key))
 
     def _assert_corrupt_miss(self, cache, key):
         from repro.obs import MetricsRegistry, use_registry
@@ -363,7 +435,7 @@ class TestPutIfAbsent:
         cache = ResultCache(tmp_path)
         key = cache_key({"cas": 3}, 0)
         cache.put(key, list(range(50)))
-        path = cache._path(key)
+        path = Path(cache._path(key))
         raw = path.read_bytes()
         path.write_bytes(
             {
@@ -397,7 +469,7 @@ class TestPutIfAbsent:
             assert cache.put_if_absent(key, "second") is False
         assert cache.get(key) == (True, "first")
         assert registry.counter("cache.put").value == 1
-        assert list(cache._path(key).parent.glob("*.tmp")) == []
+        assert list(Path(cache._path(key)).parent.glob("*.tmp")) == []
 
     def test_multiprocess_hammer_single_winner(self, tmp_path):
         """Four processes race put_if_absent on the same keys: exactly

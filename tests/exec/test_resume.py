@@ -11,10 +11,14 @@ Four guarantees:
    fsync, plus whatever cache entries they name; resume recomputes
    exactly those points and republishes their entries.
 4. When ``run()`` returns, the last fsync covers the whole journal.
+
+``TestJournalFormat`` pins the v2 frame: the record's key in front of
+its JSON, and the JSON decoded only when a record is used.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 import os
 import signal
@@ -34,7 +38,7 @@ from repro.exec import (
     list_journals,
 )
 from repro.exec.cache import source_digest
-from repro.exec.journal import SweepJournal, _unframe
+from repro.exec.journal import SweepJournal, _unframe, encode_value
 from repro.obs import capture
 from tests.exec._faultlib import (
     FlakyWorker,
@@ -79,6 +83,16 @@ def _record_commits(monkeypatch, path: Path) -> list[int]:
 
     monkeypatch.setattr(os, "fsync", recording)
     return sizes
+
+
+def _eager_records(path: Path) -> dict[str, dict]:
+    """Every point record of a journal, decoded up front from the
+    ``<crc> <key> <json>`` frames."""
+    records = {}
+    for line in path.read_bytes().splitlines()[1:]:
+        _, key, body = line.split(b" ", 2)
+        records[key.decode()] = json.loads(body)
+    return records
 
 
 def _poisoned(config, seed: int) -> float:
@@ -372,10 +386,10 @@ class TestPowerLoss:
         # The power cut: the journal keeps its committed prefix, and
         # every point recorded after it loses its cache entry's bytes.
         path.write_bytes(raw[:size])
-        lost = [_unframe(line)["key"] for line in raw[size:].splitlines()]
+        lost = [_unframe(line)[0] for line in raw[size:].splitlines()]
         assert bool(lost) == (cut == "earlier")
         for n, key in enumerate(lost):
-            entry = cache._path(key)
+            entry = Path(cache._path(key))
             data = entry.read_bytes()
             entry.write_bytes(
                 bytes(len(data)) if n % 2 else data[: len(data) // 2]
@@ -496,3 +510,168 @@ class TestFinalCommit:
         else:
             assert len(report.points_failed) == 6
             assert state.failed == 6
+
+
+class TestJournalFormat:
+    """Journal format v2: ``<crc> <key|-> <json>`` frames, indexed by key
+    on replay and decoded on use."""
+
+    @staticmethod
+    def _v1_frame(record: dict) -> bytes:
+        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        data = body.encode("utf-8")
+        return b"%08x %s\n" % (binascii.crc32(data), data)
+
+    @pytest.mark.parametrize("label", ["resume-suite", "label with spaces"])
+    def test_v1_journal_replays_empty_and_keeps_its_bytes(self, label):
+        """A journal an older build wrote (the JSON right after the CRC)
+        is foreign: it replays as empty, counts as corrupt, is not
+        listed, and a repair leaves every byte of it in place."""
+        points = _points(3, tag="v1")
+        runner = _runner(label=label)
+        run_key = runner.run_key(points)
+        frames = [
+            self._v1_frame(
+                {
+                    "kind": "header",
+                    "format": 1,
+                    "run_key": run_key,
+                    "label": label,
+                    "total": len(points),
+                }
+            )
+        ]
+        for index, (config, seed) in enumerate(points):
+            frames.append(
+                self._v1_frame(
+                    {
+                        "kind": "point",
+                        "key": runner._key(config, seed),
+                        "index": index,
+                        "seed": seed,
+                        "status": "done",
+                        "value": encode_value(deterministic_value(config, seed)),
+                        "wall_seconds": 0.5,
+                        "retries": 0,
+                    }
+                )
+            )
+        raw = b"".join(frames)
+        path = default_journal_dir() / f"{run_key}.jsonl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(raw)
+        journal = SweepJournal(run_key)
+        with capture() as registry:
+            state = journal.replay()
+            journal.repair(state)
+        assert state.header is None
+        assert len(state.points) == 0
+        assert state.valid_bytes is None
+        assert registry.counter("journal.corrupt").value == 1
+        assert path.read_bytes() == raw
+        assert list_journals() == []
+
+    @pytest.mark.parametrize("key", ["-", "", "a b", "a\nb", " a"])
+    def test_record_point_rejects_keys_that_break_the_frame(self, key):
+        """A space or newline in a key would split its frame, and ``-``
+        marks the header."""
+        journal = SweepJournal("feedfacecafe0002")
+        with pytest.raises(ValueError, match="not a journal key"):
+            journal.record_point(key=key, index=0, seed=0, status="done")
+        journal.close()
+        assert not journal.path.exists()
+
+    def test_records_decode_on_use_like_an_eager_decode(self, monkeypatch):
+        points = _points(6, tag="lazy")
+        runner = SweepRunner(
+            _poisoned,
+            jobs=1,
+            label="resume-suite",
+            journal=True,
+            failures="record",
+        )
+        report = runner.run(points)
+        path = default_journal_dir() / f"{report.run_key}.jsonl"
+        loads = json.loads
+        decoded = []
+
+        def counting(text, *args, **kwargs):
+            decoded.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        state = SweepJournal(report.run_key).replay()
+        assert len(decoded) == 1  # the header only
+        eager = _eager_records(path)
+        decoded.clear()
+        assert dict(state.points) == eager
+        assert len(decoded) == len(points)
+        assert dict(state.points) == eager  # decoded once, then kept
+        assert len(decoded) == len(points)
+        assert sorted(r["status"] for r in eager.values()) == (
+            ["done"] * 3 + ["failed"] * 3
+        )
+
+    def test_listing_tallies_match_an_eager_decode(self, capsys):
+        """``list_journals`` and ``python -m repro resume`` read the same
+        completed, failed and s/point figures from decode-on-use records
+        as from every record decoded up front."""
+        from repro.cli import main
+
+        points = _points(6, tag="tallies")
+        runner = SweepRunner(
+            _poisoned,
+            jobs=1,
+            label="resume-suite",
+            journal=True,
+            failures="record",
+        )
+        report = runner.run(points)
+        eager = _eager_records(
+            default_journal_dir() / f"{report.run_key}.jsonl"
+        ).values()
+        completed = sum(r["status"] == "done" for r in eager)
+        failed = sum(r["status"] == "failed" for r in eager)
+        walls = [r["wall_seconds"] for r in eager if r["wall_seconds"] > 0.0]
+        mean = sum(walls) / len(walls)
+        (state,) = list_journals()
+        assert (state.completed, state.failed) == (completed, failed) == (3, 3)
+        assert state.mean_compute_seconds == mean
+        assert main(["resume"]) == 0
+        header, _, row = capsys.readouterr().out.splitlines()[1:4]
+        cells = dict(
+            zip(
+                [c.strip() for c in header.split("|")],
+                [c.strip() for c in row.split("|")],
+            )
+        )
+        assert cells["points"] == f"{completed}/{len(points)}"
+        assert cells["failed"] == str(failed)
+        assert cells["s/point"] == f"{mean:.3f}"
+
+    def test_undecodable_record_recomputes_its_point(self):
+        """A frame whose CRC holds but whose JSON does not decode is not
+        torn, so replay keeps the frames after it; only its own point
+        recomputes, and its fresh record wins on the next replay."""
+        points = _points(4, tag="bad-json")
+        runner = _runner()
+        first = runner.run(points)
+        path = default_journal_dir() / f"{first.run_key}.jsonl"
+        key = runner._key(*points[1]).encode()
+        data = key + b' {"status":"done",'
+        broken = b"%08x %s\n" % (binascii.crc32(data), data)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines = [
+            broken if line.split(b" ", 2)[1] == key else line for line in lines
+        ]
+        path.write_bytes(b"".join(lines))
+        with capture() as registry:
+            again = _runner().run(points)
+        assert again.values() == first.values()
+        assert again.points_resumed == len(points) - 1
+        assert again.points_computed == 1
+        assert not again.points[1].resumed
+        assert registry.counter("journal.corrupt").value == 1
+        third = _runner().run(points)
+        assert third.points_resumed == len(points)
+        assert third.values() == first.values()
