@@ -20,13 +20,15 @@ Kernels:
 
 ``serve_chunk``
     Advance the Fig 4 count-only server model over one chunk of
-    timesteps. The state is the ``(M,)`` per-server queued counts of
-    each type; each step adds the step's arrival counts, then every
-    server takes ``min(queued_c, 2)`` type-C tasks (``min(queued_c, 1)``
-    under the serial discipline), or one type-E task if it has no
-    type-C. Which tasks are served never matters here: each type is
-    FIFO, so the engine recovers queueing delays from arrival counts
-    alone (see :mod:`repro.lb.engine`).
+    timesteps. It takes the chunk's ``(T, 2, M)`` window rows and the
+    engine's ``(2, M)`` int64 per-server queued counts (type-C, type-E),
+    which it updates in place. Each step adds the step's arrival
+    counts, then every server takes ``min(queued_c, 2)`` type-C tasks
+    (``min(queued_c, 1)`` under the serial discipline), or one type-E
+    task if it has no type-C: six ufunc calls on the stacked state, into
+    scratch allocated once per call. Which tasks are served never
+    matters here: each type is FIFO, so the engine recovers queueing
+    delays from arrival counts alone (see :mod:`repro.lb.engine`).
 
 ``searchsorted_right``
     ``np.searchsorted(table, values, side="right")``. No package code
@@ -75,10 +77,8 @@ class ArrayBackend:
 
 
 def _serve_chunk(
-    arrivals_c,
-    arrivals_e,
-    queued_c,
-    queued_e,
+    arrivals,
+    queued,
     start,
     num_balancers,
     serve_two_c,
@@ -89,10 +89,10 @@ def _serve_chunk(
     """Advance the count-only server model over one chunk of timesteps.
 
     Args:
-        arrivals_c / arrivals_e: ``(chunk, M)`` per-step, per-server
-            arrival counts by type.
-        queued_c / queued_e: ``(M,)`` per-server queued counts by type,
-            updated in place.
+        arrivals: ``(chunk, 2, M)`` per-step, per-server arrival counts
+            (row 0 type-C, row 1 type-E): the chunk's window rows.
+        queued: ``(2, M)`` int64 per-server queued counts (row 0
+            type-C, row 1 type-E), updated in place.
         start: absolute step of chunk row 0.
         num_balancers: arrivals per step.
         serve_two_c: "paper" discipline (two type-C per step) when True,
@@ -111,21 +111,29 @@ def _serve_chunk(
         the serving step over every served task, and ``stopped`` flags a
         ``max_total_queue`` early stop after ``steps_done`` steps.
     """
-    num_servers = queued_c.shape[0]
+    num_servers = queued.shape[1]
     cap_c = 2 if serve_two_c else 1
+    # Each step is six ufunc calls on the stacked (2, M) state, into
+    # scratch allocated once per call. take_e = min(queued_e, empty)
+    # is 1 exactly where a server has no type-C and some type-E.
+    take = np.empty_like(queued)
+    empty = np.empty(num_servers, dtype=bool)
+    queued_c, queued_e = queued
+    take_c, take_e = take
+    add, equal, minimum, subtract = np.add, np.equal, np.minimum, np.subtract
+    add_reduce = np.add.reduce
     served = 0
     served_step_sum = 0
     stopped = False
     steps_done = 0
 
-    for offset in range(arrivals_c.shape[0]):
-        queued_c += arrivals_c[offset]
-        queued_e += arrivals_e[offset]
-        take_e = (queued_c == 0) & (queued_e > 0)
-        take_c = np.minimum(queued_c, cap_c)
-        queued_c -= take_c
-        queued_e -= take_e
-        step_served = int(take_c.sum()) + int(np.count_nonzero(take_e))
+    for offset, row in enumerate(arrivals):
+        add(queued, row, out=queued)
+        equal(queued_c, 0, out=empty)
+        minimum(queued_e, empty, out=take_e)
+        minimum(queued_c, cap_c, out=take_c)
+        subtract(queued, take, out=queued)
+        step_served = int(add_reduce(take, axis=None))
 
         total_queued += num_balancers - step_served
         served += step_served

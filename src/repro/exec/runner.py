@@ -14,6 +14,16 @@ pure function of ``(config, seed)``, each in a fresh context, and
 results are returned in submission order regardless of completion
 order.
 
+The pool takes points a batch per executor task, at most one batch per
+worker in flight. A batch holds one point until the run's first
+outcome is back, then about :data:`BATCH_SECONDS` of points (never
+more than half a worker's fair share of what is left, so the workers
+finish together); a point slower than that travels alone. So a sweep
+of fast points pays one task, result pickle and wakeup per batch
+instead of per point, while everything else stays per point: journal
+records, cache puts, retries, timeouts, :class:`PointFailure` entries,
+progress lines and metrics merges.
+
 Long sweeps survive faults on three planes:
 
 - **Checkpoint/resume** — with ``journal=True`` every finished point is
@@ -21,23 +31,30 @@ Long sweeps survive faults on three planes:
   ``<cache dir>/journal/<run_key>.jsonl`` the moment it is recorded,
   and a re-invocation of the same points replays journaled values
   instead of recomputing. The journal is the sweep's durable store:
-  the runner fsyncs it once it has recorded every point that has
-  already finished, before it waits for the next one. A SIGKILL loses
-  no recorded point; a power cut loses at most the group recorded
-  since the last fsync, which resume recomputes bit for bit; and when
-  :meth:`SweepRunner.run` returns, every record is on disk. Serial
-  runs, and runs whose points take longer than an fsync, commit after
-  every point. ``python -m repro resume`` lists and restarts
-  interrupted CLI sweeps.
+  the pool path fsyncs it once per returned batch (skipped while
+  another batch waits to be recorded), serial runs after every point.
+  A SIGKILL of the parent loses no recorded point, only the finished
+  but unreturned points of the batches in flight (at most about
+  :data:`BATCH_SECONDS` of compute per worker); a power cut loses at
+  most the batches recorded since the last fsync. Resume recomputes
+  either loss bit for bit, and when :meth:`SweepRunner.run` returns,
+  every record is on disk. ``python -m repro resume`` lists and
+  restarts interrupted CLI sweeps.
 - **Worker fault plane** — a per-point ``timeout`` (SIGALRM-enforced
   inside the worker), bounded ``retries`` with exponential backoff
   whose jitter comes from the point's own
   :class:`~repro.sim.RandomStreams` substream (retries are
   deterministic), and a ``BrokenProcessPool`` recovery path that
-  rebuilds the executor and requeues in-flight points. With
+  rebuilds the executor. A worker death charges one retry to every
+  point of the batches in flight, never to a point not yet submitted;
+  those points then rerun one at a time, each alone, so a second death
+  is charged only to the point that caused it. A point reports every
+  retry it consumed, the charges of pool deaths included. With
   ``failures="record"``, exhausted points degrade to structured
   :class:`PointFailure` entries on the report instead of aborting the
-  sweep.
+  sweep; under ``"raise"`` the point's exception propagates, and the
+  batch-mates that finished before it go unrecorded (resume recomputes
+  them).
 - **Crash-consistent cache** — results are published per point, without
   fsync, through the CRC-verified, atomic
   :meth:`ResultCache.put_if_absent`, so concurrent sweeps on a shared
@@ -56,8 +73,9 @@ import sys
 import threading
 import time
 import warnings
+from collections import deque
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -78,6 +96,13 @@ __all__ = [
     "SweepRunner",
     "resolve_jobs",
 ]
+
+
+#: Compute time, in seconds, that one pool task aims to carry. A worker
+#: returns a batch's outcomes only when the whole batch ends, so this
+#: bounds the finished work a parent SIGKILL can lose per worker; a
+#: point slower than it travels alone.
+BATCH_SECONDS = 0.05
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -340,16 +365,17 @@ def _compute_with_faults(
 ):
     """Run ``fn(config, seed)`` under the fault plan.
 
-    Returns ``(value, attempts_consumed)``; raises the final attempt's
-    exception once the retry budget (shared with pool-level requeues via
-    ``base_attempt``) is exhausted.
+    Returns ``(value, retries)``, where ``retries`` counts every retry
+    the point consumed: the ``base_attempt`` that pool deaths already
+    charged to it plus the attempts made here. Raises the final
+    attempt's exception once that shared budget is exhausted.
     """
     registry = _metrics.get_registry()
     attempt = base_attempt
     while True:
         try:
             with _point_deadline(fault.timeout):
-                return fn(config, seed), attempt - base_attempt
+                return fn(config, seed), attempt
         except Exception as exc:
             if isinstance(exc, PointTimeoutError):
                 registry.counter("exec.timeout.hits").inc()
@@ -387,7 +413,7 @@ def _execute_point(fn: Callable, fault: _FaultPlan, item) -> _Outcome:
     """
     _, config, seed, base_attempt = item
     value, error = None, None
-    retries = fault.retries - base_attempt
+    retries = fault.retries  # what an exhausted point has consumed
     start = time.perf_counter()
     # Capture the point's metrics in isolation so the caller merges
     # exactly this point's delta — the invariant that per-worker counter
@@ -407,9 +433,33 @@ def _execute_point(fn: Callable, fault: _FaultPlan, item) -> _Outcome:
     )
 
 
-def _pool_point(item) -> _Outcome:
-    """Pool worker entry: :func:`_execute_point` with the installed fn."""
-    return _execute_point(_WORKER_FN, _WORKER_FAULT, item)
+def _pool_batch(items) -> list[_Outcome]:
+    """Pool worker entry: :func:`_execute_point` with the installed fn
+    over a batch of points, returning their outcomes in order."""
+    return [_execute_point(_WORKER_FN, _WORKER_FAULT, item) for item in items]
+
+
+class _Pace:
+    """Sizes pool batches from the mean wall of the points back so far."""
+
+    def __init__(self) -> None:
+        self.wall = 0.0
+        self.points = 0
+
+    def observe(self, outcomes) -> None:
+        self.wall += sum(outcome.wall for outcome in outcomes)
+        self.points += len(outcomes)
+
+    def batch_size(self, unsubmitted: int, jobs: int) -> int:
+        """One point until the first outcome is back; then about
+        :data:`BATCH_SECONDS` of points, but no more than half of a fair
+        share of the points left, so the workers finish together."""
+        if not self.points:
+            return 1
+        size = -(-unsubmitted // (2 * jobs))
+        if self.wall > 0.0:
+            size = min(size, int(BATCH_SECONDS * self.points / self.wall))
+        return max(1, size)
 
 
 def _replay_point(record: dict, config, seed: int) -> PointResult | None:
@@ -434,6 +484,14 @@ def _replay_point(record: dict, config, seed: int) -> PointResult | None:
 class SweepRunner:
     """Run a pure function of (config, seed) over many sweep points.
 
+    With ``jobs > 1`` the points go to a process pool a batch at a time,
+    each batch about :data:`BATCH_SECONDS` of compute (a slower point
+    travels alone), at most one batch per worker in flight. A parent
+    SIGKILL loses no recorded point, only the finished but unreturned
+    points of those batches; a power cut loses at most the batches
+    recorded since the last journal commit. Resume recomputes either
+    bit for bit.
+
     Args:
         fn: the work function, ``fn(config, seed) -> result``. It must be
             deterministic in its arguments for the engine's bit-identical
@@ -454,6 +512,8 @@ class SweepRunner:
         retries: how many times a failing point (exception, timeout, or
             dead worker) is re-attempted before giving up. Retries are
             deterministic: backoff jitter comes from the point's seed.
+            A worker death charges one retry to each point of the
+            batches in flight (see :meth:`_run_parallel`).
         retry_backoff: base backoff in seconds; attempt ``k`` sleeps
             ``backoff * 2**k * uniform(0.5, 1.0)``.
         failures: ``"raise"`` (default) aborts the sweep when a point
@@ -461,9 +521,9 @@ class SweepRunner:
             ``"record"`` degrades it to a :class:`PointFailure` on the
             report and keeps sweeping.
         journal: ``True`` to checkpoint every finished point to a
-            group-committed, CRC-framed journal keyed by
-            :meth:`run_key`; a re-run of the same points resumes instead
-            of recomputing.
+            CRC-framed journal keyed by :meth:`run_key`, fsync'd once
+            per returned pool batch (per point when serial); a re-run of
+            the same points resumes instead of recomputing.
         journal_dir: journal directory override (default
             ``<cache root>/journal``, where the cache root is the
             cache's directory, else ``cache_dir``, else
@@ -752,6 +812,24 @@ class SweepRunner:
         )
 
     def _run_parallel(self, pending, sink: "_RecordSink", jobs) -> None:
+        """Run the points on a pool of ``jobs`` workers, a batch per task.
+
+        At most ``jobs`` batches are in flight, one per worker. Batches
+        hold one point until the first outcome is back, then about
+        :data:`BATCH_SECONDS` of points (:class:`_Pace`); a point slower
+        than that travels alone. When a batch comes back, the next one
+        is submitted before its points are recorded, and the journal is
+        committed once no other batch has finished.
+
+        A worker death (``BrokenProcessPool``) charges one retry to every
+        point of the batches in flight, and never to a point not yet
+        submitted. Those points then rerun one at a time, each alone on
+        the rebuilt pool, so a second death is charged only to the point
+        that caused it; normal dispatch resumes once they settle. Under
+        ``failures="raise"`` a point's exception propagates from its
+        batch, and the batch-mates that finished before it are not
+        recorded (resume recomputes them).
+        """
         try:
             executor = self._make_executor(jobs)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
@@ -763,71 +841,30 @@ class SweepRunner:
             )
             self._run_serial(pending, sink)
             return
-        # index -> (config, seed); requeued with bumped base_attempt when
-        # a dead worker takes the pool (and every in-flight point) down.
-        queue: dict[int, tuple[int, object, int, int]] = {
-            item[0]: item for item in pending
-        }
+        queue = deque(pending)  # not submitted yet, so never charged
+        suspects: deque = deque()  # charged by a death, to rerun alone
+        pace = _Pace()
         registry = _metrics.get_registry()
-        while queue:
-            broken = False
+        while True:
             with executor:
-                futures = {
-                    executor.submit(_pool_point, item): item
-                    for item in queue.values()
-                }
-                # Group commit: fsync the journal once every point that
-                # has finished is recorded, before waiting for the next.
-                # The done callbacks run in the executor's thread and
-                # may lag the waiter, which only commits early.
-                finished: list = []
-                for future in futures:
-                    future.add_done_callback(finished.append)
-                recorded = 0
-                # One waiter over every future: waiting afresh after each
-                # completion rescans all pending futures, quadratic in
-                # the number of points.
-                for future in as_completed(futures):
-                    if not self._consume_future(
-                        future, futures[future], queue, sink
-                    ):
-                        broken = True
-                        break
-                    recorded += 1
-                    if recorded >= len(finished):
-                        sink.commit()
-                if broken:
-                    # Drain whatever completed before the pool died; the
-                    # rest stays queued for the rebuilt executor.
-                    for future, item in futures.items():
-                        if (
-                            item[0] in queue
-                            and future.done()
-                            and not future.cancelled()
-                        ):
-                            self._consume_future(future, item, queue, sink)
-            if not queue:
-                return
-            if not broken:  # pragma: no cover - queue empties with pool up
+                lost = self._isolate(executor, suspects, sink, pace)
+                if not lost:
+                    lost = self._dispatch(executor, jobs, queue, sink, pace)
+            if not (lost or queue or suspects):
                 return
             registry.counter("exec.pool.rebuilds").inc()
-            if self._progress is not None:
-                self._progress(
-                    f"[sweep:{self.label}] worker pool died; rebuilding and "
-                    f"requeuing {len(queue)} point(s)"
-                )
-            # The points that were in flight share the blame: each
-            # requeue consumes one retry from their budget.
-            exhausted = []
-            for index, (_, config, seed, base_attempt) in queue.items():
-                if base_attempt >= self._fault.retries:
-                    if self._fault.failures != "record":
-                        raise BrokenProcessPool(
-                            "sweep worker died and the retry budget is "
-                            f"exhausted (point index {index}, seed {seed})"
-                        )
+            for item in lost:
+                index, config, seed, base_attempt = item
+                if base_attempt < self._fault.retries:
+                    suspects.append((index, config, seed, base_attempt + 1))
+                elif self._fault.failures != "record":
+                    raise BrokenProcessPool(
+                        "sweep worker died and the retry budget is "
+                        f"exhausted (point index {index}, seed {seed})"
+                    )
+                else:
                     sink.record(
-                        (index, config, seed, base_attempt),
+                        item,
                         _Outcome(
                             value=None,
                             wall=0.0,
@@ -836,36 +873,97 @@ class SweepRunner:
                             error="BrokenProcessPool: worker process died",
                         ),
                     )
-                    exhausted.append(index)
-                else:
-                    queue[index] = (index, config, seed, base_attempt + 1)
-            for index in exhausted:
-                del queue[index]
-            if queue:
-                sink.commit()
-                executor = self._make_executor(min(jobs, len(queue)))
+            sink.commit()
+            if not (queue or suspects):
+                return
+            if self._progress is not None:
+                self._progress(
+                    f"[sweep:{self.label}] worker pool died; rebuilding it, "
+                    f"{len(suspects)} point(s) to rerun one at a time"
+                )
+            jobs = min(jobs, len(queue) + len(suspects))
+            executor = self._make_executor(jobs)
 
-    def _consume_future(self, future, item, queue, sink: "_RecordSink") -> bool:
-        """Fold one finished future into the sink.
+    def _isolate(self, executor, suspects, sink, pace) -> list:
+        """Rerun each suspect alone until it settles.
 
-        Returns ``False`` when the future died with the pool (the item
-        stays queued for the rebuilt executor); raises work-function
-        exceptions under ``failures="raise"``.
+        Returns ``[item]`` for a suspect that took the pool down again
+        (the others stay in ``suspects``), else ``[]``.
         """
-        try:
-            outcome = future.result()
-        except BrokenProcessPool:
-            return False
-        del queue[item[0]]
-        sink.record(item, outcome)
-        return True
+        while suspects:
+            item = suspects.popleft()
+            try:
+                outcomes = executor.submit(_pool_batch, [item]).result()
+            except BrokenProcessPool:
+                return [item]
+            pace.observe(outcomes)
+            sink.record(item, outcomes[0])
+            sink.commit()
+        return []
+
+    def _dispatch(self, executor, jobs, queue, sink, pace) -> list:
+        """Run the queue's points in batches until it empties or the pool
+        dies.
+
+        Returns the points of the batches in flight when the pool died
+        (the batches that finished before the death are recorded), else
+        ``[]``; points still queued were never submitted.
+        """
+        in_flight: dict = {}
+
+        def submit() -> None:
+            if queue:
+                size = min(pace.batch_size(len(queue), jobs), len(queue))
+                batch = [queue.popleft() for _ in range(size)]
+                try:
+                    in_flight[executor.submit(_pool_batch, batch)] = batch
+                except BrokenProcessPool:
+                    # A worker died since the last batch came back. This
+                    # batch never ran: it stays queued and uncharged.
+                    queue.extendleft(reversed(batch))
+
+        for _ in range(jobs):
+            submit()
+        while in_flight:
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in [f for f in in_flight if f in done]:
+                batch = in_flight.pop(future)
+                try:
+                    outcomes = future.result()
+                except BrokenProcessPool:
+                    return self._drain_dead_pool(batch, in_flight, sink)
+                pace.observe(outcomes)
+                submit()
+                for item, outcome in zip(batch, outcomes):
+                    sink.record(item, outcome)
+                if not any(other.done() for other in in_flight):
+                    sink.commit()
+        return []
+
+    def _drain_dead_pool(self, lost, in_flight, sink) -> list:
+        """Settle the batches in flight with a dead pool.
+
+        Records every batch that finished before the death and returns
+        the points of the others, ``lost`` first.
+        """
+        lost = list(lost)
+        wait(in_flight)  # a dead pool fails every pending future at once
+        for future, batch in in_flight.items():
+            try:
+                outcomes = future.result()
+            except BrokenProcessPool:
+                lost.extend(batch)
+                continue
+            for item, outcome in zip(batch, outcomes):
+                sink.record(item, outcome)
+        return lost
 
 
 class _RecordSink:
     """Per-run writeback: outcomes, metrics, journal, cache, progress.
 
     Every computed point flows through :meth:`record` — from the serial
-    loop, the pool's completion loop, and the pool-rebuild path — so
+    loop, the pool's batch loop, and the pool-rebuild path — so
     checkpoint appends and cache publication happen the moment a point
     settles, not at the end of the sweep. That per-point record is what
     makes a SIGKILLed sweep resumable at the granularity of single

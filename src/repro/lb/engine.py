@@ -19,8 +19,9 @@ engine serves the same chunk from counts:
 2. **Count-only server model** — which server serves how many tasks of
    which type each step depends only on its queued counts:
    ``take_c = min(queued_c, 2)`` (1 under "serial") and
-   ``take_e = (queued_c == 0) & (queued_e > 0)``. So the serve kernel
-   keeps nothing but the ``(M,)`` queued counts of each type.
+   ``take_e = min(queued_e, queued_c == 0)``. So the serve kernel keeps
+   nothing but the ``(2, M)`` int64 ``queued`` array (row 0 type-C,
+   row 1 type-E) and steps both rows at once.
 3. **Waits from FIFO ranks** — each (server, type) queue is FIFO, so
    the tasks queued after step ``T`` are that queue's last ``q``
    arrivals. With ``Q(T)`` the sum of their arrival steps, the waits
@@ -41,7 +42,9 @@ engine serves the same chunk from counts:
 4. **One kernel table** — the per-chunk serve loop is the
    ``serve_chunk`` kernel of the table :func:`repro.backend.get_backend`
    returns, looked up once per run, so a table the benchmark suite's
-   tracer puts in place is the one that runs.
+   tracer puts in place is the one that runs. Each call takes a chunk
+   part's ``(T, 2, M)`` window rows and ``queued``, which it updates in
+   place.
 
 Memory: every pass over a chunk — the workload's and the policies'
 float64 uniform draws, the bincount, the window scan, and the paired,
@@ -370,9 +373,7 @@ def run_vectorized(
                 measuring = lo >= warmup
                 (steps_done, total_queued, part_served, part_step_sum,
                  part_queue_sum, stopped) = kernels.serve_chunk(
-                    rows[lo - start:hi - start, 0],
-                    rows[lo - start:hi - start, 1],
-                    queued[0], queued[1],
+                    rows[lo - start:hi - start], queued,
                     lo, num_balancers, serve_two_c, max_total_queue,
                     total_queued, queue_length_sum if measuring else 0.0,
                 )

@@ -52,8 +52,10 @@ class FlakyWorker:
       cleanup, breaking the pool.
     - ``"ok"`` — never misbehaves.
 
-    Calls are counted with marker files under ``scratch`` so the count
-    survives worker-process death and crosses process boundaries.
+    ``seeds``, when given, limits the misbehavior to those points; the
+    others always succeed. Calls are counted with marker files under
+    ``scratch`` so the count survives worker-process death and crosses
+    process boundaries.
     """
 
     def __init__(
@@ -62,11 +64,13 @@ class FlakyWorker:
         mode: str = "fail",
         faults: int = 1,
         hang_seconds: float = 60.0,
+        seeds=None,
     ) -> None:
         self.scratch = str(scratch)
         self.mode = mode
         self.faults = int(faults)
         self.hang_seconds = float(hang_seconds)
+        self.seeds = None if seeds is None else frozenset(seeds)
 
     def calls(self, seed: int) -> int:
         """How many times the point with ``seed`` has been attempted."""
@@ -85,7 +89,8 @@ class FlakyWorker:
         nth = self.calls(seed)
         fd, _ = tempfile.mkstemp(prefix=f"call-{seed}-", dir=self.scratch)
         os.close(fd)
-        if nth < self.faults and self.mode != "ok":
+        faulty = self.seeds is None or seed in self.seeds
+        if faulty and nth < self.faults and self.mode != "ok":
             if self.mode == "fail":
                 raise ValueError(f"injected fault {nth + 1} for seed {seed}")
             if self.mode == "hang":

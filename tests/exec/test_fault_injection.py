@@ -15,6 +15,7 @@ contract points of the fault plane:
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -277,6 +278,67 @@ class TestWorkerDeath:
             SweepRunner(flaky("exit", faults=99), jobs=2, **FAST).run(
                 _points(2, tag="exit-raise")
             )
+
+    def test_pool_death_retries_show_on_the_points(self, flaky):
+        """Every death charges a retry to the points in flight, and the
+        points report what they consumed: a requeued point that then
+        succeeds used to report 0 retries."""
+        points = _points(3, tag="exit-retries")
+        with capture() as registry:
+            report = SweepRunner(
+                flaky("exit", faults=1),
+                jobs=2,
+                retries=5,
+                failures="record",
+                **FAST,
+            ).run(points)
+        assert report.values() == _clean_values(points)
+        rebuilds = registry.counter("exec.pool.rebuilds").value
+        assert rebuilds >= 1
+        assert report.retries >= rebuilds
+        assert report.retries == sum(p.retries for p in report.points)
+        assert f"{report.retries} retries" in report.summary()
+
+    def test_only_points_in_flight_pay_for_a_death(self, flaky):
+        """The first and the last point each kill their worker once. A
+        death charges only the batches in flight, so with one retry no
+        point runs out; charging every queued point made the second
+        death exhaust the last point at least."""
+        points = _points(8, tag="in-flight")
+        worker = flaky("exit", faults=1, seeds=[points[0][1], points[-1][1]])
+        with capture() as registry:
+            report = SweepRunner(
+                worker, jobs=2, retries=1, failures="record", **FAST
+            ).run(points)
+        assert report.points_failed == ()
+        assert report.values() == _clean_values(points)
+        assert registry.counter("exec.pool.rebuilds").value == 2
+
+    def test_poison_point_is_isolated(self, tmp_path):
+        """A point that always kills its worker reruns alone after the
+        first death, so the second death is charged to it only: it is
+        the one failure, and at most the one point in flight beside it
+        retried. The clean points take 50 ms, so the first death finds
+        points still queued; charging them too made the second death
+        exhaust them."""
+        points = _points(6, tag="isolated")
+
+        class SlowClean(FlakyWorker):
+            def __call__(self, config, seed):
+                if seed not in self.seeds:
+                    time.sleep(0.05)
+                return super().__call__(config, seed)
+
+        worker = SlowClean(
+            str(tmp_path / "faults"), "exit", faults=99, seeds=[points[0][1]]
+        )
+        report = SweepRunner(
+            worker, jobs=2, retries=1, failures="record", **FAST
+        ).run(points)
+        assert [f.index for f in report.points_failed] == [0]
+        assert "worker process died" in report.points_failed[0].error
+        assert report.values()[1:] == _clean_values(points)[1:]
+        assert sum(1 for p in report.points[1:] if p.retries) <= 1
 
     def test_poison_pill_exhausts_to_failure(self, flaky):
         """A point that always kills its worker consumes its requeue

@@ -138,13 +138,14 @@ class TestParallelRunner:
 
 
 class TestCompletionLoop:
-    def test_one_waiter_per_point(self, monkeypatch):
-        """The parent collects finished points through one waiter over
-        all futures. Waiting afresh after each completion installs a
-        waiter on every still-pending future, so the parent's CPU grew
-        quadratically with the number of points. Installs are counted
-        instead of CPU time, which depends on how many futures finish
-        between two waits."""
+    def test_waits_cover_only_the_batches_in_flight(self, monkeypatch):
+        """The parent waits on at most one batch per worker, and fast
+        points travel in batches, so it waits fewer times than the sweep
+        has points. Waiting on every pending future afresh after each
+        completion installed a waiter on each of them, so the parent's
+        CPU grew quadratically with the number of points. Installs are
+        counted instead of CPU time, which depends on how many batches
+        finish between two waits."""
         from concurrent.futures import _base
 
         installs = []
@@ -160,7 +161,8 @@ class TestCompletionLoop:
         points = [({"tag": "t"}, seed) for seed in range(1000)]
         report = SweepRunner(_identity_point, jobs=2).run(points)
         assert report.values() == [("t", seed) for seed in range(1000)]
-        assert sum(installs) == len(points)
+        assert installs and max(installs) <= 2
+        assert len(installs) < len(points)
 
 
 class TestSeededParity:
